@@ -132,6 +132,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _job_count(text: str) -> int:
+    """A thread count from --jobs or ETAQ_THREADS: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count (--jobs or ETAQ_THREADS) must be an integer >= 1, got {text!r}"
+        )
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etaq",
@@ -165,8 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--jobs",
         "-j",
-        type=int,
-        default=int(os.environ.get("ETAQ_THREADS", "1")),
+        type=_job_count,
+        # a string default goes through _job_count too, but only when verify
+        # runs without --jobs, so a bad ETAQ_THREADS is a usage error (exit 2)
+        default=os.environ.get("ETAQ_THREADS", "1"),
         help="verify claims in parallel (defaults to ETAQ_THREADS or 1)",
     )
     p_ver.set_defaults(func=cmd_verify)

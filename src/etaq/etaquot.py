@@ -2,10 +2,14 @@
 
 A quotient prod_delta eta(delta z)^(r_delta) expands to
 q^(s/24) prod_delta prod_n (1 - q^(delta n))^(r_delta) with s = sum delta r.
-Each Euler factor is written down sparsely via the pentagonal number
-expansion of prod (1 - q^n); powers and inverses then run through the
-generic series arithmetic.  When every delta shares a factor g the whole
-Euler part is a series in q^g, so we expand the reduced quotient at
+By Euler's pentagonal number theorem prod (1 - q^n) has only about
+2 sqrt(2P/3) nonzero terms up to q^P, so multiplying by one factor
+prod_n (1 - q^(delta n)) is a handful of shifted adds.  The positive and the
+negative exponents are each expanded that way, one pass per unit of |r|,
+in numpy slices (int64 when the residues cannot overflow, exact Python
+ints otherwise); only the combined denominator goes through the Newton
+inverse and one dense product.  When every delta shares a factor g the
+whole Euler part is a series in q^g, so we expand the reduced quotient at
 precision P/g and dilate - a large win for the high-level forms.
 """
 
@@ -14,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from .characters import Character, parse_character, trivial_mod
-from .qseries import QSeries, Ring, ZZ
+from .qseries import _INT64_LIMIT, QSeries, Ring, ZZ
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,11 @@ class EtaQuotient:
         return self.name()
 
 
-def euler_factor(delta: int, precision: int, ring: Ring) -> QSeries:
-    """prod_n (1 - q^(delta n)) via the pentagonal sparse expansion."""
-    coeffs = [0] * (precision + 1)
-    coeffs[0] = 1
+def _pentagonal_terms(delta: int, precision: int) -> Iterator[Tuple[int, int]]:
+    """(exponent, sign) of each nonconstant term of prod_n (1 - q^(delta n)) up to q^precision.
+
+    Euler: prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)).
+    """
     k = 1
     while True:
         placed = False
@@ -95,12 +102,49 @@ def euler_factor(delta: int, precision: int, ring: Ring) -> QSeries:
         for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             e = delta * g
             if e <= precision:
-                coeffs[e] = sign
+                yield e, sign
                 placed = True
         if not placed:
-            break
+            return
         k += 1
+
+
+def euler_factor(delta: int, precision: int, ring: Ring) -> QSeries:
+    """prod_n (1 - q^(delta n)) as a dense series: the reference for the sparse passes."""
+    coeffs = [0] * (precision + 1)
+    coeffs[0] = 1
+    for e, sign in _pentagonal_terms(delta, precision):
+        coeffs[e] = sign
     return QSeries(ring, coeffs, precision)
+
+
+def _sparse_euler_product(
+    powers: List[Tuple[int, int]], precision: int, modulus: int | None
+) -> list:
+    """Coefficients of prod_(delta, r) prod_n (1 - q^(delta n))^r, every r >= 1.
+
+    One pass per unit of r adds signed copies of the running product,
+    shifted by each pentagonal exponent; residues are reduced after every
+    pass.  int64 is used when a pass cannot overflow, i.e. when
+    (terms + 1) * (modulus - 1) fits; ZZ and large moduli use Python ints.
+    """
+    terms = {delta: list(_pentagonal_terms(delta, precision)) for delta, _ in powers}
+    widest = max((len(t) for t in terms.values()), default=0)
+    small = modulus is not None and (widest + 1) * (modulus - 1) < _INT64_LIMIT
+    acc = np.zeros(precision + 1, dtype=np.int64 if small else object)
+    acc[0] = 1
+    for delta, r in powers:
+        for _ in range(r):
+            nxt = acc.copy()
+            for e, sign in terms[delta]:
+                if sign > 0:
+                    nxt[e:] += acc[: precision + 1 - e]
+                else:
+                    nxt[e:] -= acc[: precision + 1 - e]
+            if modulus is not None:
+                nxt %= modulus
+            acc = nxt
+    return acc.tolist()
 
 
 def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> QSeries:
@@ -111,17 +155,20 @@ def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> 
     if g > 1:
         sub = expand_euler_part({d // g: r for d, r in exponents.items()}, precision // g, ring)
         return sub.dilate(g, precision)
-    num = None
-    den = None
-    for delta, r in sorted(exponents.items()):
-        piece = euler_factor(delta, precision, ring).pow(abs(r))
-        if r > 0:
-            num = piece if num is None else num * piece
-        else:
-            den = piece if den is None else den * piece
-    if den is not None:
-        num = den.inverse() if num is None else num * den.inverse()
-    return num
+    if ring.kind == "QQ":
+        # the expansion is integral: work over ZZ and convert once
+        return QSeries(ring, expand_euler_part(exponents, precision, ZZ).coeffs, precision)
+    modulus = ring.modulus if ring.kind == "mod" else None
+    factors = sorted(exponents.items())
+
+    def part(sign: int) -> QSeries:
+        powers = [(d, sign * r) for d, r in factors if sign * r > 0]
+        return QSeries._canonical(ring, _sparse_euler_product(powers, precision, modulus), precision)
+
+    num = part(1)
+    if all(r > 0 for _, r in factors):
+        return num
+    return num * part(-1).inverse()
 
 
 def expand(quotient: EtaQuotient, precision: int, ring: Ring = ZZ) -> QSeries:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .qseries import QSeries, ZZ, _conv_exact
+from .qseries import QSeries, ZZ
 
 
 def sigma(n: int, nu: int) -> int:
@@ -163,5 +163,9 @@ def primes_up_to(bound: int) -> List[int]:
 
 
 def slow_convolve(a: List[int], b: List[int], limit: int) -> List[int]:
-    """Exact truncated product, exposed for cross-checking the fast path."""
-    return _conv_exact(a, b, limit)
+    """Truncated product sum_(i+j=n) a(i) b(j), n <= limit, by the schoolbook double loop."""
+    out = [0] * (limit + 1)
+    for i, x in enumerate(a[: limit + 1]):
+        for j, y in enumerate(b[: limit + 1 - i]):
+            out[i + j] += x * y
+    return out

@@ -130,6 +130,20 @@ class QSeries:
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "coeffs", tuple(ring.normalize(c) for c in padded))
 
+    @classmethod
+    def _canonical(cls, ring: Ring, coeffs: Sequence[Coeff], precision: int) -> "QSeries":
+        """Wrap exactly precision+1 coefficients that are already canonical for `ring`.
+
+        Skips the per-coefficient `Ring.normalize`, so callers must guarantee
+        Python ints (ZZ), ints reduced into [0, modulus) (residue rings) or
+        Fractions (QQ).  Input from outside always goes through `__init__`.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
+
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QSeries values are immutable")
 
@@ -203,7 +217,10 @@ class QSeries:
             m = self.ring.modulus
             if (m - 1) * (m - 1) * (p + 1) < _INT64_LIMIT:
                 arr = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-                return QSeries(self.ring, (arr[: p + 1] % m).tolist(), p)
+                return QSeries._canonical(self.ring, (arr[: p + 1] % m).tolist(), p)
+            return QSeries._canonical(self.ring, [c % m for c in _conv_exact(a, b, p)], p)
+        if self.ring.kind == "ZZ":
+            return QSeries._canonical(self.ring, _conv_exact(a, b, p), p)
         return QSeries(self.ring, _conv_exact(a, b, p), p)
 
     def inverse(self) -> "QSeries":
@@ -260,7 +277,7 @@ class QSeries:
             raise ValueError("cannot extend precision by truncation")
         if precision == self.precision:
             return self
-        return QSeries(self.ring, self.coeffs[: precision + 1], precision)
+        return QSeries._canonical(self.ring, self.coeffs[: precision + 1], precision)
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k; the trusted range grows by k with no new unknowns."""
@@ -268,7 +285,8 @@ class QSeries:
             raise ValueError("negative shifts would need Laurent series")
         if k == 0:
             return self
-        return QSeries(self.ring, (0,) * k + self.coeffs, self.precision + k)
+        coeffs = (self.ring.zero(),) * k + self.coeffs
+        return QSeries._canonical(self.ring, coeffs, self.precision + k)
 
     def dilate(self, m: int, precision: int) -> "QSeries":
         """Substitute q -> q^m, i.e. place a(n) at q^(m n), up to the given precision."""
@@ -276,10 +294,9 @@ class QSeries:
             raise ValueError("dilation factor must be >= 1")
         if precision > m * self.precision + m - 1:
             raise ValueError("dilation target precision exceeds known coefficients")
-        out = [0] * (precision + 1)
-        for n in range(0, precision // m + 1):
-            out[m * n] = self.coeffs[n]
-        return QSeries(self.ring, out, precision)
+        out = [self.ring.zero()] * (precision + 1)
+        out[::m] = self.coeffs[: precision // m + 1]
+        return QSeries._canonical(self.ring, out, precision)
 
     def map_coeffs(self, fn) -> "QSeries":
         """Coefficient-wise map n, a(n) -> new coefficient, same ring."""

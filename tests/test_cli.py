@@ -1,8 +1,11 @@
 """The command-line interface: output formats, exit codes, claim files."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +105,31 @@ def test_verify_json_deterministic_across_jobs(capsys):
         return payload
 
     assert stripped("1") == stripped("4")
+
+
+@pytest.mark.parametrize(
+    "env, flag", [("abc", None), ("0", None), ("-3", None), ("1", "0"), ("1", "-3"), ("1", "x")]
+)
+def test_verify_rejects_bad_thread_counts(monkeypatch, capsys, env, flag):
+    monkeypatch.setenv("ETAQ_THREADS", env)
+    argv = ["verify", "--only", "two-exponent:delta:l691"] + (["--jobs", flag] if flag else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be an integer >= 1" in err
+    assert repr(flag or env) in err
+
+
+def test_verify_thread_count_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("ETAQ_THREADS", "2")
+    code, out, _ = run(capsys, "verify", "--only", "two-exponent:delta:l691")
+    assert code == 0
+    assert "1/1 claims as expected" in out
+    # an explicit --jobs wins over a malformed environment value
+    monkeypatch.setenv("ETAQ_THREADS", "abc")
+    code, out, _ = run(capsys, "verify", "--only", "two-exponent:delta:l691", "--jobs", "1")
+    assert code == 0
 
 
 def test_verify_no_claims_selected(capsys):
@@ -243,4 +271,17 @@ def test_console_script_is_installed():
         [exe, "expand", "--eta", "1:24", "--terms", "3"], capture_output=True, text=True
     )
     assert proc.returncode == 0
+    assert proc.stdout.strip() == "q - 24q^2 + 252q^3"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "etaq", "expand", "--eta", "1:24", "--terms", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "q - 24q^2 + 252q^3"

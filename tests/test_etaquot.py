@@ -6,9 +6,9 @@ from math import gcd
 import pytest
 
 from etaq.characters import parse_character
-from etaq.etaquot import EtaQuotient, catalog, expand, expand_euler_part, lookup
+from etaq.etaquot import EtaQuotient, catalog, euler_factor, expand, expand_euler_part, lookup
 from etaq.oracles import brute_eta_expand, primes_up_to
-from etaq.qseries import ZZ, first_mismatch, reduce_mod, residue_ring
+from etaq.qseries import QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
 
 
 def test_parse_and_name_roundtrip():
@@ -66,6 +66,36 @@ def test_every_catalog_form_matches_brute_oracle():
         slow = brute_eta_expand(dict(e.quotient.factors), 60)
         assert first_mismatch(fast, slow) is None, e.form_id
         assert fast == slow
+
+
+def dense_reference(quotient, precision, ring):
+    """The quotient from dense Euler factors: powers, products, one inverse, no dilation."""
+    lead = quotient.exponent_sum // 24
+    work = precision - lead
+    num = den = QSeries.one(ring, work)
+    for delta, r in quotient.factors:
+        piece = euler_factor(delta, work, ring).pow(abs(r))
+        if r > 0:
+            num = num * piece
+        else:
+            den = den * piece
+    return (num * den.inverse()).shift(lead)
+
+
+def test_sparse_expansion_matches_dense_and_brute_for_every_form():
+    # 150 terms reach past 18 pentagonal exponents of prod (1 - q^n); 2^70
+    # overflows the int64 guard, so its passes run on Python ints
+    precision = 150
+    rings = [residue_ring(ell, t) for ell, t in ((2, 8), (3, 5), (7, 2), (691, 1), (2, 70))]
+    for e in catalog():
+        exact = e.expand(precision)
+        assert exact == brute_eta_expand(dict(e.quotient.factors), precision), e.form_id
+        assert exact == dense_reference(e.quotient, precision, ZZ), e.form_id
+        for ring in rings:
+            sparse = e.expand(precision, ring)
+            assert sparse == reduce_mod(exact, ring.ell, ring.t), (e.form_id, ring.describe())
+        sparse = e.expand(precision, rings[1])
+        assert sparse == dense_reference(e.quotient, precision, rings[1]), e.form_id
 
 
 def test_expansion_in_residue_ring_matches_reduced_exact():

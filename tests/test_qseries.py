@@ -188,3 +188,16 @@ def test_distributivity_random():
         assert f * (g + h) == f * g + f * h
         assert (f * g) * h == f * (g * h)
         assert f * g == g * f
+
+
+def test_structural_helpers_and_products_stay_canonical():
+    # truncate, shift, dilate and products skip Ring.normalize; their
+    # coefficients must still equal (value and type) the normalized ones
+    rng = random.Random(29)
+    for ring in (ZZ, QQ, residue_ring(5, 2), residue_ring(2, 70)):
+        f = QSeries(ring, [rng.randrange(-99, 99) for _ in range(12)])
+        g = QSeries(ring, [rng.randrange(-99, 99) for _ in range(12)])
+        for series in (f * g, f.truncate(5), f.shift(3), f.dilate(3, 30)):
+            renormalized = QSeries(ring, series.coeffs, series.precision)
+            assert series == renormalized
+            assert [type(c) for c in series.coeffs] == [type(c) for c in renormalized.coeffs]
