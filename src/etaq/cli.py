@@ -132,17 +132,22 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _job_count(text: str) -> int:
-    """A thread count from --jobs or ETAQ_THREADS: an integer >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count (--jobs or ETAQ_THREADS) must be an integer >= 1, got {text!r}"
-        )
-    return jobs
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, else a usage error (exit 2) naming `what`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_job_count = _int_at_least(1, "thread count (--jobs or ETAQ_THREADS)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="keep claims whose kind equals, or claim id contains, this text (repeatable)",
     )
-    p_ver.add_argument("--margin", type=int, default=0, help="extra coefficients beyond each bound")
+    p_ver.add_argument(
+        "--margin",
+        type=_int_at_least(0, "the margin"),
+        default=0,
+        help="extra coefficients beyond each bound",
+    )
     p_ver.add_argument(
         "--prime-bound",
         type=int,
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--form", required=True, help="catalog form id")
     p_scan.add_argument("--type", choices=("I", "II"), required=True,
                         help="I: two-exponent congruences; II: square-class congruences")
-    p_scan.add_argument("--ell-max", type=int, default=100)
+    p_scan.add_argument("--ell-max", type=_int_at_least(2, "the largest ell"), default=100)
     p_scan.add_argument(
         "--prime-bound", type=int, default=congruence.DEFAULT_PRIME_BOUND
     )

@@ -401,11 +401,18 @@ _VERIFIERS = {
 }
 
 
+def _check_margin(margin: int) -> None:
+    # a negative margin would compare below the Sturm bound yet still say proved
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+
+
 def verify_claim(
     claim: CongruenceClaim,
     margin: int = 0,
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> VerificationReport:
+    _check_margin(margin)
     try:
         runner = _VERIFIERS[claim.kind]
     except KeyError:
@@ -420,6 +427,7 @@ def verify_claims(
     jobs: int = 1,
 ) -> List[VerificationReport]:
     """Verify many claims (optionally in a thread pool); reports sorted by id."""
+    _check_margin(margin)
     claims = list(claims)
     if jobs > 1 and len(claims) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -528,6 +536,8 @@ def scan_exceptional(
         raise ValueError(f"unknown scan kind {kind!r}")
     if prime_bound < 50:
         raise ValueError("prime bound below 50 would make the scan vacuous")
+    if ell_max < 2:
+        raise ValueError(f"ell_max {ell_max} leaves no prime ell to scan")
     entry = etaquot.lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)

@@ -127,15 +127,6 @@ def eisenstein_G_twisted(k: int, psi: Character, phi: Character, precision: int)
     return QSeries(QQ, coeffs, precision)
 
 
-def eisenstein_E_twisted(k: int, psi: Character, phi: Character, precision: int) -> QSeries:
-    """Twisted series normalized to constant term 1 via -2k/B_{k,phi}."""
-    g = eisenstein_G_twisted(k, psi, phi, precision)
-    b = bernoulli_generalized(k, phi)
-    if b == 0:
-        raise ValueError("B_{k,phi} vanishes; cannot normalize")
-    return g.scale(Fraction(-2 * k, 1) / b)
-
-
 def e2_replacement(ell: int, t: int, precision: int) -> QSeries:
     """A genuinely modular stand-in for E_2 modulo ell^t.
 

@@ -8,9 +8,10 @@ prod_n (1 - q^(delta n)) is a handful of shifted adds.  The positive and the
 negative exponents are each expanded that way, one pass per unit of |r|,
 in numpy slices (int64 when the residues cannot overflow, exact Python
 ints otherwise); only the combined denominator goes through the Newton
-inverse and one dense product.  When every delta shares a factor g the
-whole Euler part is a series in q^g, so we expand the reduced quotient at
-precision P/g and dilate - a large win for the high-level forms.
+inverse and one dense (Kronecker-substitution) product.  When every delta
+shares a factor g the whole Euler part is a series in q^g, so we expand the
+reduced quotient at precision P/g and dilate - a large win for the
+high-level forms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 import numpy as np
 
 from .characters import Character, parse_character, trivial_mod
-from .qseries import _INT64_LIMIT, QSeries, Ring, ZZ
+from .qseries import QSeries, Ring, ZZ
+
+# A sparse pass adds at most terms + 1 residues below the modulus per slot, so
+# it runs in int64 while (terms + 1) * (modulus - 1) stays below this limit.
+_INT64_LIMIT = 2**63 - 1
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ def theta(series: QSeries, times: int = 1) -> QSeries:
         raise ValueError("theta cannot be un-applied")
     if times == 0:
         return series
-    return series.map_coeffs(lambda n, c: n**times * c)
+    coeffs = [n**times * c for n, c in enumerate(series.coeffs)]
+    return QSeries._reduced(series.ring, coeffs, series.precision)
 
 
 def theta_mod_rule(ell: int, t: int, applications: int, meta: FormMeta) -> ThetaSpace:
@@ -71,7 +72,7 @@ def u_operator(series: QSeries, m: int) -> QSeries:
     if m < 1:
         raise ValueError("U_m needs m >= 1")
     p = series.precision // m
-    return QSeries(series.ring, [series.coeffs[m * n] for n in range(p + 1)], p)
+    return QSeries._canonical(series.ring, series.coeffs[: m * p + 1 : m], p)
 
 
 def v_operator(series: QSeries, m: int) -> QSeries:
@@ -83,7 +84,8 @@ def v_operator(series: QSeries, m: int) -> QSeries:
 
 def twist(series: QSeries, chi: Character) -> QSeries:
     """Coefficient twist a(n) -> chi(n) a(n)."""
-    return series.map_coeffs(lambda n, c: chi(n) * c)
+    coeffs = [chi(n) * c for n, c in enumerate(series.coeffs)]
+    return QSeries._reduced(series.ring, coeffs, series.precision)
 
 
 def twist_level(level: int, chi: Character) -> int:
@@ -115,7 +117,7 @@ def hecke_tp(series: QSeries, p: int, meta: FormMeta) -> QSeries:
         if mult and n % p == 0:
             val = val + mult * series.coeffs[n // p]
         coeffs.append(val)
-    return QSeries(series.ring, coeffs, out_p)
+    return QSeries._reduced(series.ring, coeffs, out_p)
 
 
 def hecke_tn(series: QSeries, n: int, meta: FormMeta) -> QSeries:
@@ -134,4 +136,4 @@ def hecke_tn(series: QSeries, n: int, meta: FormMeta) -> QSeries:
                 if cd:
                     total += cd * d ** (k - 1) * series.coeffs[m * n // (d * d)]
         coeffs.append(total)
-    return QSeries(series.ring, coeffs, out_p)
+    return QSeries._reduced(series.ring, coeffs, out_p)

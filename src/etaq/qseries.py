@@ -5,22 +5,25 @@ an explicit coefficient ring.  Values are immutable; every operation returns
 a fresh series and never fabricates coefficients beyond what both operands
 warrant (the min-precision rule).  Residue-ring coefficients are kept fully
 reduced in [0, ell^t) so equality is a plain sequence comparison.
+
+Every product, over every ring, is one exact Kronecker substitution
+(Harvey, J. Symbolic Comput. 44, 2009): each operand is packed into a single
+Python int with slots wide enough for every output coefficient, the two ints
+are multiplied once by CPython's Karatsuba, and the low precision+1 slots are
+unpacked.  Outside input is normalized coefficient by coefficient; results of
+internal arithmetic are reduced in bulk (one `% m` over Z/ell^t, nothing over
+ZZ) and wrapped without `Ring.normalize`.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Sequence, Union
 
-import numpy as np
-
 Coeff = Union[int, Fraction]
-
-# numpy int64 convolution is safe as long as the worst-case accumulated dot
-# product (modulus-1)^2 * (P+1) stays below 2^63.
-_INT64_LIMIT = 2**63 - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -98,20 +101,42 @@ def residue_ring(ell: int, t: int = 1) -> Ring:
     return Ring("mod", ell, t)
 
 
-def _conv_exact(a: Sequence[Coeff], b: Sequence[Coeff], limit: int) -> list:
-    """Truncated Cauchy product by direct convolution, exact arithmetic."""
-    la, lb = len(a), len(b)
-    out = []
-    for n in range(limit + 1):
-        lo = max(0, n - lb + 1)
-        hi = min(n, la - 1)
-        if lo > hi:
-            out.append(0)
-            continue
-        stop = n - hi - 1
-        seg = b[n - lo : (stop if stop >= 0 else None) : -1]
-        out.append(sum(map(operator.mul, a[lo : hi + 1], seg)))
-    return out
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum values[i] * 256^(width*i) for values in [0, 256^width)."""
+    chunks = map(int.to_bytes, values, repeat(width), repeat("little"))
+    return int.from_bytes(b"".join(chunks), "little")
+
+
+def _signed_pack(values: Sequence[int], width: int) -> int:
+    """sum values[i] * 256^(width*i) for signed values: positive part minus negative part."""
+    packed = _pack([c if c > 0 else 0 for c in values], width)
+    if min(values) < 0:
+        packed -= _pack([-c if c < 0 else 0 for c in values], width)
+    return packed
+
+
+def _int_product(a: Sequence[int], b: Sequence[int], limit: int) -> list:
+    """Exact truncated product c(n) = sum_(i+j=n) a(i) b(j), 0 <= n <= limit.
+
+    a and b hold limit+1 Python ints each.  Kronecker substitution: every
+    |c(n)| <= max|a| * max|b| * (limit+1) < 2^(w-1) for the slot width w
+    chosen here, so one product of the packed operands carries each c(n)
+    in its own slot.  Adding 2^(w-1) to each of the low limit+1 slots makes
+    every slot a nonnegative w-bit string that reads back on its own.
+    """
+    top_a = max(max(a), -min(a))
+    top_b = max(max(b), -min(b))
+    if not top_a or not top_b:
+        return [0] * (limit + 1)
+    bits = top_a.bit_length() + top_b.bit_length() + (limit + 1).bit_length() + 1
+    width = (bits + 7) // 8
+    size = (limit + 1) * width
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (limit + 1), "little")
+    low = (_signed_pack(a, width) * _signed_pack(b, width) + offset) & ((1 << (8 * size)) - 1)
+    slots = low.to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    read = int.from_bytes
+    return [read(slots[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 class QSeries:
@@ -143,6 +168,20 @@ class QSeries:
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         return self
+
+    @classmethod
+    def _reduced(cls, ring: Ring, coeffs: Sequence[Coeff], precision: int) -> "QSeries":
+        """Wrap exactly precision+1 results of ring arithmetic on canonical coefficients.
+
+        Reduces in bulk: one `% m` per coefficient over Z/ell^t and nothing
+        over ZZ (callers pass Python ints); QQ keeps `Ring.normalize`.
+        """
+        if ring.kind == "mod":
+            m = ring.modulus
+            return cls._canonical(ring, [c % m for c in coeffs], precision)
+        if ring.kind == "ZZ":
+            return cls._canonical(ring, coeffs, precision)
+        return cls(ring, coeffs, precision)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QSeries values are immutable")
@@ -193,35 +232,42 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         self._check_ring(other)
         p = min(self.precision, other.precision)
-        return QSeries(self.ring, [x + y for x, y in zip(self.coeffs[: p + 1], other.coeffs[: p + 1])], p)
+        pairs = zip(self.coeffs[: p + 1], other.coeffs[: p + 1])
+        return QSeries._reduced(self.ring, [x + y for x, y in pairs], p)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         self._check_ring(other)
         p = min(self.precision, other.precision)
-        return QSeries(self.ring, [x - y for x, y in zip(self.coeffs[: p + 1], other.coeffs[: p + 1])], p)
+        pairs = zip(self.coeffs[: p + 1], other.coeffs[: p + 1])
+        return QSeries._reduced(self.ring, [x - y for x, y in pairs], p)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.ring, [-c for c in self.coeffs], self.precision)
+        return QSeries._reduced(self.ring, [-c for c in self.coeffs], self.precision)
 
     def scale(self, value: Coeff) -> "QSeries":
         """Multiply every coefficient by a scalar of the same ring."""
         value = self.ring.normalize(value)
-        return QSeries(self.ring, [value * c for c in self.coeffs], self.precision)
+        return QSeries._reduced(self.ring, [value * c for c in self.coeffs], self.precision)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """Truncated Cauchy product at the smaller precision, by one exact integer product."""
         self._check_ring(other)
+        ring = self.ring
         p = min(self.precision, other.precision)
         a = self.coeffs[: p + 1]
         b = other.coeffs[: p + 1]
-        if self.ring.kind == "mod":
-            m = self.ring.modulus
-            if (m - 1) * (m - 1) * (p + 1) < _INT64_LIMIT:
-                arr = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-                return QSeries._canonical(self.ring, (arr[: p + 1] % m).tolist(), p)
-            return QSeries._canonical(self.ring, [c % m for c in _conv_exact(a, b, p)], p)
-        if self.ring.kind == "ZZ":
-            return QSeries._canonical(self.ring, _conv_exact(a, b, p), p)
-        return QSeries(self.ring, _conv_exact(a, b, p), p)
+        if ring.kind != "QQ":
+            return QSeries._reduced(ring, _int_product(a, b, p), p)
+        # clear denominators, multiply the integer numerators, divide back
+        da = lcm(*(c.denominator for c in a))
+        db = lcm(*(c.denominator for c in b))
+        nums = _int_product(
+            [c.numerator * (da // c.denominator) for c in a],
+            [c.numerator * (db // c.denominator) for c in b],
+            p,
+        )
+        den = da * db
+        return QSeries._canonical(ring, [Fraction(c, den) for c in nums], p)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse by Newton iteration; needs a unit constant term."""
@@ -248,7 +294,8 @@ class QSeries:
         while cur < self.precision:
             cur = min(2 * cur + 1, self.precision)
             a_cut = self.truncate(cur)
-            x = QSeries(ring, result.coeffs, cur)
+            pad = (ring.zero(),) * (cur - result.precision)
+            x = QSeries._canonical(ring, result.coeffs + pad, cur)
             result = x * (two.truncate(cur) - a_cut * x)
         return result
 
@@ -306,28 +353,6 @@ class QSeries:
         return all(c == 0 for c in self.coeffs)
 
 
-# -- module-level operations (the public vocabulary) -----------------------
-
-
-def add(a: QSeries, b: QSeries) -> QSeries:
-    """Coefficient-wise sum at the smaller precision."""
-    return a + b
-
-
-def mul(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy convolution at the smaller precision."""
-    return a * b
-
-
-def invert(a: QSeries) -> QSeries:
-    """Two-sided inverse up to precision; constant term must be a unit."""
-    return a.inverse()
-
-
-def power(a: QSeries, e: int) -> QSeries:
-    return a.pow(e)
-
-
 def reduce_mod(a: QSeries, ell: int, t: int = 1) -> QSeries:
     """Map a ZZ or QQ series into Z/ell^t, inverting denominators coprime to ell.
 
@@ -349,7 +374,7 @@ def reduce_mod(a: QSeries, ell: int, t: int = 1) -> QSeries:
                 f"coefficient a({n}) = {c} is not {ell}-integral; cannot reduce mod {ell}^{t}"
             )
         out.append((num * pow(den, -1, m)) % m)
-    return QSeries(ring, out, a.precision)
+    return QSeries._canonical(ring, out, a.precision)
 
 
 def ord_ell(a: QSeries) -> int | None:

@@ -121,6 +121,27 @@ def test_verify_rejects_bad_thread_counts(monkeypatch, capsys, env, flag):
     assert repr(flag or env) in err
 
 
+@pytest.mark.parametrize("margin", ["-50", "-1", "x"])
+def test_verify_rejects_bad_margin(capsys, margin):
+    # --margin -50 used to report "PASS proved" at bound 8, below the Sturm bound 58
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "two-exponent:delta:l691", "--margin", margin])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "margin must be an integer >= 0" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("ell_max", ["1", "0", "-7"])
+def test_scan_rejects_ell_max_below_two(capsys, ell_max):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--form", "delta", "--type", "I", "--ell-max", ell_max])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "largest ell must be an integer >= 2" in captured.err
+    assert "no exceptional primes" not in captured.out
+
+
 def test_verify_thread_count_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("ETAQ_THREADS", "2")
     code, out, _ = run(capsys, "verify", "--only", "two-exponent:delta:l691")

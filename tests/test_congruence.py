@@ -136,6 +136,18 @@ def test_margin_extends_the_agreement_check():
     assert deep.verdict == "proved"
 
 
+def test_negative_margin_is_rejected():
+    # a negative margin would stop the comparison below the Sturm bound
+    claim = claim_by_id("two-exponent:delta:l691")
+    with pytest.raises(ValueError, match="margin"):
+        verify_claim(claim, margin=-50)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="margin"):
+            verify_claims([claim, claim_by_id("square-class:delta:l23")], margin=-1, jobs=jobs)
+    with pytest.raises(ValueError, match="margin"):
+        verify_claims([], margin=-1)
+
+
 def test_corrupted_claim_is_caught():
     base = claim_by_id("two-exponent:delta:l691")
     bad = dataclasses.replace(base, m=2, m_prime=9, claim_id="two-exponent:delta:l691:bad")
@@ -225,6 +237,13 @@ def test_scan_rejects_bad_input():
         scan_exceptional("delta", "square-class", prime_bound=10)
     with pytest.raises(KeyError):
         scan_exceptional("eta9^99", "square-class")
+
+
+@pytest.mark.parametrize("ell_max", [1, 0, -5])
+def test_scan_rejects_ell_max_below_two(ell_max):
+    for kind in ("two-exponent", "square-class"):
+        with pytest.raises(ValueError, match="ell_max"):
+            scan_exceptional("delta", kind, ell_max=ell_max)
 
 
 def test_expansion_cache_can_be_cleared():

@@ -69,7 +69,11 @@ def test_every_catalog_form_matches_brute_oracle():
 
 
 def dense_reference(quotient, precision, ring):
-    """The quotient from dense Euler factors: powers, products, one inverse, no dilation."""
+    """The quotient from dense Euler factors: powers, products, one inverse, no dilation.
+
+    It multiplies with the same Kronecker kernel as `expand`, so it checks
+    the sparse passes; `brute_eta_expand` is the check independent of the kernel.
+    """
     lead = quotient.exponent_sum // 24
     work = precision - lead
     num = den = QSeries.one(ring, work)
@@ -96,6 +100,17 @@ def test_sparse_expansion_matches_dense_and_brute_for_every_form():
             assert sparse == reduce_mod(exact, ring.ell, ring.t), (e.form_id, ring.describe())
         sparse = e.expand(precision, rings[1])
         assert sparse == dense_reference(e.quotient, precision, rings[1]), e.form_id
+
+
+def test_quotients_with_a_denominator_match_brute_oracle_over_zz():
+    # these five go through the Newton inverse and dense products; the brute
+    # oracle multiplies and long-divides term by term, sharing no code with
+    # the Kronecker kernel that dense_reference also uses
+    precision = 600
+    forms = [e for e in catalog() if any(r < 0 for _, r in e.quotient.factors)]
+    assert len(forms) == 5
+    for e in forms:
+        assert e.expand(precision) == brute_eta_expand(dict(e.quotient.factors), precision), e.form_id
 
 
 def test_expansion_in_residue_ring_matches_reduced_exact():

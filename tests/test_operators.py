@@ -16,7 +16,7 @@ from etaq.operators import (
     u_operator,
     v_operator,
 )
-from etaq.qseries import QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
+from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
 
 
 def test_theta_multiplies_by_index():
@@ -158,3 +158,24 @@ def test_reduce_then_theta_commutes_with_theta_then_reduce():
         a = reduce_mod(theta(f, 2), ell, t)
         b = theta(lookup("eta2^12").expand(80, residue_ring(ell, t)), 2)
         assert first_mismatch(a, b) is None
+
+
+def test_operator_outputs_stay_canonical():
+    # operators reduce their outputs in bulk instead of through Ring.normalize;
+    # values and coefficient types must match a normalizing rebuild
+    e = lookup("eta1^4 eta5^4")
+    meta = FormMeta(e.weight, e.level, e.nebentypus)
+    chi = kronecker_character(-3)
+    for ring in (ZZ, QQ, residue_ring(5, 2), residue_ring(2, 70)):
+        f = e.expand(120, ring)
+        images = (
+            theta(f, 3),
+            twist(f, chi),
+            u_operator(f, 4),
+            hecke_tp(f, 3, meta),
+            hecke_tn(f, 6, meta),
+        )
+        for image in images:
+            rebuilt = QSeries(ring, image.coeffs, image.precision)
+            assert image == rebuilt
+            assert [type(c) for c in image.coeffs] == [type(c) for c in rebuilt.coeffs]

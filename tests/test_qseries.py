@@ -45,6 +45,83 @@ def test_multiplication_matches_slow_convolution():
         assert list(fast.coeffs) == slow_convolve(a, b, 15)
 
 
+def test_kernel_matches_slow_convolution_on_wide_signed_integers():
+    # slots hold max|a| * max|b| * length plus a sign bit; +-(2^k - 1) and -2^k
+    # sit exactly at a slot boundary of the packed operands
+    rng = random.Random(17)
+    edges = [s * (2**k - 1) for k in (1, 7, 8, 63, 64, 200, 201) for s in (1, -1)]
+    edges += [-(2**k) for k in (7, 8, 64, 200)]
+    for _ in range(30):
+        n = rng.randrange(1, 25)
+        a = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(-(2**210), 2**210) for _ in range(n)]
+        b = [rng.choice(edges) for _ in range(n)]
+        assert list((QSeries(ZZ, a) * QSeries(ZZ, b)).coeffs) == slow_convolve(a, b, n - 1)
+    # 15 terms of +-(2^k - 1) with 2k + 4 a multiple of 8 fill the top slot
+    # c(14) to within its sign bit, so a slot one bit narrower would wrap
+    for k in (2, 98, 202):
+        top = [2**k - 1] * 15
+        bottom = [-c for c in top]
+        for a, b in ((top, top), (top, bottom), (bottom, bottom)):
+            assert list((QSeries(ZZ, a) * QSeries(ZZ, b)).coeffs) == slow_convolve(a, b, 14)
+    low = [-(2**200)] * 9
+    assert list((QSeries(ZZ, low) * QSeries(ZZ, low)).coeffs) == slow_convolve(low, low, 8)
+
+
+def test_kernel_edge_operands():
+    negative = QSeries(ZZ, [-3, -1, -4, -1, -5, -9])
+    assert list((negative * negative).coeffs) == slow_convolve(negative.coeffs, negative.coeffs, 5)
+    assert list((negative * QSeries(ZZ, [-2, -7])).coeffs) == slow_convolve(
+        negative.coeffs, [-2, -7], 1
+    )
+    zero = QSeries.zero(ZZ, 5)
+    assert negative * zero == zero and zero * negative == zero
+    assert QSeries(ZZ, [-7], 0) * QSeries(ZZ, [6], 0) == QSeries(ZZ, [-42], 0)
+    for ring in (ZZ, QQ, residue_ring(2), residue_ring(691)):
+        assert (QSeries(ring, [0], 0) * QSeries(ring, [1], 0)).coeffs == (ring.zero(),)
+    # unequal precision: the product keeps the smaller one
+    long = QSeries(ZZ, list(range(-20, 20)))
+    short = QSeries(ZZ, [5, -1, 2], precision=6)
+    product = long * short
+    assert product.precision == 6
+    assert list(product.coeffs) == slow_convolve(list(long.coeffs), [5, -1, 2, 0, 0, 0, 0], 6)
+    assert short * long == product
+
+
+@pytest.mark.parametrize("ell, t", [(2, 1), (2, 7), (691, 1), (2, 70)])
+def test_kernel_matches_slow_convolution_in_residue_rings(ell, t):
+    # 2^70 residues need slots wider than 64 bits
+    rng = random.Random(ell * 100 + t)
+    ring = residue_ring(ell, t)
+    m = ring.modulus
+    for n in (1, 2, 17, 60):
+        a = [rng.randrange(m) for _ in range(n)]
+        b = [rng.choice((0, 1, m - 1, rng.randrange(m))) for _ in range(n)]
+        product = QSeries(ring, a) * QSeries(ring, b)
+        assert list(product.coeffs) == [c % m for c in slow_convolve(a, b, n - 1)]
+        assert all(type(c) is int and 0 <= c < m for c in product.coeffs)
+
+
+def test_kernel_matches_slow_convolution_over_rationals():
+    rng = random.Random(19)
+    for _ in range(20):
+        n = rng.randrange(1, 15)
+        a = [Fraction(rng.randrange(-50, 50), rng.choice((1, 2, 3, 7, 12, 691))) for _ in range(n)]
+        b = [Fraction(rng.randrange(-50, 50), rng.choice((1, 5, 9, 2**40))) for _ in range(n)]
+        product = QSeries(QQ, a) * QSeries(QQ, b)
+        assert list(product.coeffs) == slow_convolve(a, b, n - 1)
+        assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def test_series_times_its_inverse_is_one():
+    rng = random.Random(23)
+    for ring in (ZZ, residue_ring(3, 5)):
+        for _ in range(5):
+            coeffs = [rng.choice((1, -1))] + [rng.randrange(-10**6, 10**6) for _ in range(80)]
+            f = QSeries(ring, coeffs)
+            assert f * f.inverse() == QSeries.one(ring, 80)
+            assert f.inverse() * f == QSeries.one(ring, 80)
+
+
 def test_residue_multiplication_matches_exact_reduction():
     rng = random.Random(13)
     ring = residue_ring(3, 4)
@@ -191,13 +268,16 @@ def test_distributivity_random():
 
 
 def test_structural_helpers_and_products_stay_canonical():
-    # truncate, shift, dilate and products skip Ring.normalize; their
+    # truncate, shift, dilate, sums, differences, negation, scaling,
+    # products and inverses skip Ring.normalize (or reduce in bulk); their
     # coefficients must still equal (value and type) the normalized ones
     rng = random.Random(29)
     for ring in (ZZ, QQ, residue_ring(5, 2), residue_ring(2, 70)):
         f = QSeries(ring, [rng.randrange(-99, 99) for _ in range(12)])
         g = QSeries(ring, [rng.randrange(-99, 99) for _ in range(12)])
-        for series in (f * g, f.truncate(5), f.shift(3), f.dilate(3, 30)):
+        unit = QSeries.one(ring, 12) + f.shift(1)
+        derived = (f + g, f - g, -f, f.scale(-3), unit.inverse())
+        for series in (f * g, f.truncate(5), f.shift(3), f.dilate(3, 30)) + derived:
             renormalized = QSeries(ring, series.coeffs, series.precision)
             assert series == renormalized
             assert [type(c) for c in series.coeffs] == [type(c) for c in renormalized.coeffs]
