@@ -52,6 +52,11 @@ class CongruenceClaim:
             raise ValueError("two-exponent claim needs its character psi")
         if self.kind == "unit-factor" and not self.units:
             raise ValueError("unit-factor claim needs unit/class data")
+        if self.kind == "unit-factor" and self.m_prime is None:
+            raise ValueError("unit-factor claim needs its exponent m'")
+        if self.residues is not None or self.units:
+            if self.residue_modulus is None or self.residue_modulus < 1:
+                raise ValueError(f"{self.kind} claim with classes needs residue_modulus >= 1")
         if self.kind == "raw-identity" and (self.lhs is None or self.rhs is None):
             raise ValueError("raw claim needs both side recipes")
 
@@ -98,15 +103,22 @@ class CongruenceClaim:
 
     @classmethod
     def from_json(cls, data: Dict) -> "CongruenceClaim":
+        if not isinstance(data, dict):
+            raise ValueError(f"a claim must be a JSON object, got {data!r}")
         unknown = set(data) - set(cls._FIELDS)
         if unknown:
             raise ValueError(f"unknown claim fields: {sorted(unknown)}")
         kwargs = dict(data)
-        if "residues" in kwargs and kwargs["residues"] is not None:
-            kwargs["residues"] = tuple(kwargs["residues"])
-        if "units" in kwargs and kwargs["units"] is not None:
-            kwargs["units"] = tuple(tuple(u) for u in kwargs["units"])
-        return cls(**kwargs)
+        # a missing field or a value of the wrong type surfaces as a TypeError;
+        # report it as malformed input, naming the claim
+        try:
+            if "residues" in kwargs and kwargs["residues"] is not None:
+                kwargs["residues"] = tuple(kwargs["residues"])
+            if "units" in kwargs and kwargs["units"] is not None:
+                kwargs["units"] = tuple(tuple(u) for u in kwargs["units"])
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"claim {data.get('claim_id', '?')!r}: {exc}") from None
 
 
 def _two_exponent(form: str, ell: int, m: int, m_prime: int, psi: str) -> CongruenceClaim:

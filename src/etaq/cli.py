@@ -88,9 +88,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("no claims selected", file=sys.stderr)
         return 2
 
-    reports = congruence.verify_claims(
-        claims, margin=args.margin, prime_bound=args.prime_bound, jobs=args.jobs
-    )
+    reports = congruence.verify_claims(claims, margin=args.margin, prime_bound=args.prime_bound)
     if args.format == "json":
         payload = {"reports": [r.to_json() for r in reports]}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -189,10 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         "-j",
         type=_job_count,
-        # a string default goes through _job_count too, but only when verify
-        # runs without --jobs, so a bad ETAQ_THREADS is a usage error (exit 2)
+        # claims run sequentially; the flag stays, still validated, so that
+        # existing command lines keep working.  A string default goes through
+        # _job_count too, but only when verify runs without --jobs, so a bad
+        # ETAQ_THREADS is a usage error (exit 2)
         default=os.environ.get("ETAQ_THREADS", "1"),
-        help="verify claims in parallel (defaults to ETAQ_THREADS or 1)",
+        help="accepted and validated (defaults to ETAQ_THREADS or 1); claims run one after another",
     )
     p_ver.set_defaults(func=cmd_verify)
 

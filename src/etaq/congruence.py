@@ -14,11 +14,10 @@ Reports are plain data and serialize to JSON with stable field order.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import etaquot
 from .characters import Character, kronecker, kronecker_character, parse_character, trivial_mod
@@ -89,7 +88,6 @@ class VerificationReport:
 
 # -- cached expansions ------------------------------------------------------
 
-_cache_lock = threading.Lock()
 _expansion_cache: Dict[Tuple[str, str], QSeries] = {}
 
 
@@ -100,21 +98,15 @@ def _ring_key(ring: Ring) -> str:
 def cached_expansion(entry: etaquot.CatalogEntry, precision: int, ring: Ring) -> QSeries:
     """Expansion of a catalog form, memoized at the largest precision seen."""
     key = (entry.form_id, _ring_key(ring))
-    with _cache_lock:
-        hit = _expansion_cache.get(key)
+    hit = _expansion_cache.get(key)
     if hit is not None and hit.precision >= precision:
         return hit.truncate(precision)
-    series = entry.expand(precision, ring)
-    with _cache_lock:
-        kept = _expansion_cache.get(key)
-        if kept is None or kept.precision < series.precision:
-            _expansion_cache[key] = series
+    series = _expansion_cache[key] = entry.expand(precision, ring)
     return series
 
 
 def clear_expansion_cache() -> None:
-    with _cache_lock:
-        _expansion_cache.clear()
+    _expansion_cache.clear()
 
 
 def _timed(started: float) -> float:
@@ -127,10 +119,35 @@ def _rigor_for_table_row(ell: int, level: int) -> str:
     return "numerical-evidence" if level % ell == 0 else "sturm-proved"
 
 
-def _series_verdict(mismatch: Optional[int], rigor: str) -> str:
+def _sturm_report(
+    claim: CongruenceClaim,
+    started: float,
+    lhs: QSeries,
+    rhs: QSeries,
+    rigor: str,
+    bound: int,
+    weight: int,
+    level: int,
+    detail: str = "",
+) -> VerificationReport:
+    """Compare two sides up to the bound; agreement proves the claim only
+    under a sturm-proved comparison, and is evidence otherwise."""
+    mismatch = first_mismatch(lhs, rhs)
     if mismatch is not None:
-        return "failed"
-    return "proved" if rigor == "sturm-proved" else "evidence"
+        verdict = "failed"
+    else:
+        verdict = "proved" if rigor == "sturm-proved" else "evidence"
+    return VerificationReport(
+        claim=claim,
+        verdict=verdict,
+        rigor=rigor,
+        bound=bound,
+        weight=weight,
+        level=level,
+        first_failure=mismatch,
+        seconds=_timed(started),
+        detail=detail,
+    )
 
 
 # -- two-exponent congruences: a(p) = psi(p) (p^m + p^m') mod ell -----------
@@ -179,18 +196,9 @@ def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> Verification
         kernel = eisenstein_G(base_weight, bound)
         kernel_name = f"G_{base_weight}"
     rhs = reduce_mod(theta(twist(kernel, psi * one_n), m + 1), ell, 1)
-
-    mismatch = first_mismatch(lhs, rhs)
     rigor = _rigor_for_table_row(ell, n_level)
-    return VerificationReport(
-        claim=claim,
-        verdict=_series_verdict(mismatch, rigor),
-        rigor=rigor,
-        bound=bound,
-        weight=weight,
-        level=level,
-        first_failure=mismatch,
-        seconds=_timed(started),
+    return _sturm_report(
+        claim, started, lhs, rhs, rigor, bound, weight, level,
         detail=f"kernel {kernel_name}, theta^{m + 1}",
     )
 
@@ -211,107 +219,105 @@ def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> Verification
 
     f_res = cached_expansion(entry, bound, residue_ring(ell))
     g = twist(f_res, trivial_mod(n_level))
-    mismatch = first_mismatch(theta(g, j), theta(g, 1))
     rigor = _rigor_for_table_row(ell, n_level)
-    return VerificationReport(
-        claim=claim,
-        verdict=_series_verdict(mismatch, rigor),
-        rigor=rigor,
-        bound=bound,
-        weight=weight,
-        level=level,
-        first_failure=mismatch,
-        seconds=_timed(started),
-    )
+    return _sturm_report(claim, started, theta(g, j), theta(g, 1), rigor, bound, weight, level)
 
 
 # -- prime-power congruences on progressions of primes ----------------------
+
+
+def _prime_scan(
+    claim: CongruenceClaim,
+    prime_bound: int,
+    build_check: Callable[[etaquot.CatalogEntry], Callable[[int, int], Optional[bool]]],
+    detail: str,
+) -> VerificationReport:
+    """Scan a(p) mod ell^t over the good primes p <= prime_bound.
+
+    `build_check(entry)` validates the claim against its catalog form and
+    returns the per-prime check(p, a(p)): None when p lies outside the
+    claimed classes, else whether the congruence holds at p.  The scan
+    stops at the first prime where it fails.
+    """
+    started = time.perf_counter()
+    if prime_bound < 50:
+        raise ValueError("prime bound below 50 would make the scan vacuous")
+    entry = etaquot.lookup(claim.form)
+    check = build_check(entry)
+    f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t))
+
+    checked = 0
+    witness = None
+    for p in primes_up_to(prime_bound):
+        if entry.level % p == 0 or p == claim.ell:
+            continue
+        holds = check(p, f_res[p])
+        if holds is None:
+            continue
+        checked += 1
+        if not holds:
+            witness = p
+            break
+    if checked == 0:
+        raise ValueError(f"{claim.claim_id}: no admissible primes below {prime_bound}")
+    return VerificationReport(
+        claim=claim,
+        verdict="failed" if witness is not None else "evidence",
+        rigor="numerical-evidence",
+        bound=prime_bound,
+        first_failure=witness,
+        primes_checked=checked,
+        seconds=_timed(started),
+        detail=detail,
+    )
 
 
 def verify_prime_power(
     claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
 ) -> VerificationReport:
     """Scan a(p) = p^m + p^m' mod ell^t over primes in the claimed classes."""
-    started = time.perf_counter()
-    if prime_bound < 50:
-        raise ValueError("prime bound below 50 would make the scan vacuous")
-    entry = etaquot.lookup(claim.form)
-    k, n_level, ell, t = entry.weight, entry.level, claim.ell, claim.t
-    m, mp = claim.m, claim.m_prime
-    phi = ell ** (t - 1) * (ell - 1)
-    if (m + mp - (k - 1)) % phi != 0 and t > 1:
-        raise ValueError(f"{claim.claim_id}: exponents violate m + m' = k - 1 mod phi(ell^t)")
+    ell, t, m, mp = claim.ell, claim.t, claim.m, claim.m_prime
     modulus = ell**t
-    f_res = cached_expansion(entry, prime_bound, residue_ring(ell, t))
 
-    checked = 0
-    witness = None
-    for p in primes_up_to(prime_bound):
-        if n_level % p == 0 or p == ell:
-            continue
-        if claim.residues is not None and p % claim.residue_modulus not in claim.residues:
-            continue
-        expected = (pow(p, m, modulus) + pow(p, mp, modulus)) % modulus
-        checked += 1
-        if f_res[p] != expected:
-            witness = p
-            break
-    if checked == 0:
-        raise ValueError(f"{claim.claim_id}: no admissible primes below {prime_bound}")
-    return VerificationReport(
-        claim=claim,
-        verdict="failed" if witness is not None else "evidence",
-        rigor="numerical-evidence",
-        bound=prime_bound,
-        first_failure=witness,
-        primes_checked=checked,
-        seconds=_timed(started),
-        detail=f"classes {list(claim.residues) if claim.residues else 'all'} mod {claim.residue_modulus}",
-    )
+    def build_check(entry: etaquot.CatalogEntry):
+        phi = ell ** (t - 1) * (ell - 1)
+        if (m + mp - (entry.weight - 1)) % phi != 0 and t > 1:
+            raise ValueError(f"{claim.claim_id}: exponents violate m + m' = k - 1 mod phi(ell^t)")
+
+        def check(p: int, a_p: int) -> Optional[bool]:
+            if claim.residues is not None and p % claim.residue_modulus not in claim.residues:
+                return None
+            return a_p == (pow(p, m, modulus) + pow(p, mp, modulus)) % modulus
+
+        return check
+
+    classes = list(claim.residues) if claim.residues else "all"
+    detail = f"classes {classes} mod {claim.residue_modulus}"
+    return _prime_scan(claim, prime_bound, build_check, detail)
 
 
 def verify_unit_factor(
     claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
 ) -> VerificationReport:
     """Scan a(p) = u (1 + p^m') mod ell^(t_c) with a unit u per residue class."""
-    started = time.perf_counter()
-    if prime_bound < 50:
-        raise ValueError("prime bound below 50 would make the scan vacuous")
-    entry = etaquot.lookup(claim.form)
-    n_level, ell = entry.level, claim.ell
-    mp = claim.m_prime
-    t_max = max(tc for _, _, tc in claim.units)
-    if claim.t != t_max:
-        raise ValueError(f"{claim.claim_id}: t must equal the largest class exponent")
-    f_res = cached_expansion(entry, prime_bound, residue_ring(ell, t_max))
     by_class = {c: (u, tc) for c, u, tc in claim.units}
 
-    checked = 0
-    witness = None
-    for p in primes_up_to(prime_bound):
-        if n_level % p == 0 or p == ell:
-            continue
-        got = by_class.get(p % claim.residue_modulus)
-        if got is None:
-            continue
-        u, tc = got
-        mod_c = ell**tc
-        checked += 1
-        if (f_res[p] - u * (1 + pow(p, mp, mod_c))) % mod_c != 0:
-            witness = p
-            break
-    if checked == 0:
-        raise ValueError(f"{claim.claim_id}: no admissible primes below {prime_bound}")
-    return VerificationReport(
-        claim=claim,
-        verdict="failed" if witness is not None else "evidence",
-        rigor="numerical-evidence",
-        bound=prime_bound,
-        first_failure=witness,
-        primes_checked=checked,
-        seconds=_timed(started),
-        detail=f"units {dict((c, u) for c, u, _ in claim.units)} mod {claim.residue_modulus}",
-    )
+    def build_check(entry: etaquot.CatalogEntry):
+        if claim.t != max(tc for _, _, tc in claim.units):
+            raise ValueError(f"{claim.claim_id}: t must equal the largest class exponent")
+
+        def check(p: int, a_p: int) -> Optional[bool]:
+            got = by_class.get(p % claim.residue_modulus)
+            if got is None:
+                return None
+            u, tc = got
+            mod_c = claim.ell**tc
+            return (a_p - u * (1 + pow(p, claim.m_prime, mod_c))) % mod_c == 0
+
+        return check
+
+    detail = f"units {dict((c, u) for c, u, _ in claim.units)} mod {claim.residue_modulus}"
+    return _prime_scan(claim, prime_bound, build_check, detail)
 
 
 # -- twist-power congruences: f x 1_ell = f x kron(ell*) mod ell^a ----------
@@ -330,16 +336,8 @@ def verify_twist_power(claim: CongruenceClaim, margin: int = 0) -> VerificationR
     bound = agreement_bound(k, level, cuspidal=True) + margin
 
     f_res = cached_expansion(entry, bound, residue_ring(ell, a))
-    mismatch = first_mismatch(twist(f_res, one_ell), twist(f_res, chi))
-    return VerificationReport(
-        claim=claim,
-        verdict="failed" if mismatch is not None else "proved",
-        rigor="sturm-proved",
-        bound=bound,
-        weight=k,
-        level=level,
-        first_failure=mismatch,
-        seconds=_timed(started),
+    return _sturm_report(
+        claim, started, twist(f_res, one_ell), twist(f_res, chi), "sturm-proved", bound, k, level,
         detail=f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}",
     )
 
@@ -376,21 +374,13 @@ def verify_raw_identity(claim: CongruenceClaim, margin: int = 0) -> Verification
     bound = agreement_bound(claim.weight, claim.level, cuspidal=True) + margin
     lhs = _build_recipe_side(claim.lhs, claim.ell, claim.t, bound)
     rhs = _build_recipe_side(claim.rhs, claim.ell, claim.t, bound)
-    mismatch = first_mismatch(lhs, rhs)
-    return VerificationReport(
-        claim=claim,
-        verdict="failed" if mismatch is not None else "proved",
-        rigor="sturm-proved",
-        bound=bound,
-        weight=claim.weight,
-        level=claim.level,
-        first_failure=mismatch,
-        seconds=_timed(started),
-    )
+    return _sturm_report(claim, started, lhs, rhs, "sturm-proved", bound, claim.weight, claim.level)
 
 
 # -- dispatch ---------------------------------------------------------------
 
+# Lambdas look the verify_* functions up when called, so a caller that
+# replaces a module attribute (a tracer, a test) sees every dispatched claim.
 _VERIFIERS = {
     "two-exponent": lambda c, margin, pb: verify_two_exponent(c, margin),
     "square-class": lambda c, margin, pb: verify_square_class(c, margin),
@@ -424,18 +414,10 @@ def verify_claims(
     claims,
     margin: int = 0,
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    jobs: int = 1,
 ) -> List[VerificationReport]:
-    """Verify many claims (optionally in a thread pool); reports sorted by id."""
+    """Verify claims one after another; reports sorted by claim id."""
     _check_margin(margin)
-    claims = list(claims)
-    if jobs > 1 and len(claims) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda c: verify_claim(c, margin, prime_bound), claims))
-    else:
-        reports = [verify_claim(c, margin, prime_bound) for c in claims]
+    reports = [verify_claim(c, margin, prime_bound) for c in claims]
     return sorted(reports, key=lambda r: r.claim.claim_id)
 
 

@@ -345,10 +345,6 @@ class QSeries:
         out[::m] = self.coeffs[: precision // m + 1]
         return QSeries._canonical(self.ring, out, precision)
 
-    def map_coeffs(self, fn) -> "QSeries":
-        """Coefficient-wise map n, a(n) -> new coefficient, same ring."""
-        return QSeries(self.ring, [fn(n, c) for n, c in enumerate(self.coeffs)], self.precision)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -245,6 +245,38 @@ def test_verify_claim_file_malformed_inputs(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "claim",
+    [
+        {"kind": "prime-power", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
+         "residues": [1]},
+        {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "m_prime": 5,
+         "units": [[1, 1, 14]]},
+        {"kind": "prime-power", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
+         "residues": [1], "residue_modulus": 0},
+        {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "residue_modulus": 8,
+         "units": [[1, 1, 14]]},
+        {"kind": "square-class", "form": "delta"},
+        {"kind": "square-class", "form": "delta", "ell": "23"},
+    ],
+    ids=[
+        "residues-without-modulus",
+        "units-without-modulus",
+        "zero-modulus",
+        "units-without-exponent",
+        "missing-ell",
+        "string-ell",
+    ],
+)
+def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "error:" in err
+    assert "PASS" not in out
+
+
 def test_scan_square_class_text_flags_masked_primes(capsys):
     code, out, _ = run(capsys, "scan", "--form", "delta", "--type", "II", "--ell-max", "40")
     assert code == 0

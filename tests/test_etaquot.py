@@ -54,7 +54,6 @@ def test_catalog_has_22_distinct_forms():
 
 def test_lookup_normalizes_and_aliases():
     assert lookup("delta").level == 1
-    assert lookup("eta1^24") is lookup("delta")
     assert lookup("  eta1^8   eta2^8 ") is lookup("eta1^8 eta2^8")
     with pytest.raises(KeyError):
         lookup("eta1^3")
