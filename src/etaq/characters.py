@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import List
 
 
 def kronecker(a: int, n: int) -> int:
@@ -91,6 +92,22 @@ class Character:
         if gcd(n, self.trivial_part) > 1:
             return 0
         return kronecker(self.disc, n)
+
+    def is_periodic(self) -> bool:
+        """True when chi(n + modulus) = chi(n) for every n >= 0.
+
+        Only an odd trivial part with disc = 3 mod 4 fails: (disc/2) is then
+        +-1, so chi(2^v n) depends on v and no modulus is a period.
+        """
+        return self.trivial_part % 2 == 0 or self.disc % 4 != 3
+
+    def values(self, count: int) -> List[int]:
+        """[chi(0), ..., chi(count - 1)], read from one period when chi has one."""
+        if not self.is_periodic():
+            return [self(n) for n in range(count)]
+        m = self.modulus
+        period = [self(n) for n in range(m)]
+        return (period * (count // m + 1))[:count]
 
     def is_trivial(self) -> bool:
         """True for every principal character 1_M, whatever its modulus."""

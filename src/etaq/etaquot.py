@@ -2,16 +2,24 @@
 
 A quotient prod_delta eta(delta z)^(r_delta) expands to
 q^(s/24) prod_delta prod_n (1 - q^(delta n))^(r_delta) with s = sum delta r.
-By Euler's pentagonal number theorem prod (1 - q^n) has only about
-2 sqrt(2P/3) nonzero terms up to q^P, so multiplying by one factor
-prod_n (1 - q^(delta n)) is a handful of shifted adds.  The positive and the
-negative exponents are each expanded that way, one pass per unit of |r|,
-in numpy slices (int64 when the residues cannot overflow, exact Python
-ints otherwise); only the combined denominator goes through the Newton
-inverse and one dense (Kronecker-substitution) product.  When every delta
-shares a factor g the whole Euler part is a series in q^g, so we expand the
-reduced quotient at precision P/g and dilate - a large win for the
-high-level forms.
+The Euler part is written as a product of blocks: closed-form sparse series
+in q^delta, each the Euler part of an eta product (Koehler, Eta Products and
+Theta Series Identities, 2011); eta(d) stands for eta(delta z):
+
+  E(delta)      = prod (1 - q^(delta n))            Euler, terms +-1
+  C(delta)      = E(delta)^3                         Jacobi, (-1)^k (2k+1)
+  theta3(delta) = eta(2d)^5 / (eta(d)^2 eta(4d)^2)   sum_(n in Z) q^(delta n^2)
+  theta4(delta) = eta(d)^2 / eta(2d)                 sum_(n in Z) (-1)^n q^(delta n^2)
+  psi(delta)    = eta(2d)^2 / eta(d)                 sum_(n >= 0) q^(delta n(n+1)/2)
+
+Each has O(sqrt(P)) terms up to q^P, so multiplying the running product by
+one block is a handful of shifted, scaled adds in numpy slices (int64 when
+the residues cannot overflow, exact Python ints otherwise).  The theta
+blocks absorb every denominator of the catalog, so no catalog form needs a
+division; a denominator no block covers is inverted once with the Newton
+inverse.  When every delta shares a factor g the whole Euler part is a
+series in q^g, so we expand the reduced quotient at precision P/g and
+dilate - a large win for the high-level forms.
 """
 
 from __future__ import annotations
@@ -19,15 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .characters import Character, parse_character, trivial_mod
 from .qseries import QSeries, Ring, ZZ
 
-# A sparse pass adds at most terms + 1 residues below the modulus per slot, so
-# it runs in int64 while (terms + 1) * (modulus - 1) stays below this limit.
+# A sparse pass moves a slot by at most (1 + sum |c|) (modulus - 1) over the
+# block's terms c q^e, so it runs in int64 while that stays below this limit.
 _INT64_LIMIT = 2**63 - 1
 
 
@@ -95,60 +103,109 @@ class EtaQuotient:
         return self.name()
 
 
-def _pentagonal_terms(delta: int, precision: int) -> Iterator[Tuple[int, int]]:
-    """(exponent, sign) of each nonconstant term of prod_n (1 - q^(delta n)) up to q^precision.
+def _pentagonal(n: int) -> int:
+    """The generalized pentagonal numbers 1, 2, 5, 7, 12, ...: k(3k -+ 1)/2, k = ceil(n/2)."""
+    k = (n + 1) // 2
+    return k * (3 * k + (-1) ** n) // 2
 
-    Euler: prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)).
-    """
-    k = 1
-    while True:
-        placed = False
-        sign = -1 if k % 2 else 1
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            e = delta * g
-            if e <= precision:
-                yield e, sign
-                placed = True
-        if not placed:
-            return
-        k += 1
+
+def _triangular(n: int) -> int:
+    return n * (n + 1) // 2
+
+
+def _square(n: int) -> int:
+    return n * n
+
+
+# Closed-form series in q^delta, named as in the module docstring: the eta
+# product whose Euler part the block is, as (multiple of delta, exponent)
+# pairs, and the exponent and coefficient of its n-th nonconstant term.
+_BLOCKS = {
+    "E": (((1, 1),), _pentagonal, lambda n: (-1) ** ((n + 1) // 2)),
+    "C": (((1, 3),), _triangular, lambda n: (-1) ** n * (2 * n + 1)),
+    "theta3": (((1, -2), (2, 5), (4, -2)), _square, lambda n: 2),
+    "theta4": (((1, 2), (2, -1)), _square, lambda n: 2 * (-1) ** n),
+    "psi": (((1, -1), (2, 2)), _triangular, lambda n: 1),
+}
+
+
+def _block_terms(name: str, delta: int, precision: int) -> List[Tuple[int, int]]:
+    """(exponent, coefficient) of each nonconstant term of a block in q^delta up to q^precision."""
+    _, exponent, coefficient = _BLOCKS[name]
+    terms = []
+    n = 1
+    while delta * exponent(n) <= precision:
+        terms.append((delta * exponent(n), coefficient(n)))
+        n += 1
+    return terms
 
 
 def euler_factor(delta: int, precision: int, ring: Ring) -> QSeries:
     """prod_n (1 - q^(delta n)) as a dense series: the reference for the sparse passes."""
     coeffs = [0] * (precision + 1)
     coeffs[0] = 1
-    for e, sign in _pentagonal_terms(delta, precision):
+    for e, sign in _block_terms("E", delta, precision):
         coeffs[e] = sign
     return QSeries(ring, coeffs, precision)
 
 
-def _sparse_euler_product(
-    powers: List[Tuple[int, int]], precision: int, modulus: int | None
-) -> list:
-    """Coefficients of prod_(delta, r) prod_n (1 - q^(delta n))^r, every r >= 1.
+def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict[int, int]]:
+    """Write prod_delta eta(delta z)^(r_delta) as blocks (name, delta) times a leftover.
 
-    One pass per unit of r adds signed copies of the running product,
-    shifted by each pentagonal exponent; residues are reduced after every
-    pass.  int64 is used when a pass cannot overflow, i.e. when
-    (terms + 1) * (modulus - 1) fits; ZZ and large moduli use Python ints.
+    Negative exponents are covered in ascending delta, by theta4(delta/2)
+    from a surplus at delta/2, then theta3(delta) while 4 delta is also
+    negative, then psi(delta).  A block draws only on a positive surplus, so
+    it never makes an exponent negative.  Every positive remainder r becomes
+    r // 3 cubes and r % 3 pentagonal factors.  What no block covers is
+    returned as a denominator {delta: r}.
     """
-    terms = {delta: list(_pentagonal_terms(delta, precision)) for delta, _ in powers}
-    widest = max((len(t) for t in terms.values()), default=0)
-    small = modulus is not None and (widest + 1) * (modulus - 1) < _INT64_LIMIT
+    rest = dict(exponents)
+    blocks: List[Tuple[str, int]] = []
+
+    def use(name: str, delta: int) -> None:
+        for m, r in _BLOCKS[name][0]:
+            rest[m * delta] = rest.get(m * delta, 0) - r
+        blocks.append((name, delta))
+
+    for delta in sorted(d for d, r in exponents.items() if r < 0):
+        while rest[delta] < 0 and delta % 2 == 0 and rest.get(delta // 2, 0) >= 2:
+            use("theta4", delta // 2)
+        while rest[delta] <= -2 and rest.get(2 * delta, 0) >= 5 and rest.get(4 * delta, 0) < 0:
+            use("theta3", delta)
+        while rest[delta] < 0 and rest.get(2 * delta, 0) >= 2:
+            use("psi", delta)
+    for delta, r in sorted(rest.items()):
+        if r > 0:
+            blocks += [("C", delta)] * (r // 3) + [("E", delta)] * (r % 3)
+    return blocks, {d: -r for d, r in sorted(rest.items()) if r < 0}
+
+
+def _sparse_product(blocks: List[Tuple[str, int]], precision: int, modulus: int | None) -> list:
+    """Coefficients of the product of the blocks (name, delta) up to q^precision.
+
+    One pass per block adds c times the running product shifted by e for each
+    of the block's terms c q^e; residues are reduced after every pass.  A
+    pass moves each slot by at most (1 + sum |c|) (modulus - 1), so int64 is
+    used when that fits for every pass; ZZ and large moduli use Python ints.
+    """
+    terms = {key: _block_terms(*key, precision) for key in set(blocks)}
+    weight = max((1 + sum(abs(c) for _, c in t) for t in terms.values()), default=1)
+    small = modulus is not None and weight * (modulus - 1) < _INT64_LIMIT
     acc = np.zeros(precision + 1, dtype=np.int64 if small else object)
     acc[0] = 1
-    for delta, r in powers:
-        for _ in range(r):
-            nxt = acc.copy()
-            for e, sign in terms[delta]:
-                if sign > 0:
-                    nxt[e:] += acc[: precision + 1 - e]
-                else:
-                    nxt[e:] -= acc[: precision + 1 - e]
-            if modulus is not None:
-                nxt %= modulus
-            acc = nxt
+    for key in blocks:
+        nxt = acc.copy()
+        for e, c in terms[key]:
+            src = acc[: precision + 1 - e]
+            if c == 1:
+                nxt[e:] += src
+            elif c == -1:
+                nxt[e:] -= src
+            else:
+                nxt[e:] += c * src
+        if modulus is not None:
+            nxt %= modulus
+        acc = nxt
     return acc.tolist()
 
 
@@ -164,16 +221,15 @@ def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> 
         # the expansion is integral: work over ZZ and convert once
         return QSeries(ring, expand_euler_part(exponents, precision, ZZ).coeffs, precision)
     modulus = ring.modulus if ring.kind == "mod" else None
-    factors = sorted(exponents.items())
+    blocks, leftover = _plan_blocks(exponents)
 
-    def part(sign: int) -> QSeries:
-        powers = [(d, sign * r) for d, r in factors if sign * r > 0]
-        return QSeries._canonical(ring, _sparse_euler_product(powers, precision, modulus), precision)
+    def product(blocks: List[Tuple[str, int]]) -> QSeries:
+        return QSeries._canonical(ring, _sparse_product(blocks, precision, modulus), precision)
 
-    num = part(1)
-    if all(r > 0 for _, r in factors):
+    num = product(blocks)
+    if not leftover:
         return num
-    return num * part(-1).inverse()
+    return num * product([("E", d) for d, r in leftover.items() for _ in range(r)]).inverse()
 
 
 def expand(quotient: EtaQuotient, precision: int, ring: Ring = ZZ) -> QSeries:

@@ -84,7 +84,7 @@ def v_operator(series: QSeries, m: int) -> QSeries:
 
 def twist(series: QSeries, chi: Character) -> QSeries:
     """Coefficient twist a(n) -> chi(n) a(n)."""
-    coeffs = [chi(n) * c for n, c in enumerate(series.coeffs)]
+    coeffs = [v * c for v, c in zip(chi.values(series.precision + 1), series.coeffs)]
     return QSeries._reduced(series.ring, coeffs, series.precision)
 
 

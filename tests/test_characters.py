@@ -5,6 +5,7 @@ import pytest
 from etaq.characters import (
     TRIVIAL,
     Character,
+    _squarefree_part,
     kronecker,
     kronecker_character,
     parse_character,
@@ -50,6 +51,24 @@ def test_character_call_and_periodicity():
     for n in range(1, 60):
         assert chi(n) == chi(n + 4 * 7)
     assert [chi(n) for n in range(8)] == [0, 1, 0, -1, 0, 1, 0, -1]
+
+
+def test_values_follow_the_period_only_where_there_is_one():
+    # (d/2) = +-1 for odd d, so d = 3 mod 4 with an odd trivial part has no
+    # period; values() must then evaluate chi directly
+    for trivial_part in range(1, 13):
+        for d in range(-15, 16):
+            if d == 0 or _squarefree_part(d)[0] != d:
+                continue
+            chi = Character(trivial_part, d)
+            m = chi.modulus
+            direct = [chi(n) for n in range(8 * m)]
+            periodic = all(direct[n] == direct[n % m] for n in range(8 * m))
+            assert chi.is_periodic() == periodic, chi
+            assert chi.values(8 * m) == direct, chi
+            assert chi.values(m // 2) == direct[: m // 2], chi
+    assert not Character(1, -1).is_periodic()
+    assert Character(1, -1).values(7) == [1, 1, 1, -1, 1, 1, -1]
 
 
 def test_character_parity():

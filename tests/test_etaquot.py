@@ -6,7 +6,17 @@ from math import gcd
 import pytest
 
 from etaq.characters import parse_character
-from etaq.etaquot import EtaQuotient, catalog, euler_factor, expand, expand_euler_part, lookup
+from etaq.etaquot import (
+    _BLOCKS,
+    EtaQuotient,
+    _block_terms,
+    _plan_blocks,
+    catalog,
+    euler_factor,
+    expand,
+    expand_euler_part,
+    lookup,
+)
 from etaq.oracles import brute_eta_expand, primes_up_to
 from etaq.qseries import QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
 
@@ -102,14 +112,79 @@ def test_sparse_expansion_matches_dense_and_brute_for_every_form():
 
 
 def test_quotients_with_a_denominator_match_brute_oracle_over_zz():
-    # these five go through the Newton inverse and dense products; the brute
-    # oracle multiplies and long-divides term by term, sharing no code with
-    # the Kronecker kernel that dense_reference also uses
+    # these five expand through the theta-series blocks; the brute oracle
+    # multiplies and long-divides term by term, sharing no code with them
     precision = 600
     forms = [e for e in catalog() if any(r < 0 for _, r in e.quotient.factors)]
     assert len(forms) == 5
     for e in forms:
         assert e.expand(precision) == brute_eta_expand(dict(e.quotient.factors), precision), e.form_id
+
+
+def test_each_block_matches_brute_oracle_of_its_eta_product():
+    # a block is the Euler part of an eta product.  When 24 does not divide
+    # its exponent sum s, compare (24 / gcd(24, s))-th powers: over ZZ a
+    # series with constant term 1 is determined by any power of it
+    precision = 300
+    for name in ("C", "theta3", "theta4", "psi"):
+        eta = _BLOCKS[name][0]
+        for delta in (1, 2, 3):
+            coeffs = [1] + [0] * precision
+            for e, c in _block_terms(name, delta, precision):
+                coeffs[e] = c
+            exponents = {m * delta: r for m, r in eta}
+            s = sum(d * r for d, r in exponents.items())
+            power = 24 // gcd(24, s)
+            lead = s * power // 24
+            expected = brute_eta_expand({d: power * r for d, r in exponents.items()}, precision + lead)
+            assert QSeries(ZZ, coeffs).pow(power).shift(lead) == expected, (name, delta)
+
+
+def test_catalog_expands_without_the_newton_inverse(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Newton inverse called")
+
+    monkeypatch.setattr(QSeries, "inverse", refuse)
+    for e in catalog():
+        exact = e.expand(400)
+        assert e.expand(400, residue_ring(3, 5)) == reduce_mod(exact, 3, 5), e.form_id
+
+
+def test_leftover_denominator_goes_through_the_newton_inverse():
+    # no block covers eta(z)^-1 alone: 1 / prod (1 - q^n) counts partitions
+    assert _plan_blocks({1: -1}) == ([], {1: 1})
+    partitions = [1] + [0] * 200
+    for part in range(1, 201):
+        for n in range(part, 201):
+            partitions[n] += partitions[n - part]
+    series = expand_euler_part({1: -1}, 200, ZZ)
+    assert list(series.coeffs) == partitions
+    assert series[200] == 3972999029388
+    assert expand_euler_part({1: -1}, 200, residue_ring(3, 5)) == reduce_mod(series, 3, 5)
+    # (q^2; q^2) / (q; q) counts partitions into distinct parts
+    assert _plan_blocks({1: -1, 2: 1}) == ([("E", 2)], {1: 1})
+    distinct = [1] + [0] * 200
+    for part in range(1, 201):
+        for n in range(200, part - 1, -1):
+            distinct[n] += distinct[n - part]
+    assert list(expand_euler_part({1: -1, 2: 1}, 200, ZZ).coeffs) == distinct
+
+
+def test_int64_guard_weights_each_pass_by_its_coefficients():
+    # a cube pass moves a slot by up to (1 + sum |c|)(modulus - 1).  At 600
+    # terms that weight is 35^2 + 1 against 35 terms, so 3^33 runs in int64,
+    # 3^34 just above the limit in Python ints, and a guard sized by the term
+    # count would wrongly take int64 up to 3^36.  (A power of 2 would not show
+    # an overflow: int64 wraps modulo 2^64.)
+    precision = 600
+    terms = _block_terms("C", 1, precision)
+    weight = 1 + sum(abs(c) for _, c in terms)
+    below = max(t for t in range(1, 40) if weight * (3**t - 1) < 2**63)
+    by_count = max(t for t in range(1, 40) if (len(terms) + 1) * (3**t - 1) < 2**63)
+    assert (below, by_count) == (33, 36)
+    exact = expand_euler_part({1: 24}, precision, ZZ)
+    for t in range(below, by_count + 1):
+        assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == reduce_mod(exact, 3, t), t
 
 
 def test_expansion_in_residue_ring_matches_reduced_exact():

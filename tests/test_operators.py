@@ -90,6 +90,39 @@ def test_twist_by_character():
         assert tw[n] == chi(n) * f[n]
 
 
+def _characters_in_use():
+    """Every character the catalog, the built-in claims and the scan candidates build."""
+    from etaq.characters import parse_character
+    from etaq.claims import builtin_claims
+    from etaq.congruence import _candidate_psi
+    from etaq.etaquot import catalog
+
+    chars = set()
+    for e in catalog():
+        chars |= {e.nebentypus, trivial_mod(e.level), *_candidate_psi(e.level)}
+    for c in builtin_claims():
+        if c.psi:
+            one_n = trivial_mod(lookup(c.form).level)
+            chars |= {one_n, parse_character(c.psi) * one_n}
+        if c.kind == "twist-power":
+            chars |= {trivial_mod(c.ell), kronecker_character(c.ell if c.ell % 4 == 1 else -c.ell)}
+        for side in (c.lhs or {}, c.rhs or {}):
+            if "twist" in side:
+                chars.add(parse_character(side["twist"]))
+    return chars
+
+
+def test_twist_reads_chi_from_one_period_for_every_character_in_use():
+    chars = _characters_in_use()
+    assert len(chars) > 20
+    for chi in chars:
+        m = chi.modulus
+        assert chi.is_periodic(), chi
+        assert chi.values(3 * m + 1) == [chi(n) for n in range(3 * m + 1)], chi
+        f = QSeries(ZZ, [n * n - 7 for n in range(3 * m + 1)])
+        assert list(twist(f, chi).coeffs) == [chi(n) * f[n] for n in range(3 * m + 1)], chi
+
+
 def test_double_twist_by_quadratic_character_restores_coprime_part():
     chi = kronecker_character(-4)
     f = lookup("delta").expand(30)
