@@ -1,7 +1,9 @@
 """The verification engine end to end: verdicts, rigor labels, scans."""
 
 import dataclasses
+import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,26 @@ from etaq.congruence import (
 from etaq.etaquot import lookup
 
 
+PINNED_REPORTS = Path(__file__).parent / "data" / "builtin_reports.json"
+
+
 def claim_by_id(claim_id):
     matches = [c for c in builtin_claims() if c.claim_id == claim_id]
     assert len(matches) == 1, claim_id
     return matches[0]
+
+
+def test_builtin_reports_match_the_pinned_fixture():
+    # every field but the timing, detail strings included, for all 100 rows
+    pinned = json.loads(PINNED_REPORTS.read_text())["reports"]
+    got = []
+    for report in verify_claims(builtin_claims()):
+        data = report.to_json()
+        del data["seconds"]
+        got.append(data)
+    assert len(got) == len(pinned) == 100
+    for mine, theirs in zip(got, pinned):
+        assert mine == theirs, theirs["claim"]
 
 
 def test_two_exponent_delta_691():
