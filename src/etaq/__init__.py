@@ -24,7 +24,7 @@ from .eisenstein import eisenstein_E, eisenstein_E2, eisenstein_G
 from .etaquot import CatalogEntry, EtaQuotient, catalog, expand, lookup
 from .operators import FormMeta, hecke_tn, hecke_tp, theta, twist, u_operator, v_operator
 from .qseries import QQ, QSeries, Ring, ZZ, ord_ell, reduce_mod, residue_ring
-from .sturm import ComparisonSpace, agreement_bound, group_index
+from .sturm import agreement_bound, group_index
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "Character",
     "CongruenceClaim",
     "CatalogEntry",
-    "ComparisonSpace",
     "EtaQuotient",
     "FormMeta",
     "QQ",

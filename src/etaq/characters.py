@@ -83,6 +83,9 @@ class Character:
         e, _ = _squarefree_part(self.disc)
         if e != self.disc:
             raise ValueError(f"discriminant {self.disc} is not squarefree; reduce it first")
+        if self.trivial_part % 2 and self.disc % 4 == 3:
+            # (d/2) = +-1 for odd d, so chi(2^v n) would depend on v: no period
+            raise ValueError(f"{self!r} is not a Dirichlet character; use kron({4 * self.disc})")
 
     @property
     def modulus(self) -> int:
@@ -93,18 +96,8 @@ class Character:
             return 0
         return kronecker(self.disc, n)
 
-    def is_periodic(self) -> bool:
-        """True when chi(n + modulus) = chi(n) for every n >= 0.
-
-        Only an odd trivial part with disc = 3 mod 4 fails: (disc/2) is then
-        +-1, so chi(2^v n) depends on v and no modulus is a period.
-        """
-        return self.trivial_part % 2 == 0 or self.disc % 4 != 3
-
     def values(self, count: int) -> List[int]:
-        """[chi(0), ..., chi(count - 1)], read from one period when chi has one."""
-        if not self.is_periodic():
-            return [self(n) for n in range(count)]
+        """[chi(0), ..., chi(count - 1)], read from one period."""
         m = self.modulus
         period = [self(n) for n in range(m)]
         return (period * (count // m + 1))[:count]
@@ -155,13 +148,15 @@ def kronecker_character(d: int) -> Character:
 def parse_character(text: str) -> Character:
     """Parse strings like "1_12", "kron(-3)", or "1_2 * kron(-3)"."""
     chi = TRIVIAL
-    for raw in text.split("*"):
-        token = raw.strip()
+    # trivial parts first: each kron(d) then joins them, so "1_2 * kron(3)"
+    # (the symbol of 12) is a character and kron(3) alone is not
+    for token in sorted((raw.strip() for raw in text.split("*")), key=lambda tok: "(" in tok):
         m = _TOKEN.match(token)
         if not m:
             raise ValueError(f"bad character token {token!r}")
         if m.group(1) is not None:
             chi = chi * trivial_mod(int(m.group(1)))
         else:
-            chi = chi * kronecker_character(int(m.group(2)))
+            e, c = _squarefree_part(int(m.group(2)))
+            chi = chi * Character(lcm(chi.trivial_part, c), e)
     return chi

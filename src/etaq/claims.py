@@ -57,6 +57,9 @@ class CongruenceClaim:
         if self.residues is not None or self.units:
             if self.residue_modulus is None or self.residue_modulus < 1:
                 raise ValueError(f"{self.kind} claim with classes needs residue_modulus >= 1")
+        for declared in (self.weight, self.level):
+            if declared is not None and (not isinstance(declared, int) or declared < 1):
+                raise ValueError("a declared weight or level must be an integer >= 1")
         if self.kind == "raw-identity" and (self.lhs is None or self.rhs is None):
             raise ValueError("raw claim needs both side recipes")
 

@@ -1,13 +1,14 @@
 """The verification engine: decide each claimed congruence and say how.
 
-Every check compares two explicitly constructed q-expansions coefficient by
-coefficient, either through the agreement bound of an enclosing space of
-modular forms (rigor "sturm-proved") or over a long prime scan (rigor
-"numerical-evidence").  A congruence between sides of different weights is
-compared at the larger weight; that is legitimate here because in each
-shipped case the lower-weight side can be padded by a form congruent to 1
-(E_{ell-1} for ell >= 5, E_4 mod 3, and normalized weight-2 level-d series
-mod 2) without changing its expansion modulo the modulus under test.
+Every series verifier follows one pattern: it checks its claim and describes
+two sides (`Side`: a base, an optional twist, a theta count, an optional
+E_w^e pad).  `_side_space` derives each side's weight, level, cusp flag and
+theta regime from the `operators` bookkeeping; `_compare` builds both sides
+to the agreement bound of the space holding both and compares them, a proof
+("sturm-proved") unless a theta step was conservative.  Sides of different
+weights meet at the larger: the lower can be padded by a form congruent to 1
+(E_{ell-1} for ell >= 5, E_4 mod 3, weight-2 level-d series mod 2).  Prime-
+power claims are scanned over many primes instead ("numerical-evidence").
 
 Reports are plain data and serialize to JSON with stable field order.
 """
@@ -15,15 +16,14 @@ Reports are plain data and serialize to JSON with stable field order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from math import lcm
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import etaquot
 from .characters import Character, kronecker, kronecker_character, parse_character, trivial_mod
 from .claims import CongruenceClaim
 from .eisenstein import eisenstein_E, eisenstein_E2_level, eisenstein_G
-from .operators import theta, twist, twist_level, u_operator
+from .operators import FormMeta, common_space, theta, theta_mod_rule, twist, twist_meta, u_operator
 from .oracles import primes_up_to
 from .qseries import QSeries, Ring, ZZ, first_mismatch, reduce_mod, residue_ring
 from .sturm import agreement_bound
@@ -113,30 +113,87 @@ def _timed(started: float) -> float:
     return round(time.perf_counter() - started, 3)
 
 
-def _rigor_for_table_row(ell: int, level: int) -> str:
-    # when ell divides the level the theta-image spaces are not fully
-    # understood, so agreement up to the bound stays labeled as evidence
-    return "numerical-evidence" if level % ell == 0 else "sturm-proved"
+# -- series comparisons: build two sides, derive their space, compare --------
 
 
-def _sturm_report(
-    claim: CongruenceClaim,
-    started: float,
-    lhs: QSeries,
-    rhs: QSeries,
-    rigor: str,
-    bound: int,
-    weight: int,
-    level: int,
-    detail: str = "",
-) -> VerificationReport:
-    """Compare two sides up to the bound; agreement proves the claim only
-    under a sturm-proved comparison, and is evidence otherwise."""
-    mismatch = first_mismatch(lhs, rhs)
-    if mismatch is not None:
-        verdict = "failed"
+@dataclass(frozen=True)
+class Side:
+    """One side of a series comparison, built in this order: a base (a
+    catalog form, G_k, or the weight-2 level-N series), an optional twist,
+    theta applied `theta` times, then an optional pad E_w^e."""
+
+    base: str  # "form" | "G" | "level"
+    arg: Union[str, int]  # form id | weight k of G_k | level N
+    twist: Optional[Character] = None
+    theta: int = 0
+    pad: Optional[Tuple[int, int]] = None  # (w, e) for E_w^e
+
+
+def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
+    """The space of a side mod ell^t and the regime of its theta step ("exact"
+    without one).  A theta image is cuspidal, a G or weight-2 base is not,
+    and a pad E_w^e adds w e to the weight; it is 1 mod ell^t only when
+    phi(ell^t) | w."""
+    if side.base == "form":
+        entry = etaquot.lookup(side.arg)
+        meta = FormMeta(entry.weight, entry.level, entry.nebentypus, entry.cuspidal)
     else:
-        verdict = "proved" if rigor == "sturm-proved" else "evidence"
+        weight, level = (side.arg, 1) if side.base == "G" else (2, side.arg)
+        meta = FormMeta(weight, level, trivial_mod(1), cuspidal=False)
+    if side.twist is not None:
+        meta = twist_meta(meta, side.twist)
+    regime = "exact"
+    if side.theta:
+        meta, regime = theta_mod_rule(ell, t, side.theta, meta)
+    if side.pad is not None:
+        w, e = side.pad
+        if w % (ell ** (t - 1) * (ell - 1)):
+            raise ValueError(f"pad E_{w} is not 1 mod {ell}^{t}: phi({ell}^{t}) does not divide w")
+        meta = replace(meta, weight=meta.weight + w * e)
+    return meta, regime
+
+
+def _build_side(side: Side, ell: int, t: int, precision: int) -> QSeries:
+    if side.base == "form":
+        series = cached_expansion(etaquot.lookup(side.arg), precision, residue_ring(ell, t))
+    elif side.base == "G":
+        series = eisenstein_G(side.arg, precision)
+    else:
+        series = eisenstein_E2_level(side.arg, precision)
+    if side.twist is not None:
+        series = twist(series, side.twist)
+    series = theta(series, side.theta)
+    if side.base != "form":
+        # after theta, which kills a constant that need not be ell-integral
+        series = reduce_mod(series, ell, t)
+    if side.pad is not None:
+        series = series * reduce_mod(eisenstein_E(side.pad[0], precision), ell, t).pow(side.pad[1])
+    return series
+
+
+def _compare(
+    claim: CongruenceClaim, started: float, margin: int,
+    lhs: Side, rhs: Side, t: int, detail: str = "",
+) -> VerificationReport:
+    """Compare two sides mod ell^t up to the agreement bound of their common
+    space; agreement is evidence, not proof, when a theta step of either side
+    is conservative.  A weight or level the claim declares must contain the
+    derived space, and the comparison then runs there."""
+    lhs_meta, lhs_regime = _side_space(lhs, claim.ell, t)
+    rhs_meta, rhs_regime = _side_space(rhs, claim.ell, t)
+    space = common_space(lhs_meta, rhs_meta)
+    weight = space.weight if claim.weight is None else claim.weight
+    level = space.level if claim.level is None else claim.level
+    if weight < space.weight or level % space.level:
+        raise ValueError(
+            f"{claim.claim_id}: declared weight {weight}, level {level} does not contain "
+            f"the derived weight {space.weight}, level {space.level}"
+        )
+    bound = agreement_bound(weight, level, space.cuspidal) + margin
+    mismatch = first_mismatch(*(_build_side(side, claim.ell, t, bound) for side in (lhs, rhs)))
+    conservative = "conservative" in (lhs_regime, rhs_regime)
+    rigor = "numerical-evidence" if conservative else "sturm-proved"
+    verdict = "failed" if mismatch is not None else "evidence" if conservative else "proved"
     return VerificationReport(
         claim=claim,
         verdict=verdict,
@@ -172,35 +229,16 @@ def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> Verification
     # (sigma_ell = sigma_1 mod ell).  For w = ell - 1 the constant of G_(ell-1) is not
     # ell-integral, but theta runs before reduction and kills it.
     if w == 2 and n_level >= 2:
-        base_kind, base_weight, base_level = "level", 2, n_level
+        base, arg, kernel_name = "level", n_level, f"weight-2 level-{n_level} series"
     elif w == 2:
-        base_kind, base_weight, base_level = "G", ell + 1, 1
+        base, arg, kernel_name = "G", ell + 1, f"G_{ell + 1}"
     elif 3 <= w <= ell - 1:
-        base_kind, base_weight, base_level = "G", w, 1
+        base, arg, kernel_name = "G", w, f"G_{w}"
     else:
         raise ValueError(f"{claim.claim_id}: no Eisenstein kernel for width {w}")
-
-    lhs_weight = k + ell + 1
-    rhs_weight = base_weight + (m + 1) * (ell + 1)
-    weight = max(lhs_weight, rhs_weight)
-    level = lcm(twist_level(n_level, one_n), twist_level(base_level, psi * one_n))
-    bound = agreement_bound(weight, level, cuspidal=True) + margin
-
-    f_res = cached_expansion(entry, bound, residue_ring(ell))
-    lhs = theta(twist(f_res, one_n), 1)
-
-    if base_kind == "level":
-        kernel = eisenstein_E2_level(base_level, bound)
-        kernel_name = f"weight-2 level-{base_level} series"
-    else:
-        kernel = eisenstein_G(base_weight, bound)
-        kernel_name = f"G_{base_weight}"
-    rhs = reduce_mod(theta(twist(kernel, psi * one_n), m + 1), ell, 1)
-    rigor = _rigor_for_table_row(ell, n_level)
-    return _sturm_report(
-        claim, started, lhs, rhs, rigor, bound, weight, level,
-        detail=f"kernel {kernel_name}, theta^{m + 1}",
-    )
+    lhs = Side("form", claim.form, one_n, theta=1)
+    rhs = Side(base, arg, psi * one_n, theta=m + 1)
+    return _compare(claim, started, margin, lhs, rhs, 1, f"kernel {kernel_name}, theta^{m + 1}")
 
 
 # -- square-class congruences: theta^((ell+1)/2) f = theta f mod ell --------
@@ -208,19 +246,11 @@ def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> Verification
 
 def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
     started = time.perf_counter()
-    entry = etaquot.lookup(claim.form)
-    k, n_level, ell = entry.weight, entry.level, claim.ell
-    if ell % 2 == 0:
+    one_n = trivial_mod(etaquot.lookup(claim.form).level)
+    if claim.ell % 2 == 0:
         raise ValueError(f"{claim.claim_id}: the square-class congruence needs odd ell")
-    j = (ell + 1) // 2
-    weight = k + j * (ell + 1)
-    level = twist_level(n_level, trivial_mod(n_level))
-    bound = agreement_bound(weight, level, cuspidal=True) + margin
-
-    f_res = cached_expansion(entry, bound, residue_ring(ell))
-    g = twist(f_res, trivial_mod(n_level))
-    rigor = _rigor_for_table_row(ell, n_level)
-    return _sturm_report(claim, started, theta(g, j), theta(g, 1), rigor, bound, weight, level)
+    lhs = Side("form", claim.form, one_n, theta=(claim.ell + 1) // 2)
+    return _compare(claim, started, margin, lhs, Side("form", claim.form, one_n, theta=1), 1)
 
 
 # -- prime-power congruences on progressions of primes ----------------------
@@ -325,56 +355,44 @@ def verify_unit_factor(
 
 def verify_twist_power(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
     started = time.perf_counter()
-    entry = etaquot.lookup(claim.form)
-    k, n_level, ell, a = entry.weight, entry.level, claim.ell, claim.t
+    ell, a = claim.ell, claim.t
     if ell % 2 == 0:
         raise ValueError(f"{claim.claim_id}: twist comparison needs odd ell")
     disc = ell if ell % 4 == 1 else -ell
-    chi = kronecker_character(disc)
-    one_ell = trivial_mod(ell)
-    level = lcm(twist_level(n_level, one_ell), twist_level(n_level, chi))
-    bound = agreement_bound(k, level, cuspidal=True) + margin
-
-    f_res = cached_expansion(entry, bound, residue_ring(ell, a))
-    return _sturm_report(
-        claim, started, twist(f_res, one_ell), twist(f_res, chi), "sturm-proved", bound, k, level,
-        detail=f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}",
-    )
+    lhs = Side("form", claim.form, trivial_mod(ell))
+    rhs = Side("form", claim.form, kronecker_character(disc))
+    detail = f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}"
+    return _compare(claim, started, margin, lhs, rhs, a, detail)
 
 
 # -- raw two-pipeline identities --------------------------------------------
 
 
-def _build_recipe_side(recipe: Dict, ell: int, t: int, precision: int) -> QSeries:
-    if "form" in recipe:
-        series: QSeries = cached_expansion(
-            etaquot.lookup(recipe["form"]), precision, residue_ring(ell, t)
-        )
-        rational = False
-    elif "G" in recipe:
-        series = eisenstein_G(recipe["G"], precision)
-        rational = True
-    else:
-        raise ValueError(f"recipe needs a 'form' or 'G' base: {recipe}")
-    if "twist" in recipe:
-        series = twist(series, parse_character(recipe["twist"]))
-    if "theta" in recipe:
-        series = theta(series, recipe["theta"])
-    if rational:
-        series = reduce_mod(series, ell, t)
-    if "pad" in recipe:
-        e_weight, e_power = recipe["pad"]
-        pad = reduce_mod(eisenstein_E(e_weight, precision), ell, t).pow(e_power)
-        series = series * pad
-    return series
+_RECIPE_KEYS = {"form", "G", "twist", "theta", "pad"}
+
+
+def _recipe_side(recipe: Dict) -> Side:
+    """A claim-file recipe as a Side: one base, "form" or "G", then optional
+    "twist", "theta" and "pad" [w, e]."""
+    if not isinstance(recipe, dict) or not _RECIPE_KEYS.issuperset(recipe):
+        raise ValueError(f"a recipe is an object with keys from {sorted(_RECIPE_KEYS)}: {recipe}")
+    if ("form" in recipe) == ("G" in recipe):
+        raise ValueError(f"recipe needs exactly one base, 'form' or 'G': {recipe}")
+    pad = recipe.get("pad")
+    if pad is not None and not (isinstance(pad, list) and len(pad) == 2):
+        raise ValueError(f"recipe pad must be a pair [w, e]: {recipe}")
+    numbers = [recipe.get("G", 0), recipe.get("theta", 0), *(pad or [])]
+    if not all(isinstance(x, int) and x >= 0 for x in numbers):
+        raise ValueError(f"recipe G, theta and pad entries must be integers >= 0: {recipe}")
+    base = "form" if "form" in recipe else "G"
+    twist_by = parse_character(recipe["twist"]) if "twist" in recipe else None
+    return Side(base, recipe[base], twist_by, recipe.get("theta", 0), pad and tuple(pad))
 
 
 def verify_raw_identity(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
     started = time.perf_counter()
-    bound = agreement_bound(claim.weight, claim.level, cuspidal=True) + margin
-    lhs = _build_recipe_side(claim.lhs, claim.ell, claim.t, bound)
-    rhs = _build_recipe_side(claim.rhs, claim.ell, claim.t, bound)
-    return _sturm_report(claim, started, lhs, rhs, "sturm-proved", bound, claim.weight, claim.level)
+    lhs, rhs = _recipe_side(claim.lhs), _recipe_side(claim.rhs)
+    return _compare(claim, started, margin, lhs, rhs, claim.t)
 
 
 # -- dispatch ---------------------------------------------------------------

@@ -146,10 +146,3 @@ def e2_replacement(ell: int, t: int, precision: int) -> QSeries:
     if reduce_mod(series, ell, t) != reduce_mod(eisenstein_E2(precision), ell, t):
         raise AssertionError(f"replacement series drifted from E_2 mod {ell}^{t}")
     return series
-
-
-def e2_replacement_weight(ell: int, t: int) -> int:
-    """Weight of the E_2 replacement: 2 + phi(ell^t)."""
-    if not ((ell == 3 and t >= 2) or (ell == 2 and t >= 4)):
-        raise ValueError("replacement series exists for ell=3, t>=2 and ell=2, t>=4")
-    return 2 + ell ** (t - 1) * (ell - 1)

@@ -1,16 +1,18 @@
 """Coefficient operators on q-expansions and their weight/level bookkeeping.
 
 The series-level maps (theta, U_m, V_m, twisting, Hecke) act coefficient by
-coefficient.  Alongside them, `theta_mod_rule` records in which space a
-theta image lives when working modulo ell^t, distinguishing the regimes
-where the filtration step is exactly understood from the conservative
-fallback bound.
+coefficient.  Alongside them, `FormMeta` tracks the space a form lives in:
+`twist_meta` follows a twist, `theta_mod_rule` says where a theta image
+lives modulo ell^t (distinguishing the regimes where the filtration step is
+exactly understood from the conservative fallback), and `common_space`
+joins two sides into the space where they are compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import gcd, lcm
+from typing import Tuple
 
 from .characters import Character
 from .qseries import QSeries
@@ -26,15 +28,6 @@ class FormMeta:
     cuspidal: bool = True
 
 
-@dataclass(frozen=True)
-class ThetaSpace:
-    """Where theta^j f lands modulo ell^t, and how rigorously we know it."""
-
-    weight: int
-    level: int
-    regime: str  # "exact" | "conservative"
-
-
 def theta(series: QSeries, times: int = 1) -> QSeries:
     """Apply the q d/dq operator `times` times: a(n) -> n^times a(n)."""
     if times < 0:
@@ -45,11 +38,14 @@ def theta(series: QSeries, times: int = 1) -> QSeries:
     return QSeries._reduced(series.ring, coeffs, series.precision)
 
 
-def theta_mod_rule(ell: int, t: int, applications: int, meta: FormMeta) -> ThetaSpace:
-    """Weight/level bookkeeping for theta^applications on M_k(N) taken mod ell^t.
+def theta_mod_rule(ell: int, t: int, applications: int, meta: FormMeta) -> Tuple[FormMeta, str]:
+    """Where theta^applications of a form in M_k(N) lands mod ell^t (a cusp
+    form), and how rigorously that is known: "exact" or "conservative".
 
     Three regimes:
-      * t = 1: classical filtration, weight steps by ell + 1, level unchanged.
+      * t = 1: classical filtration, weight steps by ell + 1, level unchanged;
+        conservative when ell divides the level, where the theta-image
+        spaces are not fully understood.
       * ell = 3, t >= 2 or ell = 2, t >= 4: weight steps by 2 + phi(ell^t)
         and the level picks up one factor ell^(t-1).
       * otherwise: conservative - weight steps by 2 + 2 ell^(t-1)(ell - 1)
@@ -59,12 +55,13 @@ def theta_mod_rule(ell: int, t: int, applications: int, meta: FormMeta) -> Theta
         raise ValueError("need at least one application")
     k, n_level = meta.weight, meta.level
     if t == 1:
-        return ThetaSpace(k + applications * (ell + 1), n_level, "exact")
-    if (ell == 3 and t >= 2) or (ell == 2 and t >= 4):
-        step = 2 + ell ** (t - 1) * (ell - 1)
-        return ThetaSpace(k + applications * step, n_level * ell ** (t - 1), "exact")
-    step = 2 + 2 * ell ** (t - 1) * (ell - 1)
-    return ThetaSpace(k + applications * step, n_level * ell**t, "conservative")
+        regime = "conservative" if n_level % ell == 0 else "exact"
+        step, level = ell + 1, n_level
+    elif (ell == 3 and t >= 2) or (ell == 2 and t >= 4):
+        step, level, regime = 2 + ell ** (t - 1) * (ell - 1), n_level * ell ** (t - 1), "exact"
+    else:
+        step, level, regime = 2 + 2 * ell ** (t - 1) * (ell - 1), n_level * ell**t, "conservative"
+    return replace(meta, weight=k + applications * step, level=level, cuspidal=True), regime
 
 
 def u_operator(series: QSeries, m: int) -> QSeries:
@@ -100,6 +97,13 @@ def twist_meta(meta: FormMeta, chi: Character) -> FormMeta:
         level=twist_level(meta.level, chi),
         nebentypus=meta.nebentypus * chi * chi,
     )
+
+
+def common_space(a: FormMeta, b: FormMeta) -> FormMeta:
+    """Where two tracked forms are compared: the larger weight, the lcm of the
+    levels, cuspidal only if both are.  The agreement bound reads no character."""
+    both = a.cuspidal and b.cuspidal
+    return replace(a, weight=max(a.weight, b.weight), level=lcm(a.level, b.level), cuspidal=both)
 
 
 def hecke_tp(series: QSeries, p: int, meta: FormMeta) -> QSeries:

@@ -10,7 +10,6 @@ part of the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -49,15 +48,3 @@ def agreement_bound(weight: int, level: int, cuspidal: bool) -> int:
         x -= Fraction(b - 1, level)
     return x.numerator // x.denominator
 
-
-@dataclass(frozen=True)
-class ComparisonSpace:
-    """The common space in which a congruence of expansions is decided."""
-
-    weight: int
-    level: int
-    cuspidal: bool
-
-    @property
-    def bound(self) -> int:
-        return agreement_bound(self.weight, self.level, self.cuspidal)

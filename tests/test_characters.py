@@ -55,20 +55,28 @@ def test_character_call_and_periodicity():
 
 def test_values_follow_the_period_only_where_there_is_one():
     # (d/2) = +-1 for odd d, so d = 3 mod 4 with an odd trivial part has no
-    # period; values() must then evaluate chi directly
+    # period and is no Dirichlet character: it is rejected; every other pair
+    # is periodic and values() reads one period
     for trivial_part in range(1, 13):
         for d in range(-15, 16):
             if d == 0 or _squarefree_part(d)[0] != d:
                 continue
+            if trivial_part % 2 and d % 4 == 3:
+                with pytest.raises(ValueError, match="not a Dirichlet character"):
+                    Character(trivial_part, d)
+                continue
             chi = Character(trivial_part, d)
             m = chi.modulus
             direct = [chi(n) for n in range(8 * m)]
-            periodic = all(direct[n] == direct[n % m] for n in range(8 * m))
-            assert chi.is_periodic() == periodic, chi
+            assert all(direct[n] == direct[n % m] for n in range(8 * m)), chi
             assert chi.values(8 * m) == direct, chi
             assert chi.values(m // 2) == direct[: m // 2], chi
-    assert not Character(1, -1).is_periodic()
-    assert Character(1, -1).values(7) == [1, 1, 1, -1, 1, 1, -1]
+    for text in ("kron(-1)", "kron(3)", "kron(-5)", "1_3 * kron(7)"):
+        with pytest.raises(ValueError, match="not a Dirichlet character"):
+            parse_character(text)
+    # with a factor 2 in the trivial part the same symbol is the character of 4d
+    assert parse_character("1_2 * kron(3)") == kronecker_character(12)
+    assert parse_character("kron(-1) * 1_2") == kronecker_character(-4)
 
 
 def test_character_parity():
@@ -148,4 +156,3 @@ def test_modulus_is_lcm_of_parts():
     assert Character(6, -3).modulus == 6
     assert Character(2, 5).modulus == 10
     assert Character(1, -2).modulus == 8  # -8 = (-2) * 2^2 folds to disc -2
-    assert Character(3, -1).modulus == 12  # cond(kron(-1)) = 4

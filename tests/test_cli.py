@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from etaq.claims import builtin_claims
 from etaq.cli import format_polynomial, main
 from etaq.etaquot import lookup
 
@@ -269,6 +270,82 @@ def test_verify_claim_file_malformed_inputs(tmp_path, capsys):
     ],
 )
 def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "error:" in err
+    assert "PASS" not in out
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [
+        ("control_declared_space_too_small.json", 2),
+        ("control_kron3_twist.json", 2),
+        ("control_pad_not_one.json", 2),
+        ("control_conservative_theta.json", 0),
+    ],
+)
+def test_planted_raw_identity_controls(capsys, name, code):
+    got, out, err = run(capsys, "verify", str(DATA / name), "--format", "json")
+    assert got == code
+    if code == 2:
+        assert err.startswith("error:") and out == ""
+    else:
+        # theta mod 5^2 is conservative: agreement is evidence, never a proof
+        (report,) = json.loads(out)["reports"]
+        assert (report["verdict"], report["rigor"]) == ("evidence", "numerical-evidence")
+
+
+def test_raw_identity_without_weight_runs_at_the_derived_space(tmp_path, capsys):
+    (claim,) = [c for c in builtin_claims() if c.kind == "raw-identity"]
+    data = claim.to_json()
+    del data["weight"], data["level"]
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": [data]}))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["verdict"] == "proved"
+    assert (report["bound"], report["weight"], report["level"]) == (1918, 320, 36)
+
+
+RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta"}}
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        dict(RAW, lhs={"form": "delta", "thetta": 1}),
+        dict(RAW, lhs={"form": "delta", "G": 12}),
+        dict(RAW, lhs={"theta": 1}),
+        dict(RAW, lhs="delta"),
+        dict(RAW, lhs={"form": "delta", "theta": "1"}),
+        dict(RAW, lhs={"G": "12"}),
+        dict(RAW, lhs={"form": "delta", "pad": [4]}),
+        dict(RAW, lhs={"form": "delta", "twist": "kron(-1)"}),
+        dict(RAW, lhs={"form": "delta"}, weight="12"),
+        {"kind": "two-exponent", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
+         "psi": "kron(-1)"},
+    ],
+    ids=[
+        "unknown-key",
+        "two-bases",
+        "no-base",
+        "recipe-not-object",
+        "string-theta",
+        "string-G",
+        "pad-not-a-pair",
+        "kron-minus-1-twist",
+        "string-weight",
+        "kron-minus-1-psi",
+    ],
+)
+def test_verify_malformed_recipe_or_character_is_a_usage_error(tmp_path, capsys, claim):
     path = tmp_path / "claims.json"
     path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))
     code, out, err = run(capsys, "verify", str(path))

@@ -9,7 +9,7 @@ import pytest
 
 from etaq import congruence
 from etaq.characters import kronecker
-from etaq.claims import builtin_claims
+from etaq.claims import CongruenceClaim, builtin_claims
 from etaq.congruence import (
     VerificationReport,
     classify_square_class_prime,
@@ -144,6 +144,55 @@ def test_raw_identity_replication():
     assert report.bound == 1918
     assert report.weight == 320
     assert report.level == 36
+
+
+def test_raw_identity_without_a_declared_space_runs_at_the_derived_one():
+    claim = claim_by_id("raw-identity:eta1^8 eta2^8:l3^3")
+    report = verify_claim(dataclasses.replace(claim, weight=None, level=None))
+    assert report.verdict == "proved"
+    assert (report.bound, report.weight, report.level) == (1918, 320, 36)
+
+
+def test_declared_space_must_contain_the_derived_one():
+    # the sides derive to weight 12, level 5 (delta is 12/1, eta1^4 eta5^4 is 4/5)
+    claim = CongruenceClaim(
+        claim_id="x", kind="raw-identity", form="delta", ell=5,
+        lhs={"form": "delta"}, rhs={"form": "eta1^4 eta5^4"},
+    )
+    derived = verify_claim(claim)
+    assert (derived.weight, derived.level, derived.bound) == (12, 5, 5)
+    wider = verify_claim(dataclasses.replace(claim, level=10))
+    assert (wider.weight, wider.level, wider.bound) == (12, 10, 16)
+    for weight, level in ((12, 1), (11, 5), (12, 3)):
+        with pytest.raises(ValueError, match="does not contain the derived"):
+            verify_claim(dataclasses.replace(claim, weight=weight, level=level))
+
+
+def test_theta_step_regime_sets_the_rigor():
+    # theta(delta) = theta(delta x 1_ell) mod ell^t holds; theta mod 5^2 is
+    # conservative, mod 3^3 exact, and mod 5 exact only on the side whose
+    # level 5 does not divide, so one conservative side makes it evidence
+    def claim(ell, t, swap=False):
+        plain = {"form": "delta", "theta": 1}
+        twisted = dict(plain, twist=f"1_{ell}")
+        lhs, rhs = (twisted, plain) if swap else (plain, twisted)
+        return CongruenceClaim(
+            claim_id="x", kind="raw-identity", form="delta", ell=ell, t=t, lhs=lhs, rhs=rhs
+        )
+
+    for conservative in (claim(5, 2), claim(5, 1), claim(5, 1, swap=True)):
+        report = verify_claim(conservative)
+        assert (report.verdict, report.rigor) == ("evidence", "numerical-evidence")
+    exact = verify_claim(claim(3, 3))
+    assert (exact.verdict, exact.rigor) == ("proved", "sturm-proved")
+    assert (exact.weight, exact.level) == (32, 81)
+
+
+def test_pad_must_be_one_mod_the_modulus():
+    claim = claim_by_id("raw-identity:eta1^8 eta2^8:l3^3")
+    bad = dataclasses.replace(claim, lhs=dict(claim.lhs, pad=[12, 21]))
+    with pytest.raises(ValueError, match="does not divide"):
+        verify_claim(bad)
 
 
 def test_margin_extends_the_agreement_check():

@@ -9,7 +9,6 @@ from etaq.eisenstein import (
     bernoulli,
     bernoulli_generalized,
     e2_replacement,
-    e2_replacement_weight,
     eisenstein_E,
     eisenstein_E2,
     eisenstein_E2_level,
@@ -141,7 +140,6 @@ def test_twisted_by_trivial_mod_three_is_E2_depletion():
 
 def test_e2_replacement_small_values():
     f = e2_replacement(3, 2, 6)
-    assert e2_replacement_weight(3, 2) == 8
     assert f[0] == -8  # -(3-1) * (1 + 3)
     assert f[1] == -960  # -2 * 480
     e2 = eisenstein_E2(6)

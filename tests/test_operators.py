@@ -6,6 +6,7 @@ from etaq.characters import kronecker_character, trivial_mod
 from etaq.etaquot import lookup
 from etaq.operators import (
     FormMeta,
+    common_space,
     hecke_tn,
     hecke_tp,
     theta,
@@ -43,21 +44,38 @@ def test_theta_ell_power_collapses_mod_ell():
 
 
 def test_theta_mod_rule_pinned_examples():
-    exact = theta_mod_rule(23, 1, 1, FormMeta(12, 1, trivial_mod(1)))
-    assert (exact.weight, exact.level, exact.regime) == (36, 1, "exact")
+    exact, regime = theta_mod_rule(23, 1, 1, FormMeta(12, 1, trivial_mod(1)))
+    assert (exact.weight, exact.level, regime) == (36, 1, "exact")
 
-    power = theta_mod_rule(3, 3, 1, FormMeta(20, 4, trivial_mod(4)))
-    assert (power.weight, power.level, power.regime) == (40, 36, "exact")
+    power, regime = theta_mod_rule(3, 3, 1, FormMeta(20, 4, trivial_mod(4)))
+    assert (power.weight, power.level, regime) == (40, 36, "exact")
 
-    cons = theta_mod_rule(5, 2, 1, FormMeta(4, 5, trivial_mod(5)))
-    assert (cons.weight, cons.level, cons.regime) == (46, 125, "conservative")
+    cons, regime = theta_mod_rule(5, 2, 1, FormMeta(4, 5, trivial_mod(5)))
+    assert (cons.weight, cons.level, regime) == (46, 125, "conservative")
+
+
+def test_theta_mod_rule_is_conservative_when_ell_divides_the_level():
+    # the t = 1 filtration step is only trusted when ell does not divide N
+    meta = FormMeta(6, 3, trivial_mod(3), cuspidal=False)
+    image, regime = theta_mod_rule(3, 1, 2, meta)
+    assert (image.weight, image.level, image.cuspidal, regime) == (14, 3, True, "conservative")
+    _, regime = theta_mod_rule(5, 1, 1, meta)
+    assert regime == "exact"
+
+
+def test_common_space_joins_weight_level_and_cusp_flag():
+    a = FormMeta(68, 36, trivial_mod(2))
+    b = FormMeta(320, 4, trivial_mod(1), cuspidal=False)
+    joint = common_space(a, b)
+    assert (joint.weight, joint.level, joint.cuspidal) == (320, 36, False)
+    assert common_space(a, a).cuspidal
 
 
 def test_theta_mod_rule_iterates_with_applications():
     base = FormMeta(12, 1, trivial_mod(1))
-    three = theta_mod_rule(23, 1, 3, base)
+    three, regime = theta_mod_rule(23, 1, 3, base)
     assert three.weight == 12 + 3 * 24
-    assert three.regime == "exact"
+    assert regime == "exact"
 
 
 def test_u_after_v_is_identity():
@@ -117,7 +135,6 @@ def test_twist_reads_chi_from_one_period_for_every_character_in_use():
     assert len(chars) > 20
     for chi in chars:
         m = chi.modulus
-        assert chi.is_periodic(), chi
         assert chi.values(3 * m + 1) == [chi(n) for n in range(3 * m + 1)], chi
         f = QSeries(ZZ, [n * n - 7 for n in range(3 * m + 1)])
         assert list(twist(f, chi).coeffs) == [chi(n) * f[n] for n in range(3 * m + 1)], chi

@@ -2,7 +2,7 @@
 
 import pytest
 
-from etaq.sturm import ComparisonSpace, agreement_bound, group_index
+from etaq.sturm import agreement_bound, group_index
 
 
 def test_group_index_values():
@@ -41,12 +41,6 @@ def test_bound_monotone_in_weight_and_level():
     for weight in (4, 12):
         bounds = [agreement_bound(weight, n, cuspidal=False) for n in (1, 2, 4, 8, 16)]
         assert bounds == sorted(bounds)
-
-
-def test_comparison_space_carries_bound():
-    space = ComparisonSpace(320, 36, cuspidal=True)
-    assert space.bound == 1918
-    assert ComparisonSpace(12, 1, cuspidal=False).bound == 1
 
 
 def test_invalid_inputs():
