@@ -48,6 +48,8 @@ class CongruenceClaim:
                 raise ValueError(f"{self.kind} claim needs exponents m < m'")
             if not 0 <= self.m < self.m_prime:
                 raise ValueError(f"need 0 <= m < m', got ({self.m}, {self.m_prime})")
+        if self.kind in ("two-exponent", "square-class") and self.t != 1:
+            raise ValueError(f"a {self.kind} claim is a congruence mod ell, so t must be 1")
         if self.kind == "two-exponent" and not self.psi:
             raise ValueError("two-exponent claim needs its character psi")
         if self.kind == "unit-factor" and not self.units:

@@ -1,16 +1,15 @@
 """The verification engine: decide each claimed congruence and say how.
 
-Every series verifier follows one pattern: it checks its claim and describes
-two sides (`Side`: a base, an optional twist, a theta count, an optional
-E_w^e pad).  `_side_space` derives each side's weight, level, cusp flag and
-theta regime from the `operators` bookkeeping; `_compare` builds both sides
-to the agreement bound of the space holding both and compares them, a proof
-("sturm-proved") unless a theta step was conservative.  Sides of different
-weights meet at the larger: the lower can be padded by a form congruent to 1
-(E_{ell-1} for ell >= 5, E_4 mod 3, weight-2 level-d series mod 2).  Prime-
-power claims are scanned over many primes instead ("numerical-evidence").
-
-Reports are plain data and serialize to JSON with stable field order.
+Every series verifier checks its claim and describes two sides (`Side`: a
+base, an optional twist, a theta count, an optional E_w^e pad).  Each side's
+weight, level, cusp flag and theta regime are derived from the `operators`
+bookkeeping; both sides are built to the agreement bound of the space that
+holds them and compared, a proof ("sturm-proved") unless a theta step was
+conservative.  The lower-weight side is padded by a form congruent to 1, so
+for ell >= 5 the weights must differ by a multiple of phi(ell^t) (E_4 and
+weight-2 level-d series serve mod 3 and 2).  Prime-power claims are scanned
+over many primes instead ("numerical-evidence").  Reports are plain data and
+serialize to JSON with stable field order.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
     phi(ell^t) | w."""
     if side.base == "form":
         entry = etaquot.lookup(side.arg)
-        meta = FormMeta(entry.weight, entry.level, entry.nebentypus, entry.cuspidal)
+        meta = FormMeta(entry.weight, entry.level, entry.nebentypus)  # a newform: cuspidal
     else:
         weight, level = (side.arg, 1) if side.base == "G" else (2, side.arg)
         meta = FormMeta(weight, level, trivial_mod(1), cuspidal=False)
@@ -172,15 +171,21 @@ def _build_side(side: Side, ell: int, t: int, precision: int) -> QSeries:
 
 
 def _compare(
-    claim: CongruenceClaim, started: float, margin: int,
-    lhs: Side, rhs: Side, t: int, detail: str = "",
+    claim: CongruenceClaim, margin: int, lhs: Side, rhs: Side, detail: str = ""
 ) -> VerificationReport:
     """Compare two sides mod ell^t up to the agreement bound of their common
     space; agreement is evidence, not proof, when a theta step of either side
     is conservative.  A weight or level the claim declares must contain the
     derived space, and the comparison then runs there."""
-    lhs_meta, lhs_regime = _side_space(lhs, claim.ell, t)
-    rhs_meta, rhs_regime = _side_space(rhs, claim.ell, t)
+    started = time.perf_counter()
+    ell, t = claim.ell, claim.t
+    lhs_meta, lhs_regime = _side_space(lhs, ell, t)
+    rhs_meta, rhs_regime = _side_space(rhs, ell, t)
+    if ell >= 5 and (lhs_meta.weight - rhs_meta.weight) % (ell ** (t - 1) * (ell - 1)):
+        raise ValueError(
+            f"{claim.claim_id}: side weights {lhs_meta.weight} and {rhs_meta.weight} do not "
+            f"differ by a multiple of phi({ell}^{t}), so no pad brings them together"
+        )
     space = common_space(lhs_meta, rhs_meta)
     weight = space.weight if claim.weight is None else claim.weight
     level = space.level if claim.level is None else claim.level
@@ -190,7 +195,7 @@ def _compare(
             f"the derived weight {space.weight}, level {space.level}"
         )
     bound = agreement_bound(weight, level, space.cuspidal) + margin
-    mismatch = first_mismatch(*(_build_side(side, claim.ell, t, bound) for side in (lhs, rhs)))
+    mismatch = first_mismatch(*(_build_side(side, ell, t, bound) for side in (lhs, rhs)))
     conservative = "conservative" in (lhs_regime, rhs_regime)
     rigor = "numerical-evidence" if conservative else "sturm-proved"
     verdict = "failed" if mismatch is not None else "evidence" if conservative else "proved"
@@ -213,7 +218,6 @@ def _compare(
 def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
     """Check theta(f x 1_N) against theta^(m+1) of a weight-(m'-m+1) Eisenstein
     series twisted by psi, modulo ell, across an enclosing space."""
-    started = time.perf_counter()
     entry = etaquot.lookup(claim.form)
     k, n_level, ell = entry.weight, entry.level, claim.ell
     m, mp = claim.m, claim.m_prime
@@ -238,19 +242,18 @@ def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> Verification
         raise ValueError(f"{claim.claim_id}: no Eisenstein kernel for width {w}")
     lhs = Side("form", claim.form, one_n, theta=1)
     rhs = Side(base, arg, psi * one_n, theta=m + 1)
-    return _compare(claim, started, margin, lhs, rhs, 1, f"kernel {kernel_name}, theta^{m + 1}")
+    return _compare(claim, margin, lhs, rhs, f"kernel {kernel_name}, theta^{m + 1}")
 
 
 # -- square-class congruences: theta^((ell+1)/2) f = theta f mod ell --------
 
 
 def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    started = time.perf_counter()
     one_n = trivial_mod(etaquot.lookup(claim.form).level)
     if claim.ell % 2 == 0:
         raise ValueError(f"{claim.claim_id}: the square-class congruence needs odd ell")
     lhs = Side("form", claim.form, one_n, theta=(claim.ell + 1) // 2)
-    return _compare(claim, started, margin, lhs, Side("form", claim.form, one_n, theta=1), 1)
+    return _compare(claim, margin, lhs, Side("form", claim.form, one_n, theta=1))
 
 
 # -- prime-power congruences on progressions of primes ----------------------
@@ -354,15 +357,13 @@ def verify_unit_factor(
 
 
 def verify_twist_power(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    started = time.perf_counter()
     ell, a = claim.ell, claim.t
     if ell % 2 == 0:
         raise ValueError(f"{claim.claim_id}: twist comparison needs odd ell")
     disc = ell if ell % 4 == 1 else -ell
     lhs = Side("form", claim.form, trivial_mod(ell))
     rhs = Side("form", claim.form, kronecker_character(disc))
-    detail = f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}"
-    return _compare(claim, started, margin, lhs, rhs, a, detail)
+    return _compare(claim, margin, lhs, rhs, f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}")
 
 
 # -- raw two-pipeline identities --------------------------------------------
@@ -390,9 +391,8 @@ def _recipe_side(recipe: Dict) -> Side:
 
 
 def verify_raw_identity(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    started = time.perf_counter()
     lhs, rhs = _recipe_side(claim.lhs), _recipe_side(claim.rhs)
-    return _compare(claim, started, margin, lhs, rhs, claim.t)
+    return _compare(claim, margin, lhs, rhs)
 
 
 # -- dispatch ---------------------------------------------------------------

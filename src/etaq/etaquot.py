@@ -255,7 +255,6 @@ class CatalogEntry:
     weight: int
     level: int
     nebentypus: Character
-    cuspidal: bool = True
 
     def expand(self, precision: int, ring: Ring = ZZ) -> QSeries:
         return expand(self.quotient, precision, ring)
@@ -316,7 +315,7 @@ def catalog() -> Tuple[CatalogEntry, ...]:
 
 def lookup(form_id: str) -> CatalogEntry:
     """Find a catalog entry by its id ("delta", "eta3^8", ...)."""
-    wanted = " ".join(form_id.split())
+    wanted = " ".join(str(form_id).split())
     for entry in _CATALOG:
         if entry.form_id == wanted:
             return entry

@@ -85,16 +85,12 @@ def twist(series: QSeries, chi: Character) -> QSeries:
     return QSeries._reduced(series.ring, coeffs, series.precision)
 
 
-def twist_level(level: int, chi: Character) -> int:
-    """Safe level for a twist by chi: lcm(N, modulus(chi)^2)."""
-    return lcm(level, chi.modulus**2)
-
-
 def twist_meta(meta: FormMeta, chi: Character) -> FormMeta:
-    """Metadata after twisting: level grows, nebentypus picks up chi^2."""
+    """Metadata after twisting: the level grows to the safe lcm(N, modulus(chi)^2),
+    the nebentypus picks up chi^2."""
     return replace(
         meta,
-        level=twist_level(meta.level, chi),
+        level=lcm(meta.level, chi.modulus**2),
         nebentypus=meta.nebentypus * chi * chi,
     )
 

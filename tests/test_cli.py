@@ -246,6 +246,9 @@ def test_verify_claim_file_malformed_inputs(tmp_path, capsys):
     assert code == 2
 
 
+RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta"}}
+
+
 @pytest.mark.parametrize(
     "claim",
     [
@@ -259,6 +262,21 @@ def test_verify_claim_file_malformed_inputs(tmp_path, capsys):
          "units": [[1, 1, 14]]},
         {"kind": "square-class", "form": "delta"},
         {"kind": "square-class", "form": "delta", "ell": "23"},
+        {"kind": "square-class", "form": "delta", "ell": 23, "t": 2},
+        {"kind": "two-exponent", "form": "delta", "ell": 691, "t": 2, "m": 0, "m_prime": 11,
+         "psi": "1_1"},
+        {"kind": "two-exponent", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
+         "psi": "kron(-1)"},
+        dict(RAW, lhs={"form": "delta", "thetta": 1}),
+        dict(RAW, lhs={"form": "delta", "G": 12}),
+        dict(RAW, lhs={"theta": 1}),
+        dict(RAW, lhs="delta"),
+        dict(RAW, lhs={"form": 5}),
+        dict(RAW, lhs={"form": "delta", "theta": "1"}),
+        dict(RAW, lhs={"G": "12"}),
+        dict(RAW, lhs={"form": "delta", "pad": [4]}),
+        dict(RAW, lhs={"form": "delta", "twist": "kron(-1)"}),
+        dict(RAW, lhs={"form": "delta"}, weight="12"),
     ],
     ids=[
         "residues-without-modulus",
@@ -267,6 +285,19 @@ def test_verify_claim_file_malformed_inputs(tmp_path, capsys):
         "units-without-exponent",
         "missing-ell",
         "string-ell",
+        "square-class-mod-ell-squared",
+        "two-exponent-mod-ell-squared",
+        "kron-minus-1-psi",
+        "recipe-unknown-key",
+        "recipe-two-bases",
+        "recipe-no-base",
+        "recipe-not-an-object",
+        "recipe-form-not-a-string",
+        "recipe-string-theta",
+        "recipe-string-G",
+        "recipe-pad-not-a-pair",
+        "recipe-kron-minus-1-twist",
+        "string-weight",
     ],
 )
 def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
@@ -287,6 +318,7 @@ DATA = Path(__file__).parent / "data"
         ("control_declared_space_too_small.json", 2),
         ("control_kron3_twist.json", 2),
         ("control_pad_not_one.json", 2),
+        ("control_weights_not_congruent.json", 2),
         ("control_conservative_theta.json", 0),
     ],
 )
@@ -312,46 +344,6 @@ def test_raw_identity_without_weight_runs_at_the_derived_space(tmp_path, capsys)
     (report,) = json.loads(out)["reports"]
     assert report["verdict"] == "proved"
     assert (report["bound"], report["weight"], report["level"]) == (1918, 320, 36)
-
-
-RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta"}}
-
-
-@pytest.mark.parametrize(
-    "claim",
-    [
-        dict(RAW, lhs={"form": "delta", "thetta": 1}),
-        dict(RAW, lhs={"form": "delta", "G": 12}),
-        dict(RAW, lhs={"theta": 1}),
-        dict(RAW, lhs="delta"),
-        dict(RAW, lhs={"form": "delta", "theta": "1"}),
-        dict(RAW, lhs={"G": "12"}),
-        dict(RAW, lhs={"form": "delta", "pad": [4]}),
-        dict(RAW, lhs={"form": "delta", "twist": "kron(-1)"}),
-        dict(RAW, lhs={"form": "delta"}, weight="12"),
-        {"kind": "two-exponent", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
-         "psi": "kron(-1)"},
-    ],
-    ids=[
-        "unknown-key",
-        "two-bases",
-        "no-base",
-        "recipe-not-object",
-        "string-theta",
-        "string-G",
-        "pad-not-a-pair",
-        "kron-minus-1-twist",
-        "string-weight",
-        "kron-minus-1-psi",
-    ],
-)
-def test_verify_malformed_recipe_or_character_is_a_usage_error(tmp_path, capsys, claim):
-    path = tmp_path / "claims.json"
-    path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))
-    code, out, err = run(capsys, "verify", str(path))
-    assert code == 2
-    assert "error:" in err
-    assert "PASS" not in out
 
 
 def test_scan_square_class_text_flags_masked_primes(capsys):

@@ -146,13 +146,6 @@ def test_raw_identity_replication():
     assert report.level == 36
 
 
-def test_raw_identity_without_a_declared_space_runs_at_the_derived_one():
-    claim = claim_by_id("raw-identity:eta1^8 eta2^8:l3^3")
-    report = verify_claim(dataclasses.replace(claim, weight=None, level=None))
-    assert report.verdict == "proved"
-    assert (report.bound, report.weight, report.level) == (1918, 320, 36)
-
-
 def test_declared_space_must_contain_the_derived_one():
     # the sides derive to weight 12, level 5 (delta is 12/1, eta1^4 eta5^4 is 4/5)
     claim = CongruenceClaim(
@@ -186,13 +179,6 @@ def test_theta_step_regime_sets_the_rigor():
     exact = verify_claim(claim(3, 3))
     assert (exact.verdict, exact.rigor) == ("proved", "sturm-proved")
     assert (exact.weight, exact.level) == (32, 81)
-
-
-def test_pad_must_be_one_mod_the_modulus():
-    claim = claim_by_id("raw-identity:eta1^8 eta2^8:l3^3")
-    bad = dataclasses.replace(claim, lhs=dict(claim.lhs, pad=[12, 21]))
-    with pytest.raises(ValueError, match="does not divide"):
-        verify_claim(bad)
 
 
 def test_margin_extends_the_agreement_check():

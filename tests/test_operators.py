@@ -12,7 +12,6 @@ from etaq.operators import (
     theta,
     theta_mod_rule,
     twist,
-    twist_level,
     twist_meta,
     u_operator,
     v_operator,
@@ -149,6 +148,9 @@ def test_double_twist_by_quadratic_character_restores_coprime_part():
 
 
 def test_twist_level_bound():
+    def twist_level(level, chi):
+        return twist_meta(FormMeta(2, level, trivial_mod(1)), chi).level
+
     assert twist_level(1, trivial_mod(1)) == 1
     assert twist_level(4, trivial_mod(3)) == 36
     assert twist_level(11, trivial_mod(11)) == 121
@@ -160,7 +162,7 @@ def test_twist_meta_updates_level_and_character():
     chi = kronecker_character(-3)
     out = twist_meta(meta, chi)
     assert out.weight == 6
-    assert out.level == twist_level(4, chi)
+    assert out.level == 36  # lcm(4, 3^2)
     assert out.cuspidal
 
 
