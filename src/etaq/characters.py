@@ -150,7 +150,7 @@ def parse_character(text: str) -> Character:
     chi = TRIVIAL
     # trivial parts first: each kron(d) then joins them, so "1_2 * kron(3)"
     # (the symbol of 12) is a character and kron(3) alone is not
-    for token in sorted((raw.strip() for raw in text.split("*")), key=lambda tok: "(" in tok):
+    for token in sorted((raw.strip() for raw in str(text).split("*")), key=lambda tok: "(" in tok):
         m = _TOKEN.match(token)
         if not m:
             raise ValueError(f"bad character token {token!r}")

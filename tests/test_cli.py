@@ -276,6 +276,7 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         dict(RAW, lhs={"G": "12"}),
         dict(RAW, lhs={"form": "delta", "pad": [4]}),
         dict(RAW, lhs={"form": "delta", "twist": "kron(-1)"}),
+        dict(RAW, lhs={"form": "delta", "twist": 5}),
         dict(RAW, lhs={"form": "delta"}, weight="12"),
     ],
     ids=[
@@ -297,6 +298,7 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         "recipe-string-G",
         "recipe-pad-not-a-pair",
         "recipe-kron-minus-1-twist",
+        "recipe-twist-not-a-string",
         "string-weight",
     ],
 )
