@@ -162,9 +162,10 @@ def test_declared_space_must_contain_the_derived_one():
 
 
 def test_theta_step_regime_sets_the_rigor():
-    # theta(delta) = theta(delta x 1_ell) mod ell^t holds; theta mod 5^2 is
-    # conservative, mod 3^3 exact, and mod 5 exact only on the side whose
-    # level 5 does not divide, so one conservative side makes it evidence
+    # theta(delta) = theta(delta x 1_ell) mod ell^t holds.  Theta mod 5^2 is
+    # conservative and mod 3^3 exact; mod 5 it is exact on the untwisted side
+    # (level 1) and conservative on the twisted one (level 25), and that one
+    # conservative side, whichever it is, makes agreement evidence
     def claim(ell, t, swap=False):
         plain = {"form": "delta", "theta": 1}
         twisted = dict(plain, twist=f"1_{ell}")
