@@ -4,14 +4,14 @@ verification engine for their coefficient congruences.
 The pieces fit together like this: `qseries` is the truncated-series
 substrate, `etaquot` expands eta quotients and carries the catalog of
 newforms, `eisenstein` builds the Eisenstein side of each comparison,
-`operators` applies theta/U/V/twist/Hecke maps, `sturm` says how many
+`operators` applies theta/U/twist/Hecke maps, `sturm` says how many
 coefficients decide a congruence, and `congruence` runs the claims from
 `claims` and writes reports.  `oracles` holds independent slow reference
 computations used only to cross-check the rest.
 """
 
 from .characters import Character, kronecker, kronecker_character, parse_character, trivial_mod
-from .claims import CongruenceClaim, builtin_claims, claims_for_form
+from .claims import CongruenceClaim, builtin_claims
 from .congruence import (
     ScanFinding,
     VerificationReport,
@@ -22,8 +22,8 @@ from .congruence import (
 )
 from .eisenstein import eisenstein_E, eisenstein_E2, eisenstein_G
 from .etaquot import CatalogEntry, EtaQuotient, catalog, expand, lookup
-from .operators import FormMeta, hecke_tn, hecke_tp, theta, twist, u_operator, v_operator
-from .qseries import QQ, QSeries, Ring, ZZ, ord_ell, reduce_mod, residue_ring
+from .operators import FormMeta, hecke_tn, hecke_tp, theta, twist, u_operator
+from .qseries import QQ, QSeries, Ring, ZZ, reduce_mod, residue_ring
 from .sturm import agreement_bound, group_index
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "agreement_bound",
     "builtin_claims",
     "catalog",
-    "claims_for_form",
     "classify_square_class_prime",
     "eisenstein_E",
     "eisenstein_E2",
@@ -55,7 +54,6 @@ __all__ = [
     "kronecker",
     "kronecker_character",
     "lookup",
-    "ord_ell",
     "parse_character",
     "reduce_mod",
     "residue_ring",
@@ -64,7 +62,6 @@ __all__ = [
     "trivial_mod",
     "twist",
     "u_operator",
-    "v_operator",
     "verify_claim",
     "verify_claims",
 ]

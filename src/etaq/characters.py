@@ -102,14 +102,6 @@ class Character:
         period = [self(n) for n in range(m)]
         return (period * (count // m + 1))[:count]
 
-    def is_trivial(self) -> bool:
-        """True for every principal character 1_M, whatever its modulus."""
-        return self.disc == 1
-
-    def parity(self) -> int:
-        """chi(-1), which is +1 for even characters and -1 for odd ones."""
-        return self(-1)
-
     def __mul__(self, other: "Character") -> "Character":
         e, c = _squarefree_part(self.disc * other.disc)
         m = lcm(self.trivial_part, other.trivial_part)

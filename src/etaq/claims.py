@@ -62,6 +62,8 @@ class CongruenceClaim:
         for declared in (self.weight, self.level):
             if declared is not None and (not isinstance(declared, int) or declared < 1):
                 raise ValueError("a declared weight or level must be an integer >= 1")
+            if declared is not None and self.kind in ("prime-power", "unit-factor"):
+                raise ValueError(f"a {self.kind} claim is a prime scan: it has no weight or level")
         if self.kind == "raw-identity" and (self.lhs is None or self.rhs is None):
             raise ValueError("raw claim needs both side recipes")
 
@@ -374,7 +376,3 @@ def builtin_claims() -> Tuple[CongruenceClaim, ...]:
     )
 
     return tuple(claims)
-
-
-def claims_for_form(form_id: str) -> Tuple[CongruenceClaim, ...]:
-    return tuple(c for c in builtin_claims() if c.form == form_id)

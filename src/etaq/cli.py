@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -145,9 +144,6 @@ def _int_at_least(low: int, what: str):
     return parse
 
 
-_job_count = _int_at_least(1, "thread count (--jobs or ETAQ_THREADS)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etaq",
@@ -186,13 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--jobs",
         "-j",
-        type=_job_count,
         # claims run sequentially; the flag stays, still validated, so that
-        # existing command lines keep working.  A string default goes through
-        # _job_count too, but only when verify runs without --jobs, so a bad
-        # ETAQ_THREADS is a usage error (exit 2)
-        default=os.environ.get("ETAQ_THREADS", "1"),
-        help="accepted and validated (defaults to ETAQ_THREADS or 1); claims run one after another",
+        # existing command lines keep working
+        type=_int_at_least(1, "the thread count"),
+        default=1,
+        help="accepted and validated; claims run one after another",
     )
     p_ver.set_defaults(func=cmd_verify)
 

@@ -7,9 +7,10 @@ bookkeeping; both sides are built to the agreement bound of the space that
 holds them and compared, a proof ("sturm-proved") unless a theta step was
 conservative.  The lower-weight side is padded by a form congruent to 1, so
 for ell >= 5 the weights must differ by a multiple of phi(ell^t) (E_4 and
-weight-2 level-d series serve mod 3 and 2).  Prime-power claims are scanned
-over many primes instead ("numerical-evidence").  Reports are plain data and
-serialize to JSON with stable field order.
+weight-2 level-d series serve mod 3 and 2).  Prime-power and unit-factor
+claims are scanned over many primes instead ("numerical-evidence"), through
+the same per-prime loop as the exceptional-prime scan.  Reports are plain
+data and serialize to JSON with stable field order.
 """
 
 from __future__ import annotations
@@ -259,6 +260,28 @@ def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> Verification
 # -- prime-power congruences on progressions of primes ----------------------
 
 
+def _good_primes(primes: List[int], level: int, ell: int) -> List[int]:
+    return [p for p in primes if level % p and p != ell]
+
+
+def _first_failure(
+    check: Callable[[int, int], Optional[bool]], primes: List[int], series: QSeries
+) -> Tuple[Optional[int], int]:
+    """Run check(p, a(p)) over the primes in order: None when p lies outside
+    the checked classes, else whether the congruence holds at p.  Returns the
+    first prime where it fails (None if none) and how many primes it judged."""
+    coeffs = series.coeffs
+    checked = 0
+    for p in primes:
+        holds = check(p, coeffs[p])
+        if holds is None:
+            continue
+        checked += 1
+        if not holds:
+            return p, checked
+    return None, checked
+
+
 def _prime_scan(
     claim: CongruenceClaim,
     prime_bound: int,
@@ -268,9 +291,8 @@ def _prime_scan(
     """Scan a(p) mod ell^t over the good primes p <= prime_bound.
 
     `build_check(entry)` validates the claim against its catalog form and
-    returns the per-prime check(p, a(p)): None when p lies outside the
-    claimed classes, else whether the congruence holds at p.  The scan
-    stops at the first prime where it fails.
+    returns the per-prime check of `_first_failure`; the scan stops at the
+    first prime where it fails.
     """
     started = time.perf_counter()
     if prime_bound < 50:
@@ -278,19 +300,8 @@ def _prime_scan(
     entry = etaquot.lookup(claim.form)
     check = build_check(entry)
     f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t))
-
-    checked = 0
-    witness = None
-    for p in primes_up_to(prime_bound):
-        if entry.level % p == 0 or p == claim.ell:
-            continue
-        holds = check(p, f_res[p])
-        if holds is None:
-            continue
-        checked += 1
-        if not holds:
-            witness = p
-            break
+    primes = _good_primes(primes_up_to(prime_bound), entry.level, claim.ell)
+    witness, checked = _first_failure(check, primes, f_res)
     if checked == 0:
         raise ValueError(f"{claim.claim_id}: no admissible primes below {prime_bound}")
     return VerificationReport(
@@ -504,18 +515,39 @@ def _candidate_psi(n_level: int) -> List[Character]:
     return out
 
 
-def _scan_candidate_holds(
-    get_ap, primes: List[int], n_level: int, ell: int, m: int, mp: int, psi: Character
-) -> Tuple[bool, int]:
-    checked = 0
-    for p in primes:
-        if n_level % p == 0 or p == ell:
-            continue
-        checked += 1
-        expected = psi(p) * (pow(p, m, ell) + pow(p, mp, ell))
-        if (get_ap(p) - expected) % ell != 0:
-            return False, checked
-    return True, checked
+def _two_exponent_check(ell: int, m: int, mp: int, psi: Character):
+    def check(p: int, a_p: int) -> bool:
+        return (a_p - psi(p) * (pow(p, m, ell) + pow(p, mp, ell))) % ell == 0
+
+    return check
+
+
+def _scan_candidates(kind: str, ell: int, k: int, n_level: int) -> List[Tuple]:
+    """The congruences a scan tries mod ell, each as (check, m, m', psi).
+
+    Square-class: a(p) = 0 at the non-squares p mod ell (odd ell only).
+    Two-exponent: a(p) = psi(p)(p^m + p^m') with m + m' = k - 1 mod ell - 1.
+    Exponents only matter mod ell - 1 (Fermat), so each unordered pair
+    {m, k - 1 - m} is tried once, at its smaller member; mod 2 every real
+    character looks trivial, so only 1_N is tried.
+    """
+    if kind == "square-class":
+        if ell == 2:
+            return []
+
+        def check(p: int, a_p: int) -> Optional[bool]:
+            return a_p % ell == 0 if kronecker(p, ell) == -1 else None
+
+        return [(check, None, None, None)]
+    span = max(ell - 1, 1)
+    psis = _candidate_psi(n_level) if ell > 2 else [trivial_mod(n_level)]
+    candidates = []
+    for psi in psis:
+        for m in range(span):
+            if (k - 1 - m) % span >= m:  # else tried at (k - 1 - m) mod (ell - 1)
+                mp = m + ((k - 1 - 2 * m) % span or span)
+                candidates.append((_two_exponent_check(ell, m, mp, psi), m, mp, psi))
+    return candidates
 
 
 def scan_exceptional(
@@ -531,6 +563,10 @@ def scan_exceptional(
     kind "square-class": find ell with a(p) = 0 mod ell whenever p is a
     non-square mod ell; findings that are forced by a two-exponent congruence
     rather than a genuine square-class property are flagged masked.
+
+    Each candidate runs first over the primes of the exact expansion to
+    _PRESCAN_PRECISION, then the survivors over every good prime of the
+    expansion mod ell; a finding fails at no prime and judges at least one.
     """
     if kind not in ("two-exponent", "square-class"):
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -541,72 +577,26 @@ def scan_exceptional(
     entry = etaquot.lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)
-    small_primes = [p for p in primes_up_to(small.precision)]
+    small_primes = primes_up_to(small.precision)
     all_primes = primes_up_to(prime_bound)
     findings: List[ScanFinding] = []
 
     for ell in primes_up_to(ell_max):
-        if kind == "square-class":
-            if ell == 2:
-                continue
-
-            def relevant(ps):
-                return [p for p in ps if n_level % p != 0 and p != ell and kronecker(p, ell) == -1]
-
-            quick = relevant(small_primes)
-            if quick and any(small[p] % ell != 0 for p in quick):
-                continue
-            full = relevant(all_primes)
-            if not full:
-                continue
-            f_res = cached_expansion(entry, prime_bound, residue_ring(ell))
-            if any(f_res[p] != 0 for p in full):
-                continue
-            qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
-            findings.append(
-                ScanFinding(ell=ell, kind=kind, masked=not qualified, primes_checked=len(full))
-            )
-            continue
-
-        # two-exponent scan, cheap pass first.  Exponents only matter mod
-        # ell - 1 (Fermat), so each unordered exponent pair is scanned once;
-        # mod 2 every real character looks trivial, so only 1_N is tried.
-        span = max(ell - 1, 1)
-        survivors = []
-        seen_pairs = set()
-        candidates = _candidate_psi(n_level)
-        if ell == 2:
-            candidates = [trivial_mod(n_level)]
-        for psi in candidates:
-            for m in range(0, max(ell - 1, 1)):
-                delta = (k - 1 - 2 * m) % span
-                mp = m + (delta if delta else span)
-                pair = (frozenset((m % span, mp % span)), psi.describe())
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                ok, _ = _scan_candidate_holds(
-                    lambda p: small[p], small_primes, n_level, ell, m, mp, psi
-                )
-                if ok:
-                    survivors.append((m, mp, psi))
+        prescan = _good_primes(small_primes, n_level, ell)
+        survivors = [
+            candidate
+            for candidate in _scan_candidates(kind, ell, k, n_level)
+            if _first_failure(candidate[0], prescan, small)[0] is None
+        ]
         if not survivors:
             continue
         f_res = cached_expansion(entry, prime_bound, residue_ring(ell))
-        for m, mp, psi in survivors:
-            ok, checked = _scan_candidate_holds(
-                lambda p: f_res[p], all_primes, n_level, ell, m, mp, psi
-            )
-            if ok:
-                findings.append(
-                    ScanFinding(
-                        ell=ell,
-                        kind=kind,
-                        masked=False,
-                        m=m,
-                        m_prime=mp,
-                        psi=psi.describe(),
-                        primes_checked=checked,
-                    )
-                )
+        primes = _good_primes(all_primes, n_level, ell)
+        qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
+        masked = kind == "square-class" and not qualified
+        for check, m, mp, psi in survivors:
+            witness, checked = _first_failure(check, primes, f_res)
+            if witness is None and checked:
+                psi_text = psi.describe() if psi is not None else None
+                findings.append(ScanFinding(ell, kind, masked, m, mp, psi_text, checked))
     return findings

@@ -1,4 +1,4 @@
-"""Eisenstein series over QQ: classical, level-raising, and character-twisted.
+"""Eisenstein series over QQ: classical and level-raising, plus the E_2 stand-in.
 
 All series come back as QSeries over the rationals at the requested
 precision; divisor sums are filled in by sieving over divisors rather than
@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .characters import Character
 from .qseries import QQ, QSeries, reduce_mod
 
 
@@ -31,26 +30,6 @@ def bernoulli(k: int) -> Fraction:
     for j in range(k):
         acc += comb(k + 1, j) * bernoulli(j)
     return -acc / (k + 1)
-
-
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """Value B_k(x) = sum_j C(k,j) B_j x^(k-j)."""
-    return sum((comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)), Fraction(0))
-
-
-def bernoulli_generalized(k: int, chi: Character) -> Fraction:
-    """Generalized Bernoulli number B_{k,chi} at chi's declared modulus.
-
-    Uses M^(k-1) sum_{a=1..M} chi(a) B_k(a/M); for a trivial character of
-    non-trivial modulus this is deliberately the imprimitive value.
-    """
-    m = chi.modulus
-    total = Fraction(0)
-    for a in range(1, m + 1):
-        ca = chi(a)
-        if ca:
-            total += ca * bernoulli_polynomial(k, Fraction(a, m))
-    return m ** (k - 1) * total
 
 
 def _divisor_power_sums(precision: int, nu: int) -> list:
@@ -96,34 +75,6 @@ def eisenstein_E2_level(n_level: int, precision: int) -> QSeries:
         if m % n_level == 0:
             val -= n_level * sig[m // n_level]
         coeffs.append(Fraction(val))
-    return QSeries(QQ, coeffs, precision)
-
-
-def eisenstein_G_twisted(k: int, psi: Character, phi: Character, precision: int) -> QSeries:
-    """Twisted series with coefficients sum_{d|n} psi(n/d) phi(d) d^(k-1).
-
-    The constant term is -B_{k,phi}/2k when psi is the trivial character of
-    modulus one and zero otherwise.  The parity condition
-    psi(-1) phi(-1) = (-1)^k is enforced.
-    """
-    if k < 1:
-        raise ValueError("weight must be positive")
-    if psi.parity() * phi.parity() != (-1) ** k:
-        raise ValueError(
-            f"parity violation: psi(-1) phi(-1) = {psi.parity() * phi.parity()} "
-            f"but (-1)^k = {(-1) ** k}"
-        )
-    coeffs = [Fraction(0)] * (precision + 1)
-    for d in range(1, precision + 1):
-        w = phi(d) * d ** (k - 1)
-        if not w:
-            continue
-        for e in range(1, precision // d + 1):
-            pe = psi(e)
-            if pe:
-                coeffs[d * e] += pe * w
-    if psi.modulus == 1:
-        coeffs[0] = -bernoulli_generalized(k, phi) / (2 * k)
     return QSeries(QQ, coeffs, precision)
 
 

@@ -1,6 +1,6 @@
 """Coefficient operators on q-expansions and their weight/level bookkeeping.
 
-The series-level maps (theta, U_m, V_m, twisting, Hecke) act coefficient by
+The series-level maps (theta, U_m, twisting, Hecke) act coefficient by
 coefficient.  Alongside them, `FormMeta` tracks the space a form lives in:
 `twist_meta` follows a twist, `theta_mod_rule` says where a theta image
 lives modulo ell^t (distinguishing the regimes where the filtration step is
@@ -70,13 +70,6 @@ def u_operator(series: QSeries, m: int) -> QSeries:
         raise ValueError("U_m needs m >= 1")
     p = series.precision // m
     return QSeries._canonical(series.ring, series.coeffs[: m * p + 1 : m], p)
-
-
-def v_operator(series: QSeries, m: int) -> QSeries:
-    """V_m substitutes q -> q^m; the truncation keeps the input precision."""
-    if m < 1:
-        raise ValueError("V_m needs m >= 1")
-    return series.dilate(m, series.precision)
 
 
 def twist(series: QSeries, chi: Character) -> QSeries:

@@ -373,16 +373,6 @@ def reduce_mod(a: QSeries, ell: int, t: int = 1) -> QSeries:
     return QSeries._canonical(ring, out, a.precision)
 
 
-def ord_ell(a: QSeries) -> int | None:
-    """Least index with a nonzero residue, or None when zero through precision."""
-    if a.ring.kind != "mod":
-        raise ValueError("ord is defined for residue-ring series")
-    for n, c in enumerate(a.coeffs):
-        if c != 0:
-            return n
-    return None
-
-
 def first_mismatch(a: QSeries, b: QSeries) -> int | None:
     """First index (up to the common precision) where two series differ."""
     if a.ring != b.ring:

@@ -79,13 +79,6 @@ def test_values_follow_the_period_only_where_there_is_one():
     assert parse_character("kron(-1) * 1_2") == kronecker_character(-4)
 
 
-def test_character_parity():
-    assert kronecker_character(-4).parity() == -1
-    assert kronecker_character(-3).parity() == -1
-    assert kronecker_character(5).parity() == 1
-    assert trivial_mod(6).parity() == 1
-
-
 def test_product_folds_square_parts():
     chi = kronecker_character(-3)
     square = chi * chi
@@ -114,10 +107,8 @@ def test_kronecker_character_folds_square_input():
 
 def test_trivial_character():
     one = trivial_mod(6)
-    assert one.is_trivial()
     assert [one(n) for n in range(10)] == [0, 1, 0, 0, 0, 1, 0, 1, 0, 0]
     assert TRIVIAL(0) == 1  # modulus 1 sees every integer as a unit
-    assert not kronecker_character(5).is_trivial()
 
 
 def test_describe_and_parse_roundtrip():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from etaq.claims import KINDS, CongruenceClaim, builtin_claims, claims_for_form
+from etaq.claims import KINDS, CongruenceClaim, builtin_claims
 
 
 def test_builtin_counts_by_kind():
@@ -93,11 +93,3 @@ def test_claim_validation():
         CongruenceClaim(claim_id="x", kind="two-exponent", form="delta", ell=3, m=0, m_prime=1)
     with pytest.raises(ValueError):
         CongruenceClaim(claim_id="x", kind="raw-identity", form="delta", ell=3)
-
-
-def test_claims_for_form():
-    delta_claims = claims_for_form("delta")
-    assert all(c.form == "delta" for c in delta_claims)
-    kinds = {c.kind for c in delta_claims}
-    assert "two-exponent" in kinds and "square-class" in kinds
-    assert claims_for_form("eta1^2 eta11^2")

@@ -108,18 +108,14 @@ def test_verify_json_deterministic_across_jobs(capsys):
     assert stripped("1") == stripped("4")
 
 
-@pytest.mark.parametrize(
-    "env, flag", [("abc", None), ("0", None), ("-3", None), ("1", "0"), ("1", "-3"), ("1", "x")]
-)
-def test_verify_rejects_bad_thread_counts(monkeypatch, capsys, env, flag):
-    monkeypatch.setenv("ETAQ_THREADS", env)
-    argv = ["verify", "--only", "two-exponent:delta:l691"] + (["--jobs", flag] if flag else [])
+@pytest.mark.parametrize("flag", ["0", "-3", "x"])
+def test_verify_rejects_bad_thread_counts(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["verify", "--only", "two-exponent:delta:l691", "--jobs", flag])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "must be an integer >= 1" in err
-    assert repr(flag or env) in err
+    assert "thread count must be an integer >= 1" in err
+    assert repr(flag) in err
 
 
 @pytest.mark.parametrize("margin", ["-50", "-1", "x"])
@@ -141,17 +137,6 @@ def test_scan_rejects_ell_max_below_two(capsys, ell_max):
     captured = capsys.readouterr()
     assert "largest ell must be an integer >= 2" in captured.err
     assert "no exceptional primes" not in captured.out
-
-
-def test_verify_thread_count_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("ETAQ_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "--only", "two-exponent:delta:l691")
-    assert code == 0
-    assert "1/1 claims as expected" in out
-    # an explicit --jobs wins over a malformed environment value
-    monkeypatch.setenv("ETAQ_THREADS", "abc")
-    code, out, _ = run(capsys, "verify", "--only", "two-exponent:delta:l691", "--jobs", "1")
-    assert code == 0
 
 
 def test_verify_no_claims_selected(capsys):
@@ -278,6 +263,10 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         dict(RAW, lhs={"form": "delta", "twist": "kron(-1)"}),
         dict(RAW, lhs={"form": "delta", "twist": 5}),
         dict(RAW, lhs={"form": "delta"}, weight="12"),
+        {"kind": "prime-power", "form": "eta2^12", "ell": 3, "t": 2, "m": 1, "m_prime": 4,
+         "residues": [2, 5], "residue_modulus": 9, "weight": 1, "level": 7},
+        {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "m_prime": 5,
+         "residue_modulus": 8, "units": [[7, 193, 14]], "level": 8},
     ],
     ids=[
         "residues-without-modulus",
@@ -300,6 +289,8 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         "recipe-kron-minus-1-twist",
         "recipe-twist-not-a-string",
         "string-weight",
+        "prime-power-with-declared-space",
+        "unit-factor-with-declared-level",
     ],
 )
 def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):

@@ -18,10 +18,11 @@ from etaq.congruence import (
     verify_claim,
     verify_claims,
 )
-from etaq.etaquot import lookup
+from etaq.etaquot import catalog, lookup
 
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "builtin_reports.json"
+PINNED_SCANS = Path(__file__).parent / "data" / "scan_findings.json"
 
 
 def claim_by_id(claim_id):
@@ -302,6 +303,18 @@ def test_scan_two_exponent_delta_hits_the_table():
     assert (691, 0, 11) in found
     assert (3, 0, 1) in found
     assert {f.ell for f in findings} >= {3, 5, 7, 691}
+
+
+def test_scan_findings_match_the_pinned_fixture():
+    # both kinds over every catalog form up to ell = 100, masked flags included
+    pinned = json.loads(PINNED_SCANS.read_text())["scans"]
+    assert [(s["form"], s["kind"]) for s in pinned] == [
+        (entry.form_id, kind) for entry in catalog() for kind in ("two-exponent", "square-class")
+    ]
+    for scan in pinned:
+        found = [f.to_json() for f in scan_exceptional(scan["form"], scan["kind"], ell_max=100)]
+        assert found == scan["findings"], (scan["form"], scan["kind"])
+    assert sum(len(s["findings"]) for s in pinned) == 76
 
 
 def test_scan_rejects_bad_input():

@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from etaq.characters import kronecker_character, parse_character, trivial_mod
+from etaq.characters import parse_character
 from etaq.eisenstein import (
     bernoulli,
-    bernoulli_generalized,
     e2_replacement,
     eisenstein_E,
     eisenstein_E2,
     eisenstein_E2_level,
     eisenstein_G,
-    eisenstein_G_twisted,
 )
 from etaq.oracles import primes_up_to, sigma
 from etaq.qseries import QSeries, first_mismatch, reduce_mod
@@ -46,18 +44,6 @@ def test_bernoulli_kummer_congruence():
         diff = a - b
         assert diff.denominator % p != 0
         assert diff.numerator % p == 0
-
-
-def test_generalized_bernoulli_of_imprimitive_trivial():
-    # B_{k,1_M} = B_k * prod_{p | M} (1 - p^(k-1))
-    assert bernoulli_generalized(2, trivial_mod(3)) == bernoulli(2) * (1 - 3)
-    for k in (2, 4, 6):
-        for m in (2, 3, 5, 6):
-            expected = bernoulli(k)
-            for p in primes_up_to(m):
-                if m % p == 0:
-                    expected *= 1 - p ** (k - 1)
-            assert bernoulli_generalized(k, trivial_mod(m)) == expected
 
 
 def test_G4_and_E4():
@@ -100,42 +86,6 @@ def test_E2_level_series():
             assert s[n] == expected
     with pytest.raises(ValueError):
         eisenstein_E2_level(1, 10)
-
-
-def test_twisted_parity_is_enforced():
-    with pytest.raises(ValueError):
-        # odd character pair can't make an even weight
-        eisenstein_G_twisted(4, trivial_mod(1), kronecker_character(-4), 10)
-
-
-def test_twisted_with_both_trivial_is_plain_G():
-    one = trivial_mod(1)
-    assert eisenstein_G_twisted(6, one, one, 20) == eisenstein_G(6, 20)
-
-
-def test_twisted_divisor_sum_coefficients():
-    # G^{1_1, phi}(n) = sum_{d | n} phi(d) d^(k-1), checked by hand
-    phi = kronecker_character(-3)
-    g = eisenstein_G_twisted(3, trivial_mod(1), phi, 30)
-    for n in range(1, 31):
-        total = sum(phi(d) * d**2 for d in range(1, n + 1) if n % d == 0)
-        assert g[n] == total
-    # the psi slot weights the complementary divisor instead
-    g2 = eisenstein_G_twisted(3, phi, trivial_mod(1), 30)
-    assert g2[0] == 0
-    for n in range(1, 31):
-        total = sum(phi(n // d) * d**2 for d in range(1, n + 1) if n % d == 0)
-        assert g2[n] == total
-
-
-def test_twisted_by_trivial_mod_three_is_E2_depletion():
-    # G_2^{1_1, 1_3} should match -1/2 of E2 with its 3-part removed
-    g = eisenstein_G_twisted(2, trivial_mod(1), trivial_mod(3), 100)
-    e2 = eisenstein_E2(100)
-    for n in range(1, 101):
-        expected = Fraction(-(e2[n] - 3 * (e2[n // 3] if n % 3 == 0 else 0)), 24)
-        assert g[n] == expected
-    assert g[3] == 1  # only d = 1 survives the character
 
 
 def test_e2_replacement_small_values():

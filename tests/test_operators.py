@@ -1,4 +1,4 @@
-"""theta, U/V, twist, and Hecke operators plus the weight bookkeeping."""
+"""theta, U, twist, and Hecke operators plus the weight bookkeeping."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from etaq.operators import (
     twist,
     twist_meta,
     u_operator,
-    v_operator,
 )
 from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
 
@@ -80,12 +79,13 @@ def test_theta_mod_rule_iterates_with_applications():
 def test_u_after_v_is_identity():
     f = lookup("delta").expand(60)
     for m in (2, 3, 5):
-        assert first_mismatch(u_operator(v_operator(f, m), m), f.truncate(60 // m)) is None
+        assert first_mismatch(u_operator(f.dilate(m, f.precision), m), f.truncate(60 // m)) is None
 
 
 def test_v_after_u_projects_onto_multiples():
     f = lookup("delta").expand(60)
-    proj = v_operator(u_operator(f, 2), 2)
+    image = u_operator(f, 2)
+    proj = image.dilate(2, image.precision)
     for n in range(proj.precision + 1):
         assert proj[n] == (f[n] if n % 2 == 0 else 0)
 

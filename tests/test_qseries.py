@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from etaq.oracles import slow_convolve
-from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, ord_ell, reduce_mod, residue_ring
+from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
 
 
 def geometric(ring, ratio, precision):
@@ -234,15 +234,6 @@ def test_reduce_mod_examples():
         reduce_mod(third, 3, 2)
     with pytest.raises(ValueError):
         reduce_mod(reduce_mod(sixth, 5, 1), 5, 1)  # already reduced
-
-
-def test_ord_ell():
-    ring = residue_ring(5, 2)
-    f = QSeries(ring, [0, 0, 0, 5], precision=6)
-    assert ord_ell(f) == 3
-    assert ord_ell(QSeries.zero(ring, 4)) is None
-    with pytest.raises(ValueError):
-        ord_ell(QSeries.one(ZZ, 3))
 
 
 def test_first_mismatch():
