@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import etaquot
-from .characters import Character, kronecker, kronecker_character, parse_character, trivial_mod
+from .characters import Character, kronecker_character, parse_character, trivial_mod
 from .claims import CongruenceClaim
 from .eisenstein import eisenstein_E, eisenstein_E2_level, eisenstein_G
 from .operators import FormMeta, common_space, theta, theta_mod_rule, twist, twist_meta, u_operator
@@ -95,14 +95,17 @@ def _ring_key(ring: Ring) -> str:
     return f"mod:{ring.ell}^{ring.t}" if ring.kind == "mod" else ring.kind
 
 
+def _is_cached(key: Tuple[str, str], precision: int) -> bool:
+    hit = _expansion_cache.get(key)
+    return hit is not None and hit.precision >= precision
+
+
 def cached_expansion(entry: etaquot.CatalogEntry, precision: int, ring: Ring) -> QSeries:
     """Expansion of a catalog form, memoized at the largest precision seen."""
     key = (entry.form_id, _ring_key(ring))
-    hit = _expansion_cache.get(key)
-    if hit is not None and hit.precision >= precision:
-        return hit.truncate(precision)
-    series = _expansion_cache[key] = entry.expand(precision, ring)
-    return series
+    if not _is_cached(key, precision):
+        _expansion_cache[key] = entry.expand(precision, ring)
+    return _expansion_cache[key].truncate(precision)
 
 
 def clear_expansion_cache() -> None:
@@ -515,39 +518,72 @@ def _candidate_psi(n_level: int) -> List[Character]:
     return out
 
 
-def _two_exponent_check(ell: int, m: int, mp: int, psi: Character):
-    def check(p: int, a_p: int) -> bool:
-        return (a_p - psi(p) * (pow(p, m, ell) + pow(p, mp, ell))) % ell == 0
+def _square_class_survivors(ell: int, primes: List[int], small: QSeries) -> List[Tuple]:
+    """[(check, None, None, None)] when a(p) = 0 mod ell at every non-square
+    p mod ell among the primes, read from a table of squares, else [] (and
+    always [] for ell = 2, which has no non-squares)."""
+    if ell == 2:
+        return []
+    square = bytearray(ell)
+    for x in range(1, (ell + 1) // 2):
+        square[x * x % ell] = 1
 
-    return check
+    def check(p: int, a_p: int) -> Optional[bool]:
+        return None if square[p % ell] else a_p % ell == 0
+
+    return [(check, None, None, None)] if _first_failure(check, primes, small)[0] is None else []
 
 
-def _scan_candidates(kind: str, ell: int, k: int, n_level: int) -> List[Tuple]:
-    """The congruences a scan tries mod ell, each as (check, m, m', psi).
+def _two_exponent_survivors(
+    ell: int,
+    k: int,
+    psis: List[Character],
+    periods: List[List[int]],
+    rows: List[Tuple[int, int, Tuple[int, ...]]],
+) -> List[Tuple]:
+    """The two-exponent congruences mod ell that hold at every prescan prime,
+    each as (check, m, m', psi) for the full pass.
 
-    Square-class: a(p) = 0 at the non-squares p mod ell (odd ell only).
-    Two-exponent: a(p) = psi(p)(p^m + p^m') with m + m' = k - 1 mod ell - 1.
+    A candidate is a(p) = psi(p)(p^m + p^m') with m + m' = k - 1 mod ell - 1.
     Exponents only matter mod ell - 1 (Fermat), so each unordered pair
     {m, k - 1 - m} is tried once, at its smaller member; mod 2 every real
-    character looks trivial, so only 1_N is tried.
+    character looks trivial, so only 1_N = psis[0] is tried.  `periods`
+    holds each psi over one period and `rows` holds (p, a(p), psi(p) for
+    every psi) for the good prescan primes.  A prime needs only a(p), psi(p)
+    and its table of p^j mod ell, j < ell - 1: the first splits the pairs by
+    the value of psi(p), each later one drops the (psi, m) it refutes, and a
+    check is built only for what is left.
     """
-    if kind == "square-class":
-        if ell == 2:
-            return []
-
-        def check(p: int, a_p: int) -> Optional[bool]:
-            return a_p % ell == 0 if kronecker(p, ell) == -1 else None
-
-        return [(check, None, None, None)]
     span = max(ell - 1, 1)
-    psis = _candidate_psi(n_level) if ell > 2 else [trivial_mod(n_level)]
-    candidates = []
-    for psi in psis:
-        for m in range(span):
-            if (k - 1 - m) % span >= m:  # else tried at (k - 1 - m) mod (ell - 1)
-                mp = m + ((k - 1 - 2 * m) % span or span)
-                candidates.append((_two_exponent_check(ell, m, mp, psi), m, mp, psi))
-    return candidates
+    pairs = tuple(m for m in range(span) if (k - 1 - m) % span >= m)
+    alive = dict.fromkeys(range(len(psis) if ell > 2 else 1), pairs)  # psi index -> its m
+    for p, a_p, psi_p in rows:
+        if p == ell:
+            continue
+        power = [1] * span
+        for j in range(1, span):
+            power[j] = power[j - 1] * p % ell
+        kept = {}  # (psi(p), m alive) -> the m that p keeps; psis that agree at p share it
+        for i, ms in alive.items():
+            e = psi_p[i]
+            if (e, ms) not in kept:
+                kept[e, ms] = tuple(
+                    m for m in ms if (e * (power[m] + power[(k - 1 - m) % span]) - a_p) % ell == 0
+                )
+        alive = {i: kept[psi_p[i], ms] for i, ms in alive.items() if kept[psi_p[i], ms]}
+        if not alive:
+            return []
+    survivors = []
+    for i, ms in alive.items():
+        for m in ms:
+            period, mp = periods[i], m + ((k - 1 - 2 * m) % span or span)
+
+            def check(p: int, a_p: int, period=period, m=m, mp=mp) -> bool:
+                psi_p = period[p % len(period)]
+                return (a_p - psi_p * (pow(p, m, ell) + pow(p, mp, ell))) % ell == 0
+
+            survivors.append((check, m, mp, psis[i]))
+    return survivors
 
 
 def scan_exceptional(
@@ -564,9 +600,14 @@ def scan_exceptional(
     non-square mod ell; findings that are forced by a two-exponent congruence
     rather than a genuine square-class property are flagged masked.
 
-    Each candidate runs first over the primes of the exact expansion to
-    _PRESCAN_PRECISION, then the survivors over every good prime of the
-    expansion mod ell; a finding fails at no prime and judges at least one.
+    Three phases.  First every ell <= ell_max is prescanned over the good
+    primes of the exact expansion to _PRESCAN_PRECISION, from tables of a(p),
+    psi(p) (computed once per scan) and p^j mod ell.  Then the form is
+    expanded mod the product of the surviving ell not yet cached at
+    prime_bound, once per int64 group (`etaquot.expand_mod_primes`), and each
+    residue series is cached under its (form, ell) key.  Last, every
+    survivor runs over every good prime of the expansion mod its ell; a
+    finding fails at no prime and judges at least one.
     """
     if kind not in ("two-exponent", "square-class"):
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -577,24 +618,33 @@ def scan_exceptional(
     entry = etaquot.lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)
-    small_primes = primes_up_to(small.precision)
+    prescan = [p for p in primes_up_to(small.precision) if n_level % p]
+    psis = _candidate_psi(n_level)
+    periods = [psi.values(psi.modulus) for psi in psis]
+    rows = [(p, small.coeffs[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
+
+    survivors: Dict[int, List[Tuple]] = {}
+    for ell in primes_up_to(ell_max):
+        if kind == "two-exponent":
+            found = _two_exponent_survivors(ell, k, psis, periods, rows)
+        else:
+            found = _square_class_survivors(ell, _good_primes(prescan, n_level, ell), small)
+        if found:
+            survivors[ell] = found
+
+    keys = {ell: (entry.form_id, _ring_key(residue_ring(ell))) for ell in survivors}
+    missing = [ell for ell, key in keys.items() if not _is_cached(key, prime_bound)]
+    for ell, series in etaquot.expand_mod_primes(entry.quotient, prime_bound, missing).items():
+        _expansion_cache[keys[ell]] = series
+
     all_primes = primes_up_to(prime_bound)
     findings: List[ScanFinding] = []
-
-    for ell in primes_up_to(ell_max):
-        prescan = _good_primes(small_primes, n_level, ell)
-        survivors = [
-            candidate
-            for candidate in _scan_candidates(kind, ell, k, n_level)
-            if _first_failure(candidate[0], prescan, small)[0] is None
-        ]
-        if not survivors:
-            continue
+    for ell, candidates in survivors.items():
         f_res = cached_expansion(entry, prime_bound, residue_ring(ell))
         primes = _good_primes(all_primes, n_level, ell)
         qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
         masked = kind == "square-class" and not qualified
-        for check, m, mp, psi in survivors:
+        for check, m, mp, psi in candidates:
             witness, checked = _first_failure(check, primes, f_res)
             if witness is None and checked:
                 psi_text = psi.describe() if psi is not None else None

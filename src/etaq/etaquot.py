@@ -19,20 +19,22 @@ blocks absorb every denominator of the catalog, so no catalog form needs a
 division; a denominator no block covers is inverted once with the Newton
 inverse.  When every delta shares a factor g the whole Euler part is a
 series in q^g, so we expand the reduced quotient at precision P/g and
-dilate - a large win for the high-level forms.
+dilate - a large win for the high-level forms.  `expand_mod_primes` serves
+many primes ell at once: one product runs modulo the product of a group of
+them, as large as the int64 guard allows, and is reduced mod each ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .characters import Character, parse_character, trivial_mod
-from .qseries import QSeries, Ring, ZZ
+from .qseries import QSeries, Ring, ZZ, residue_ring
 
 # A sparse pass moves a slot by at most (1 + sum |c|) (modulus - 1) over the
 # block's terms c q^e, so it runs in int64 while that stays below this limit.
@@ -180,17 +182,24 @@ def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict
     return blocks, {d: -r for d, r in sorted(rest.items()) if r < 0}
 
 
-def _sparse_product(blocks: List[Tuple[str, int]], precision: int, modulus: int | None) -> list:
+def _pass_weight(terms: Iterable[List[Tuple[int, int]]]) -> int:
+    """1 + sum |c| over the heaviest of the blocks' term lists."""
+    return max((1 + sum(abs(c) for _, c in t) for t in terms), default=1)
+
+
+def _sparse_product(
+    blocks: List[Tuple[str, int]], precision: int, modulus: int | None
+) -> np.ndarray:
     """Coefficients of the product of the blocks (name, delta) up to q^precision.
 
     One pass per block adds c times the running product shifted by e for each
     of the block's terms c q^e; residues are reduced after every pass.  A
     pass moves each slot by at most (1 + sum |c|) (modulus - 1), so int64 is
-    used when that fits for every pass; ZZ and large moduli use Python ints.
+    used when that fits for every pass; ZZ and large moduli use Python ints
+    (an object array).
     """
     terms = {key: _block_terms(*key, precision) for key in set(blocks)}
-    weight = max((1 + sum(abs(c) for _, c in t) for t in terms.values()), default=1)
-    small = modulus is not None and weight * (modulus - 1) < _INT64_LIMIT
+    small = modulus is not None and _pass_weight(terms.values()) * (modulus - 1) < _INT64_LIMIT
     acc = np.zeros(precision + 1, dtype=np.int64 if small else object)
     acc[0] = 1
     for key in blocks:
@@ -206,7 +215,7 @@ def _sparse_product(blocks: List[Tuple[str, int]], precision: int, modulus: int 
         if modulus is not None:
             nxt %= modulus
         acc = nxt
-    return acc.tolist()
+    return acc
 
 
 def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> QSeries:
@@ -224,7 +233,8 @@ def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> 
     blocks, leftover = _plan_blocks(exponents)
 
     def product(blocks: List[Tuple[str, int]]) -> QSeries:
-        return QSeries._canonical(ring, _sparse_product(blocks, precision, modulus), precision)
+        coeffs = _sparse_product(blocks, precision, modulus).tolist()
+        return QSeries._canonical(ring, coeffs, precision)
 
     num = product(blocks)
     if not leftover:
@@ -232,8 +242,7 @@ def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> 
     return num * product([("E", d) for d, r in leftover.items() for _ in range(r)]).inverse()
 
 
-def expand(quotient: EtaQuotient, precision: int, ring: Ring = ZZ) -> QSeries:
-    """Expansion of the quotient as a q-series with trusted range 0..precision."""
+def _leading_power(quotient: EtaQuotient, precision: int) -> int:
     s = quotient.exponent_sum
     if s % 24 != 0:
         raise ValueError("exponent sum not divisible by 24")
@@ -242,8 +251,61 @@ def expand(quotient: EtaQuotient, precision: int, ring: Ring = ZZ) -> QSeries:
         raise ValueError(f"leading power q^({lead}) is negative; not a holomorphic expansion")
     if precision < lead:
         raise ValueError(f"precision {precision} cannot see the leading term q^{lead}")
+    return lead
+
+
+def expand(quotient: EtaQuotient, precision: int, ring: Ring = ZZ) -> QSeries:
+    """Expansion of the quotient as a q-series with trusted range 0..precision."""
+    lead = _leading_power(quotient, precision)
     euler = expand_euler_part(dict(quotient.factors), precision - lead, ring)
     return euler.shift(lead) if lead else euler
+
+
+def _int64_groups(primes: List[int], weight: int) -> List[List[int]]:
+    """Split the primes, in order, into runs whose product M keeps
+    weight (M - 1) below the int64 limit; a prime too large for that on its
+    own forms a run alone (and runs in Python ints)."""
+    groups: List[List[int]] = []
+    modulus = 1
+    for ell in primes:
+        if groups and weight * (modulus * ell - 1) < _INT64_LIMIT:
+            groups[-1].append(ell)
+            modulus *= ell
+        else:
+            groups.append([ell])
+            modulus = ell
+    return groups
+
+
+def expand_mod_primes(
+    quotient: EtaQuotient, precision: int, primes: List[int]
+) -> Dict[int, QSeries]:
+    """expand(quotient, precision, residue_ring(ell)) for each prime ell.
+
+    The primes are split into groups whose product M keeps every pass of the
+    sparse product in int64 (numpy int64 wraps silently on overflow); the
+    product of the blocks runs once modulo M for each group and is reduced
+    mod each ell, then placed at q^(lead + g n) as `expand` dilates by the
+    gcd g of the deltas and shifts by the leading power q^lead.  A quotient with a denominator no block
+    covers needs the Newton inverse in a ring, so it is expanded per prime.
+    """
+    exponents = dict(quotient.factors)
+    lead = _leading_power(quotient, precision)
+    g = gcd(*exponents) or 1
+    blocks, leftover = _plan_blocks({d // g: r for d, r in exponents.items()})
+    if leftover:
+        return {ell: expand(quotient, precision, residue_ring(ell)) for ell in primes}
+    sub = (precision - lead) // g
+    out: Dict[int, QSeries] = {}
+    weight = _pass_weight(_block_terms(*key, sub) for key in set(blocks))
+    for group in _int64_groups(primes, weight):
+        acc = _sparse_product(blocks, sub, prod(group))
+        for ell in group:
+            coeffs = [0] * (precision + 1)
+            coeffs[lead::g] = (acc % ell).tolist()  # dilated by g, times q^lead
+            out[ell] = QSeries._canonical(residue_ring(ell), coeffs, precision)
+        del acc  # one group's array at a time
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,13 @@ from etaq.congruence import (
     verify_claim,
     verify_claims,
 )
-from etaq.etaquot import catalog, lookup
+from etaq.cli import main
+from etaq.etaquot import CatalogEntry, catalog, lookup
 
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "builtin_reports.json"
 PINNED_SCANS = Path(__file__).parent / "data" / "scan_findings.json"
+PINNED_SCANS_691 = Path(__file__).parent / "data" / "scan_findings_691.json"
 
 
 def claim_by_id(claim_id):
@@ -315,6 +317,43 @@ def test_scan_findings_match_the_pinned_fixture():
         found = [f.to_json() for f in scan_exceptional(scan["form"], scan["kind"], ell_max=100)]
         assert found == scan["findings"], (scan["form"], scan["kind"])
     assert sum(len(s["findings"]) for s in pinned) == 76
+
+
+def test_scan_findings_to_691_match_the_pinned_fixture():
+    # the whole catalog, both kinds, every prime ell up to 691
+    pinned = json.loads(PINNED_SCANS_691.read_text())["scans"]
+    assert [(s["form"], s["kind"]) for s in pinned] == [
+        (entry.form_id, kind) for entry in catalog() for kind in ("two-exponent", "square-class")
+    ]
+    for scan in pinned:
+        found = [f.to_json() for f in scan_exceptional(scan["form"], scan["kind"], ell_max=691)]
+        assert found == scan["findings"], (scan["form"], scan["kind"])
+    assert sum(len(s["findings"]) for s in pinned) == 77
+
+
+def test_scan_caches_match_fresh_expansions_and_verify_after(capsys, monkeypatch):
+    # both scans store their batched mod-ell series in the expansion cache
+    # under the per-ell key, and later verify calls read them from there
+    clear_expansion_cache()
+    for kind in ("I", "II"):
+        assert main(["scan", "--form", "delta", "--type", kind, "--ell-max", "691"]) == 0
+    capsys.readouterr()
+    entry = lookup("delta")
+    residues = {key: series for key, series in congruence._expansion_cache.items() if key[1] != "ZZ"}
+    assert {("delta", f"mod:{ell}^1") for ell in (2, 3, 5, 7, 23, 691)} <= set(residues)
+    for (form_id, ring_key), series in residues.items():
+        assert (form_id, ring_key) == ("delta", f"mod:{series.ring.ell}^1")
+        assert series == entry.expand(series.precision, series.ring), ring_key
+
+    def refuse(self, precision, ring):
+        raise AssertionError(f"verify expanded {self.form_id} over {ring.describe()} again")
+
+    monkeypatch.setattr(CatalogEntry, "expand", refuse)
+    pinned = {r["claim"]: r for r in json.loads(PINNED_REPORTS.read_text())["reports"]}
+    for claim_id in ("square-class:delta:l23", "two-exponent:delta:l691"):
+        data = verify_claim(claim_by_id(claim_id)).to_json()
+        del data["seconds"]
+        assert data == pinned[claim_id]
 
 
 def test_scan_rejects_bad_input():

@@ -1,10 +1,12 @@
 """Eta-quotient expansion and the newform catalog."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+import numpy as np
 import pytest
 
+from etaq import etaquot
 from etaq.characters import parse_character
 from etaq.etaquot import (
     _BLOCKS,
@@ -15,6 +17,7 @@ from etaq.etaquot import (
     euler_factor,
     expand,
     expand_euler_part,
+    expand_mod_primes,
     lookup,
 )
 from etaq.oracles import brute_eta_expand, primes_up_to
@@ -185,6 +188,62 @@ def test_int64_guard_weights_each_pass_by_its_coefficients():
     exact = expand_euler_part({1: 24}, precision, ZZ)
     for t in range(below, by_count + 1):
         assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == reduce_mod(exact, 3, t), t
+
+
+def _record_products(monkeypatch):
+    """Wrap _sparse_product; returns the list of (modulus, dtype) it ran with."""
+    runs = []
+    real = etaquot._sparse_product
+
+    def spy(blocks, precision, modulus):
+        acc = real(blocks, precision, modulus)
+        runs.append((modulus, acc.dtype))
+        return acc
+
+    monkeypatch.setattr(etaquot, "_sparse_product", spy)
+    return runs
+
+
+def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
+    # one product per int64 group of primes, reduced mod each: the same
+    # series as the per-prime expansion for every catalog form, and every
+    # group really runs in int64 (its product keeps each pass below 2^63)
+    runs = _record_products(monkeypatch)
+    primes = primes_up_to(691)
+    for e in catalog():
+        runs.clear()
+        batched = expand_mod_primes(e.quotient, 2000, primes)
+        groups = list(runs)
+        assert list(batched) == primes
+        for ell in primes:
+            assert batched[ell] == e.expand(2000, residue_ring(ell)), (e.form_id, ell)
+        assert prod(modulus for modulus, _ in groups) == prod(primes), e.form_id
+        assert all(dtype == np.int64 for _, dtype in groups), e.form_id
+        if e.form_id == "delta":
+            # the primes up to 691 do not fit one int64 modulus for delta
+            assert len(groups) >= 2
+
+
+def test_expand_mod_primes_matches_the_brute_oracle():
+    primes = primes_up_to(691)
+    for e in catalog():
+        exact = brute_eta_expand(dict(e.quotient.factors), 60)
+        for ell, series in expand_mod_primes(e.quotient, 60, primes).items():
+            assert series == reduce_mod(exact, ell), (e.form_id, ell)
+
+
+def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkeypatch):
+    # eta(z)^-1 eta(5z)^5: no block covers eta(z)^-1, so each prime needs its
+    # own Newton inverse and no product runs modulo a product of primes
+    quotient = EtaQuotient.from_dict({1: -1, 5: 5})
+    assert _plan_blocks(dict(quotient.factors))[1] == {1: 1}
+    runs = _record_products(monkeypatch)
+    primes = [2, 3, 5, 7, 11]
+    batched = expand_mod_primes(quotient, 300, primes)
+    assert sorted(modulus for modulus, _ in runs) == sorted(primes * 2)
+    exact = brute_eta_expand({1: -1, 5: 5}, 300)
+    for ell in primes:
+        assert batched[ell] == expand(quotient, 300, residue_ring(ell)) == reduce_mod(exact, ell)
 
 
 def test_expansion_in_residue_ring_matches_reduced_exact():
