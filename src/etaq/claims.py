@@ -8,7 +8,7 @@ expect="fail" are deliberate near-misses that must be refuted - a run that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 KINDS = ("two-exponent", "square-class", "prime-power", "unit-factor", "twist-power", "raw-identity")
@@ -69,30 +69,11 @@ class CongruenceClaim:
 
     # -- serialization -----------------------------------------------------
 
-    _FIELDS = (
-        "claim_id",
-        "kind",
-        "form",
-        "ell",
-        "t",
-        "m",
-        "m_prime",
-        "psi",
-        "residues",
-        "residue_modulus",
-        "units",
-        "weight",
-        "level",
-        "lhs",
-        "rhs",
-        "expect",
-        "note",
-    )
-
     def to_json(self) -> Dict:
+        """The fields in declaration order, without the ones left at their defaults."""
         out: Dict = {}
-        for name in self._FIELDS:
-            value = getattr(self, name)
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
             if value is None:
                 continue
             if name == "t" and value == 1:
@@ -112,7 +93,7 @@ class CongruenceClaim:
     def from_json(cls, data: Dict) -> "CongruenceClaim":
         if not isinstance(data, dict):
             raise ValueError(f"a claim must be a JSON object, got {data!r}")
-        unknown = set(data) - set(cls._FIELDS)
+        unknown = set(data) - {field.name for field in fields(cls)}
         if unknown:
             raise ValueError(f"unknown claim fields: {sorted(unknown)}")
         kwargs = dict(data)

@@ -16,6 +16,7 @@ data and serialize to JSON with stable field order.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -95,17 +96,26 @@ def _ring_key(ring: Ring) -> str:
     return f"mod:{ring.ell}^{ring.t}" if ring.kind == "mod" else ring.kind
 
 
-def _is_cached(key: Tuple[str, str], precision: int) -> bool:
-    hit = _expansion_cache.get(key)
-    return hit is not None and hit.precision >= precision
+def cached_expansions(
+    entry: etaquot.CatalogEntry, precision: int, rings: List[Ring]
+) -> List[QSeries]:
+    """Expansions of a catalog form in each ring, memoized per (form, ring) at
+    the largest precision seen; the misses are expanded together."""
+    keys = [(entry.form_id, _ring_key(ring)) for ring in rings]
+    missing = {
+        key: ring
+        for key, ring in zip(keys, rings)
+        if key not in _expansion_cache or _expansion_cache[key].precision < precision
+    }
+    if missing:
+        fresh = etaquot.expand_all(entry.quotient, precision, list(missing.values()))
+        _expansion_cache.update(zip(missing, fresh))
+    return [_expansion_cache[key].truncate(precision) for key in keys]
 
 
 def cached_expansion(entry: etaquot.CatalogEntry, precision: int, ring: Ring) -> QSeries:
-    """Expansion of a catalog form, memoized at the largest precision seen."""
-    key = (entry.form_id, _ring_key(ring))
-    if not _is_cached(key, precision):
-        _expansion_cache[key] = entry.expand(precision, ring)
-    return _expansion_cache[key].truncate(precision)
+    """Expansion of a catalog form in one ring, through `cached_expansions`."""
+    return cached_expansions(entry, precision, [ring])[0]
 
 
 def clear_expansion_cache() -> None:
@@ -602,12 +612,13 @@ def scan_exceptional(
 
     Three phases.  First every ell <= ell_max is prescanned over the good
     primes of the exact expansion to _PRESCAN_PRECISION, from tables of a(p),
-    psi(p) (computed once per scan) and p^j mod ell.  Then the form is
-    expanded mod the product of the surviving ell not yet cached at
-    prime_bound, once per int64 group (`etaquot.expand_mod_primes`), and each
-    residue series is cached under its (form, ell) key.  Last, every
-    survivor runs over every good prime of the expansion mod its ell; a
-    finding fails at no prime and judges at least one.
+    psi(p) (computed once per scan) and p^j mod ell.  Then one
+    `cached_expansions` call gives the series mod every surviving ell: the
+    ones not cached at prime_bound are expanded together, one product per
+    int64 group of moduli, and cached under their (form, ell) keys.  Last,
+    every survivor runs over every good prime of the expansion mod its ell;
+    a finding fails at no prime and judges at least one.  The primes are
+    sieved once, to max(prime_bound, ell_max).
     """
     if kind not in ("two-exponent", "square-class"):
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -618,13 +629,14 @@ def scan_exceptional(
     entry = etaquot.lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)
-    prescan = [p for p in primes_up_to(small.precision) if n_level % p]
+    primes = primes_up_to(max(prime_bound, ell_max))
+    prescan = [p for p in primes[: bisect_right(primes, small.precision)] if n_level % p]
     psis = _candidate_psi(n_level)
     periods = [psi.values(psi.modulus) for psi in psis]
     rows = [(p, small.coeffs[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
 
     survivors: Dict[int, List[Tuple]] = {}
-    for ell in primes_up_to(ell_max):
+    for ell in primes[: bisect_right(primes, ell_max)]:
         if kind == "two-exponent":
             found = _two_exponent_survivors(ell, k, psis, periods, rows)
         else:
@@ -632,20 +644,15 @@ def scan_exceptional(
         if found:
             survivors[ell] = found
 
-    keys = {ell: (entry.form_id, _ring_key(residue_ring(ell))) for ell in survivors}
-    missing = [ell for ell, key in keys.items() if not _is_cached(key, prime_bound)]
-    for ell, series in etaquot.expand_mod_primes(entry.quotient, prime_bound, missing).items():
-        _expansion_cache[keys[ell]] = series
-
-    all_primes = primes_up_to(prime_bound)
+    series = cached_expansions(entry, prime_bound, [residue_ring(ell) for ell in survivors])
+    scan_primes = primes[: bisect_right(primes, prime_bound)]
     findings: List[ScanFinding] = []
-    for ell, candidates in survivors.items():
-        f_res = cached_expansion(entry, prime_bound, residue_ring(ell))
-        primes = _good_primes(all_primes, n_level, ell)
+    for (ell, candidates), f_res in zip(survivors.items(), series):
+        good = _good_primes(scan_primes, n_level, ell)
         qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
         masked = kind == "square-class" and not qualified
         for check, m, mp, psi in candidates:
-            witness, checked = _first_failure(check, primes, f_res)
+            witness, checked = _first_failure(check, good, f_res)
             if witness is None and checked:
                 psi_text = psi.describe() if psi is not None else None
                 findings.append(ScanFinding(ell, kind, masked, m, mp, psi_text, checked))

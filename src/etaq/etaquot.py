@@ -18,23 +18,25 @@ the residues cannot overflow, exact Python ints otherwise).  The theta
 blocks absorb every denominator of the catalog, so no catalog form needs a
 division; a denominator no block covers is inverted once with the Newton
 inverse.  When every delta shares a factor g the whole Euler part is a
-series in q^g, so we expand the reduced quotient at precision P/g and
-dilate - a large win for the high-level forms.  `expand_mod_primes` serves
-many primes ell at once: one product runs modulo the product of a group of
-them, as large as the int64 guard allows, and is reduced mod each ell.
+series in q^g, so the blocks are planned for the quotient reduced by g and
+each coefficient n is placed at q^(lead + g n) - a large win for the
+high-level forms.  One routine does all of this for a list of rings
+(`expand_all`; `expand` is its one-ring case): residue rings share one
+product modulo the lcm of a group of their moduli, as large as the int64
+guard allows, and each reduces it mod its own modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
-from typing import Dict, Iterable, List, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .characters import Character, parse_character, trivial_mod
-from .qseries import QSeries, Ring, ZZ, residue_ring
+from .qseries import QSeries, Ring, ZZ
 
 # A sparse pass moves a slot by at most (1 + sum |c|) (modulus - 1) over the
 # block's terms c q^e, so it runs in int64 while that stays below this limit.
@@ -218,28 +220,73 @@ def _sparse_product(
     return acc
 
 
+def _ring_groups(rings: List[Ring], weight: int, alone: bool) -> List[list]:
+    """Split the rings, in order, into runs that share one sparse product,
+    each as [indices into rings, modulus of the product (None over ZZ)].
+
+    A residue ring joins the run before it while weight (M - 1) stays below
+    the int64 limit for the lcm M of the run's moduli (numpy int64 wraps
+    silently).  ZZ, QQ (expanded over ZZ), a modulus too large for int64,
+    and every ring when `alone`, run alone.
+    """
+    groups: List[list] = []
+    for i, ring in enumerate(rings):
+        m = ring.modulus if ring.kind == "mod" else None
+        if m and groups and groups[-1][1] and not alone:
+            joined = lcm(groups[-1][1], m)
+            if weight * (joined - 1) < _INT64_LIMIT:
+                groups[-1][0].append(i)
+                groups[-1][1] = joined
+                continue
+        groups.append([[i], m])
+    return groups
+
+
+def _expand_rings(
+    exponents: Dict[int, int], lead: int, precision: int, rings: List[Ring]
+) -> List[QSeries]:
+    """q^lead prod_delta prod_n (1 - q^(delta n))^(r_delta) up to q^precision, in each ring.
+
+    The Euler part is a series in q^g for the gcd g of the deltas, so the
+    blocks are planned once for the quotient reduced by g, multiplied up to
+    (precision - lead) // g, and coefficient n is placed at q^(lead + g n).
+    Residue rings share one product per int64 group (`_ring_groups`) and
+    reduce it mod their own modulus.  A denominator no block covers needs
+    the Newton inverse in each ring, so then every ring runs alone.
+    """
+    g = gcd(*exponents) or 1
+    blocks, leftover = _plan_blocks({d // g: r for d, r in exponents.items()})
+    den_blocks = [("E", d) for d, r in leftover.items() for _ in range(r)]
+    sub = (precision - lead) // g
+    # only rings that share a product need the guard (each product checks its own)
+    weight = _pass_weight(_block_terms(*key, sub) for key in set(blocks)) if len(rings) > 1 else 0
+
+    def residues(ring: Ring, acc: np.ndarray, modulus: Optional[int]) -> List:
+        """The product, run modulo `modulus` (None: over ZZ), as coefficients in the ring."""
+        m = ring.modulus if ring.kind == "mod" else None
+        values = (acc if m == modulus else acc % m).tolist()
+        if leftover:
+            work = ring if m else ZZ
+            den = QSeries._canonical(work, _sparse_product(den_blocks, sub, m).tolist(), sub)
+            values = (QSeries._canonical(work, values, sub) * den.inverse()).coeffs
+        return [Fraction(c) for c in values] if ring.kind == "QQ" else values
+
+    # each series is written straight from its group's array, and only one
+    # group's array is alive at a time: a batch keeps no list per ring
+    out: List[QSeries] = [None] * len(rings)
+    for group, modulus in _ring_groups(rings, weight, bool(leftover)):
+        acc = _sparse_product(blocks, sub, modulus)
+        for i in group:
+            coeffs = [rings[i].zero()] * (precision + 1)
+            coeffs[lead::g] = residues(rings[i], acc, modulus)
+            out[i] = QSeries._canonical(rings[i], coeffs, precision)
+        del acc, coeffs
+    return out
+
+
 def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> QSeries:
     """prod_delta prod_n (1 - q^(delta n))^(r_delta), without the q^(s/24) prefactor."""
-    if not exponents:
-        return QSeries.one(ring, precision)
-    g = gcd(*exponents.keys()) if len(exponents) > 1 else next(iter(exponents))
-    if g > 1:
-        sub = expand_euler_part({d // g: r for d, r in exponents.items()}, precision // g, ring)
-        return sub.dilate(g, precision)
-    if ring.kind == "QQ":
-        # the expansion is integral: work over ZZ and convert once
-        return QSeries(ring, expand_euler_part(exponents, precision, ZZ).coeffs, precision)
-    modulus = ring.modulus if ring.kind == "mod" else None
-    blocks, leftover = _plan_blocks(exponents)
-
-    def product(blocks: List[Tuple[str, int]]) -> QSeries:
-        coeffs = _sparse_product(blocks, precision, modulus).tolist()
-        return QSeries._canonical(ring, coeffs, precision)
-
-    num = product(blocks)
-    if not leftover:
-        return num
-    return num * product([("E", d) for d, r in leftover.items() for _ in range(r)]).inverse()
+    return _expand_rings(exponents, 0, precision, [ring])[0]
 
 
 def _leading_power(quotient: EtaQuotient, precision: int) -> int:
@@ -254,58 +301,15 @@ def _leading_power(quotient: EtaQuotient, precision: int) -> int:
     return lead
 
 
+def expand_all(quotient: EtaQuotient, precision: int, rings: List[Ring]) -> List[QSeries]:
+    """expand(quotient, precision, ring) for each of the rings, in order."""
+    lead = _leading_power(quotient, precision)
+    return _expand_rings(dict(quotient.factors), lead, precision, rings)
+
+
 def expand(quotient: EtaQuotient, precision: int, ring: Ring = ZZ) -> QSeries:
     """Expansion of the quotient as a q-series with trusted range 0..precision."""
-    lead = _leading_power(quotient, precision)
-    euler = expand_euler_part(dict(quotient.factors), precision - lead, ring)
-    return euler.shift(lead) if lead else euler
-
-
-def _int64_groups(primes: List[int], weight: int) -> List[List[int]]:
-    """Split the primes, in order, into runs whose product M keeps
-    weight (M - 1) below the int64 limit; a prime too large for that on its
-    own forms a run alone (and runs in Python ints)."""
-    groups: List[List[int]] = []
-    modulus = 1
-    for ell in primes:
-        if groups and weight * (modulus * ell - 1) < _INT64_LIMIT:
-            groups[-1].append(ell)
-            modulus *= ell
-        else:
-            groups.append([ell])
-            modulus = ell
-    return groups
-
-
-def expand_mod_primes(
-    quotient: EtaQuotient, precision: int, primes: List[int]
-) -> Dict[int, QSeries]:
-    """expand(quotient, precision, residue_ring(ell)) for each prime ell.
-
-    The primes are split into groups whose product M keeps every pass of the
-    sparse product in int64 (numpy int64 wraps silently on overflow); the
-    product of the blocks runs once modulo M for each group and is reduced
-    mod each ell, then placed at q^(lead + g n) as `expand` dilates by the
-    gcd g of the deltas and shifts by the leading power q^lead.  A quotient with a denominator no block
-    covers needs the Newton inverse in a ring, so it is expanded per prime.
-    """
-    exponents = dict(quotient.factors)
-    lead = _leading_power(quotient, precision)
-    g = gcd(*exponents) or 1
-    blocks, leftover = _plan_blocks({d // g: r for d, r in exponents.items()})
-    if leftover:
-        return {ell: expand(quotient, precision, residue_ring(ell)) for ell in primes}
-    sub = (precision - lead) // g
-    out: Dict[int, QSeries] = {}
-    weight = _pass_weight(_block_terms(*key, sub) for key in set(blocks))
-    for group in _int64_groups(primes, weight):
-        acc = _sparse_product(blocks, sub, prod(group))
-        for ell in group:
-            coeffs = [0] * (precision + 1)
-            coeffs[lead::g] = (acc % ell).tolist()  # dilated by g, times q^lead
-            out[ell] = QSeries._canonical(residue_ring(ell), coeffs, precision)
-        del acc  # one group's array at a time
-    return out
+    return expand_all(quotient, precision, [ring])[0]
 
 
 @dataclass(frozen=True)

@@ -326,15 +326,6 @@ class QSeries:
             return self
         return QSeries._canonical(self.ring, self.coeffs[: precision + 1], precision)
 
-    def shift(self, k: int) -> "QSeries":
-        """Multiply by q^k; the trusted range grows by k with no new unknowns."""
-        if k < 0:
-            raise ValueError("negative shifts would need Laurent series")
-        if k == 0:
-            return self
-        coeffs = (self.ring.zero(),) * k + self.coeffs
-        return QSeries._canonical(self.ring, coeffs, self.precision + k)
-
     def dilate(self, m: int, precision: int) -> "QSeries":
         """Substitute q -> q^m, i.e. place a(n) at q^(m n), up to the given precision."""
         if m < 1:

@@ -1,5 +1,6 @@
 """The built-in claim database and the claim record format."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -59,8 +60,12 @@ def test_prime_power_rows_satisfy_exponent_relation():
 
 
 def test_json_roundtrip_every_builtin_claim():
+    # keys follow the field order, so claim files stay byte-stable
+    order = [field.name for field in dataclasses.fields(CongruenceClaim)]
     for c in builtin_claims():
-        again = CongruenceClaim.from_json(c.to_json())
+        data = c.to_json()
+        assert list(data) == [name for name in order if name in data], c.claim_id
+        again = CongruenceClaim.from_json(data)
         assert again == c, c.claim_id
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from etaq import congruence
+from etaq import congruence, etaquot
 from etaq.characters import kronecker
 from etaq.claims import CongruenceClaim, builtin_claims
 from etaq.congruence import (
@@ -19,7 +19,8 @@ from etaq.congruence import (
     verify_claims,
 )
 from etaq.cli import main
-from etaq.etaquot import CatalogEntry, catalog, lookup
+from etaq.qseries import ZZ, residue_ring
+from etaq.etaquot import catalog, lookup
 
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "builtin_reports.json"
@@ -345,10 +346,11 @@ def test_scan_caches_match_fresh_expansions_and_verify_after(capsys, monkeypatch
         assert (form_id, ring_key) == ("delta", f"mod:{series.ring.ell}^1")
         assert series == entry.expand(series.precision, series.ring), ring_key
 
-    def refuse(self, precision, ring):
-        raise AssertionError(f"verify expanded {self.form_id} over {ring.describe()} again")
+    def refuse(quotient, precision, rings):
+        names = [ring.describe() for ring in rings]
+        raise AssertionError(f"verify expanded {quotient} over {names} again")
 
-    monkeypatch.setattr(CatalogEntry, "expand", refuse)
+    monkeypatch.setattr(etaquot, "expand_all", refuse)
     pinned = {r["claim"]: r for r in json.loads(PINNED_REPORTS.read_text())["reports"]}
     for claim_id in ("square-class:delta:l23", "two-exponent:delta:l691"):
         data = verify_claim(claim_by_id(claim_id)).to_json()
@@ -370,6 +372,57 @@ def test_scan_rejects_ell_max_below_two(ell_max):
     for kind in ("two-exponent", "square-class"):
         with pytest.raises(ValueError, match="ell_max"):
             scan_exceptional("delta", kind, ell_max=ell_max)
+
+
+def _count_expansions(monkeypatch):
+    """Wrap etaquot.expand_all; returns the list of ring lists it expanded."""
+    calls = []
+    real = etaquot.expand_all
+
+    def spy(quotient, precision, rings):
+        calls.append([ring.describe() for ring in rings])
+        return real(quotient, precision, rings)
+
+    monkeypatch.setattr(etaquot, "expand_all", spy)
+    return calls
+
+
+def test_cached_expansions_expand_each_miss_once_and_together(monkeypatch):
+    clear_expansion_cache()
+    entry = lookup("eta1^4 eta5^4")
+    rings = [residue_ring(3), ZZ, residue_ring(7, 2), residue_ring(3), residue_ring(11)]
+    fresh = {ring: entry.expand(400, ring) for ring in rings}
+    calls = _count_expansions(monkeypatch)
+    first = congruence.cached_expansions(entry, 200, rings[:4])
+    assert calls == [["Z/3", "ZZ", "Z/7^2"]]
+    assert first == [fresh[ring].truncate(200) for ring in rings[:4]]
+    # a hit at a lower precision is a truncation of the cached series
+    lower = congruence.cached_expansions(entry, 120, rings)
+    assert calls == [["Z/3", "ZZ", "Z/7^2"], ["Z/11"]]
+    assert lower == [fresh[ring].truncate(120) for ring in rings]
+    assert congruence.cached_expansion(entry, 200, ZZ) is first[1]
+    assert len(calls) == 2
+    # above the cached precision the ring is expanded again, and kept there
+    assert congruence.cached_expansion(entry, 400, rings[2]) == fresh[rings[2]]
+    assert congruence.cached_expansion(entry, 300, rings[2]) == fresh[rings[2]].truncate(300)
+    assert calls[2:] == [["Z/7^2"]]
+    clear_expansion_cache()
+
+
+def test_scan_sieves_once(monkeypatch):
+    sieves = []
+    real = congruence.primes_up_to
+
+    def spy(bound):
+        sieves.append(bound)
+        return real(bound)
+
+    monkeypatch.setattr(congruence, "primes_up_to", spy)
+    for kind in ("two-exponent", "square-class"):
+        for ell_max, prime_bound in ((100, 10_000), (691, 500)):
+            sieves.clear()
+            scan_exceptional("delta", kind, ell_max=ell_max, prime_bound=prime_bound)
+            assert sieves == [max(ell_max, prime_bound)], (kind, ell_max, prime_bound)
 
 
 def test_expansion_cache_can_be_cleared():

@@ -1,7 +1,7 @@
 """Eta-quotient expansion and the newform catalog."""
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -16,12 +16,12 @@ from etaq.etaquot import (
     catalog,
     euler_factor,
     expand,
+    expand_all,
     expand_euler_part,
-    expand_mod_primes,
     lookup,
 )
 from etaq.oracles import brute_eta_expand, primes_up_to
-from etaq.qseries import QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
+from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
 
 
 def test_parse_and_name_roundtrip():
@@ -95,7 +95,7 @@ def dense_reference(quotient, precision, ring):
             num = num * piece
         else:
             den = den * piece
-    return (num * den.inverse()).shift(lead)
+    return QSeries(ring, [0] * lead + list((num * den.inverse()).coeffs))
 
 
 def test_sparse_expansion_matches_dense_and_brute_for_every_form():
@@ -140,7 +140,8 @@ def test_each_block_matches_brute_oracle_of_its_eta_product():
             power = 24 // gcd(24, s)
             lead = s * power // 24
             expected = brute_eta_expand({d: power * r for d, r in exponents.items()}, precision + lead)
-            assert QSeries(ZZ, coeffs).pow(power).shift(lead) == expected, (name, delta)
+            powered = QSeries(ZZ, coeffs).pow(power)
+            assert QSeries(ZZ, [0] * lead + list(powered.coeffs)) == expected, (name, delta)
 
 
 def test_catalog_expands_without_the_newton_inverse(monkeypatch):
@@ -190,60 +191,80 @@ def test_int64_guard_weights_each_pass_by_its_coefficients():
         assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == reduce_mod(exact, 3, t), t
 
 
-def _record_products(monkeypatch):
-    """Wrap _sparse_product; returns the list of (modulus, dtype) it ran with."""
-    runs = []
-    real = etaquot._sparse_product
+def test_expand_all_matches_one_ring_expansions_and_the_brute_oracle(monkeypatch):
+    # one call over a mixed list of rings gives, for every catalog form, the
+    # one-ring expansion in each ring (with its coefficient type) and the
+    # brute oracle at 60 terms.  Every ring sits in exactly one group, every
+    # group of more than one ring runs in int64 (weight (M - 1) < 2^63 for
+    # the lcm M of its moduli), and the primes up to 691 do not fit one int64
+    # modulus for delta.  No block covers eta(z)^-1, so each ring of
+    # eta(z)^-1 eta(5z)^5 runs alone, with its own product for the
+    # numerator and the denominator.
+    rings = [ZZ, QQ] + [residue_ring(ell, t) for ell, t in ((2, 70), (3, 5), (7, 2), (2, 14))]
+    rings += [residue_ring(ell) for ell in primes_up_to(691)]
+    runs, groups = [], []
+    real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
 
-    def spy(blocks, precision, modulus):
-        acc = real(blocks, precision, modulus)
+    def product_spy(blocks, precision, modulus):
+        acc = real_product(blocks, precision, modulus)
         runs.append((modulus, acc.dtype))
         return acc
 
-    monkeypatch.setattr(etaquot, "_sparse_product", spy)
-    return runs
+    def groups_spy(*args):
+        groups[:] = real_groups(*args)
+        return groups
 
-
-def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
-    # one product per int64 group of primes, reduced mod each: the same
-    # series as the per-prime expansion for every catalog form, and every
-    # group really runs in int64 (its product keeps each pass below 2^63)
-    runs = _record_products(monkeypatch)
-    primes = primes_up_to(691)
-    for e in catalog():
+    monkeypatch.setattr(etaquot, "_sparse_product", product_spy)
+    monkeypatch.setattr(etaquot, "_ring_groups", groups_spy)
+    leftover = EtaQuotient.from_dict({1: -1, 5: 5})
+    assert _plan_blocks(dict(leftover.factors))[1] == {1: 1}
+    for quotient, precision in [(e.quotient, 1000) for e in catalog()] + [(leftover, 300)]:
         runs.clear()
-        batched = expand_mod_primes(e.quotient, 2000, primes)
-        groups = list(runs)
-        assert list(batched) == primes
-        for ell in primes:
-            assert batched[ell] == e.expand(2000, residue_ring(ell)), (e.form_id, ell)
-        assert prod(modulus for modulus, _ in groups) == prod(primes), e.form_id
-        assert all(dtype == np.int64 for _, dtype in groups), e.form_id
-        if e.form_id == "delta":
-            # the primes up to 691 do not fit one int64 modulus for delta
-            assert len(groups) >= 2
+        series = expand_all(quotient, precision, rings)
+        name = quotient.name()
+        assert sorted(i for group, _ in groups for i in group) == list(range(len(rings))), name
+        if quotient == leftover:
+            assert [len(group) for group, _ in groups] == [1] * len(rings)
+            assert len(runs) == 2 * len(rings)
+        else:
+            assert len(runs) == len(groups), name
+            for (group, modulus), (ran_at, dtype) in zip(groups, runs):
+                assert ran_at == modulus, name
+                if len(group) > 1:
+                    assert dtype == np.int64, name
+                    assert modulus == lcm(*(rings[i].modulus for i in group)), name
+        if quotient == lookup("delta").quotient:
+            assert sum(len(group) > 1 for group, _ in groups) >= 2
+        exact = brute_eta_expand(dict(quotient.factors), 60)
+        for ring, got in zip(rings, series):
+            where = (name, ring.describe())
+            assert got == expand(quotient, precision, ring), where
+            assert {type(c) for c in got.coeffs} == {Fraction if ring == QQ else int}, where
+            if ring.kind == "mod":
+                assert got.truncate(60) == reduce_mod(exact, ring.ell, ring.t), where
+            else:
+                assert got.truncate(60) == QSeries(ring, exact.coeffs), where
 
 
-def test_expand_mod_primes_matches_the_brute_oracle():
-    primes = primes_up_to(691)
-    for e in catalog():
-        exact = brute_eta_expand(dict(e.quotient.factors), 60)
-        for ell, series in expand_mod_primes(e.quotient, 60, primes).items():
-            assert series == reduce_mod(exact, ell), (e.form_id, ell)
-
-
-def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkeypatch):
-    # eta(z)^-1 eta(5z)^5: no block covers eta(z)^-1, so each prime needs its
-    # own Newton inverse and no product runs modulo a product of primes
-    quotient = EtaQuotient.from_dict({1: -1, 5: 5})
-    assert _plan_blocks(dict(quotient.factors))[1] == {1: 1}
-    runs = _record_products(monkeypatch)
-    primes = [2, 3, 5, 7, 11]
-    batched = expand_mod_primes(quotient, 300, primes)
-    assert sorted(modulus for modulus, _ in runs) == sorted(primes * 2)
-    exact = brute_eta_expand({1: -1, 5: 5}, 300)
-    for ell in primes:
-        assert batched[ell] == expand(quotient, 300, residue_ring(ell)) == reduce_mod(exact, ell)
+def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
+    # 3 joins 3^5 without growing its modulus; ZZ, QQ and 2^70 run alone
+    # and end a run; a ring that would push weight (M - 1) past 2^63 opens
+    # a new run; with a leftover denominator every ring runs alone
+    rings = [residue_ring(3, 5), residue_ring(3), residue_ring(7, 2), ZZ, residue_ring(5), QQ]
+    rings += [residue_ring(2, 70), residue_ring(2, 40), residue_ring(3, 20)]
+    assert etaquot._ring_groups(rings, 1000, False) == [
+        [[0, 1, 2], 3**5 * 7**2],
+        [[3], None],
+        [[4], 5],
+        [[5], None],
+        [[6], 2**70],
+        [[7], 2**40],
+        [[8], 3**20],
+    ]
+    assert 1000 * (2**40 * 3**20 - 1) >= 2**63 > 1000 * (3**20 - 1)
+    assert etaquot._ring_groups(rings, 1000, True) == [
+        [[i], None if ring.kind != "mod" else ring.modulus] for i, ring in enumerate(rings)
+    ]
 
 
 def test_expansion_in_residue_ring_matches_reduced_exact():
