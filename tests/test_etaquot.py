@@ -191,17 +191,14 @@ def test_int64_guard_weights_each_pass_by_its_coefficients():
         assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == reduce_mod(exact, 3, t), t
 
 
-def test_expand_all_matches_one_ring_expansions_and_the_brute_oracle(monkeypatch):
-    # one call over a mixed list of rings gives, for every catalog form, the
-    # one-ring expansion in each ring (with its coefficient type) and the
-    # brute oracle at 60 terms.  Every ring sits in exactly one group, every
-    # group of more than one ring runs in int64 (weight (M - 1) < 2^63 for
-    # the lcm M of its moduli), and the primes up to 691 do not fit one int64
-    # modulus for delta.  No block covers eta(z)^-1, so each ring of
-    # eta(z)^-1 eta(5z)^5 runs alone, with its own product for the
-    # numerator and the denominator.
+def _mixed_rings():
     rings = [ZZ, QQ] + [residue_ring(ell, t) for ell, t in ((2, 70), (3, 5), (7, 2), (2, 14))]
-    rings += [residue_ring(ell) for ell in primes_up_to(691)]
+    return rings + [residue_ring(ell) for ell in primes_up_to(691)]
+
+
+def _record_runs(monkeypatch):
+    # spy on expand_all: each _sparse_product run as (modulus, dtype), and
+    # the ring groups of the latest call
     runs, groups = [], []
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
 
@@ -216,34 +213,66 @@ def test_expand_all_matches_one_ring_expansions_and_the_brute_oracle(monkeypatch
 
     monkeypatch.setattr(etaquot, "_sparse_product", product_spy)
     monkeypatch.setattr(etaquot, "_ring_groups", groups_spy)
-    leftover = EtaQuotient.from_dict({1: -1, 5: 5})
-    assert _plan_blocks(dict(leftover.factors))[1] == {1: 1}
-    for quotient, precision in [(e.quotient, 1000) for e in catalog()] + [(leftover, 300)]:
+    return runs, groups
+
+
+def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
+    # one expand_all call over a mixed list of rings gives, for every catalog
+    # form, the one-ring expansion in each ring (with its coefficient type).
+    # Every ring sits in exactly one group, every group of more than one ring
+    # runs in int64 (weight (M - 1) < 2^63 for the lcm M of its moduli), and
+    # the primes up to 691 do not fit one int64 modulus for delta.
+    rings = _mixed_rings()
+    runs, groups = _record_runs(monkeypatch)
+    for e in catalog():
         runs.clear()
-        series = expand_all(quotient, precision, rings)
-        name = quotient.name()
-        assert sorted(i for group, _ in groups for i in group) == list(range(len(rings))), name
-        if quotient == leftover:
-            assert [len(group) for group, _ in groups] == [1] * len(rings)
-            assert len(runs) == 2 * len(rings)
-        else:
-            assert len(runs) == len(groups), name
-            for (group, modulus), (ran_at, dtype) in zip(groups, runs):
-                assert ran_at == modulus, name
-                if len(group) > 1:
-                    assert dtype == np.int64, name
-                    assert modulus == lcm(*(rings[i].modulus for i in group)), name
-        if quotient == lookup("delta").quotient:
+        series = expand_all(e.quotient, 1000, rings)
+        assert sorted(i for group, _ in groups for i in group) == list(range(len(rings))), e.form_id
+        assert len(runs) == len(groups), e.form_id
+        for (group, modulus), (ran_at, dtype) in zip(groups, runs):
+            assert ran_at == modulus, e.form_id
+            if len(group) > 1:
+                assert dtype == np.int64, e.form_id
+                assert modulus == lcm(*(rings[i].modulus for i in group)), e.form_id
+        if e.form_id == "delta":
             assert sum(len(group) > 1 for group, _ in groups) >= 2
-        exact = brute_eta_expand(dict(quotient.factors), 60)
         for ring, got in zip(rings, series):
-            where = (name, ring.describe())
-            assert got == expand(quotient, precision, ring), where
+            where = (e.form_id, ring.describe())
+            assert got == expand(e.quotient, 1000, ring), where
             assert {type(c) for c in got.coeffs} == {Fraction if ring == QQ else int}, where
+
+
+def test_expand_mod_primes_matches_the_brute_oracle():
+    rings = _mixed_rings()
+    for e in catalog():
+        exact = brute_eta_expand(dict(e.quotient.factors), 60)
+        for ring, got in zip(rings, expand_all(e.quotient, 60, rings)):
+            where = (e.form_id, ring.describe())
             if ring.kind == "mod":
-                assert got.truncate(60) == reduce_mod(exact, ring.ell, ring.t), where
+                assert got == reduce_mod(exact, ring.ell, ring.t), where
             else:
-                assert got.truncate(60) == QSeries(ring, exact.coeffs), where
+                assert got == QSeries(ring, exact.coeffs), where
+
+
+def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkeypatch):
+    # eta(z)^-1 eta(5z)^5: no block covers eta(z)^-1, so each ring of
+    # expand_all runs alone, with its own product for the numerator and the
+    # denominator and its own Newton inverse
+    quotient = EtaQuotient.from_dict({1: -1, 5: 5})
+    assert _plan_blocks(dict(quotient.factors))[1] == {1: 1}
+    rings = _mixed_rings()
+    runs, groups = _record_runs(monkeypatch)
+    series = expand_all(quotient, 300, rings)
+    assert [group for group, _ in groups] == [[i] for i in range(len(rings))]
+    assert len(runs) == 2 * len(rings)
+    exact = brute_eta_expand({1: -1, 5: 5}, 300)
+    for ring, got in zip(rings, series):
+        where = ring.describe()
+        assert got == expand(quotient, 300, ring), where
+        if ring.kind == "mod":
+            assert got == reduce_mod(exact, ring.ell, ring.t), where
+        else:
+            assert got == QSeries(ring, exact.coeffs), where
 
 
 def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
