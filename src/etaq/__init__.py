@@ -22,7 +22,7 @@ from .congruence import (
 )
 from .eisenstein import eisenstein_E, eisenstein_E2, eisenstein_G
 from .etaquot import CatalogEntry, EtaQuotient, catalog, expand, lookup
-from .operators import FormMeta, hecke_tn, hecke_tp, theta, twist, u_operator
+from .operators import FormMeta, hecke_tn, theta, twist, u_operator
 from .qseries import QQ, QSeries, Ring, ZZ, reduce_mod, residue_ring
 from .sturm import agreement_bound, group_index
 
@@ -50,7 +50,6 @@ __all__ = [
     "expand",
     "group_index",
     "hecke_tn",
-    "hecke_tp",
     "kronecker",
     "kronecker_character",
     "lookup",

@@ -13,6 +13,17 @@ from typing import Dict, Optional, Tuple
 
 KINDS = ("two-exponent", "square-class", "prime-power", "unit-factor", "twist-power", "raw-identity")
 
+# The optional fields each kind reads; a claim may set no other.
+_READS = {
+    "two-exponent": {"m", "m_prime", "psi", "weight", "level"},
+    "square-class": {"weight", "level"},
+    "prime-power": {"m", "m_prime", "residues", "residue_modulus"},
+    "unit-factor": {"m", "m_prime", "residue_modulus", "units"},
+    "twist-power": {"weight", "level"},
+    "raw-identity": {"weight", "level", "lhs", "rhs"},
+}
+_OPTIONAL = set().union(*_READS.values())
+
 
 @dataclass(frozen=True)
 class CongruenceClaim:
@@ -56,14 +67,19 @@ class CongruenceClaim:
             raise ValueError("unit-factor claim needs unit/class data")
         if self.kind == "unit-factor" and self.m_prime is None:
             raise ValueError("unit-factor claim needs its exponent m'")
+        if self.kind == "unit-factor" and self.m not in (None, 0):
+            raise ValueError("a unit-factor claim states a(p) = u (1 + p^m'), so m must be 0")
         if self.residues is not None or self.units:
             if self.residue_modulus is None or self.residue_modulus < 1:
                 raise ValueError(f"{self.kind} claim with classes needs residue_modulus >= 1")
         for declared in (self.weight, self.level):
             if declared is not None and (not isinstance(declared, int) or declared < 1):
                 raise ValueError("a declared weight or level must be an integer >= 1")
-            if declared is not None and self.kind in ("prime-power", "unit-factor"):
-                raise ValueError(f"a {self.kind} claim is a prime scan: it has no weight or level")
+        unread = sorted(n for n in _OPTIONAL - _READS[self.kind] if getattr(self, n) is not None)
+        if "weight" in unread or "level" in unread:  # only the prime scans read neither
+            raise ValueError(f"a {self.kind} claim is a prime scan: it has no weight or level")
+        if unread:
+            raise ValueError(f"a {self.kind} claim does not read {', '.join(unread)}")
         if self.kind == "raw-identity" and (self.lhs is None or self.rhs is None):
             raise ValueError("raw claim needs both side recipes")
 

@@ -8,9 +8,11 @@ holds them and compared, a proof ("sturm-proved") unless a theta step was
 conservative.  The lower-weight side is padded by a form congruent to 1, so
 for ell >= 5 the weights must differ by a multiple of phi(ell^t) (E_4 and
 weight-2 level-d series serve mod 3 and 2).  Prime-power and unit-factor
-claims are scanned over many primes instead ("numerical-evidence"), through
-the same per-prime loop as the exceptional-prime scan.  Reports are plain
-data and serialize to JSON with stable field order.
+claims are scanned over many primes instead ("numerical-evidence").  Their
+congruences and the exceptional-prime scan's are all one shape, a table of
+residue classes c with a(p) = u_c (p^m + p^m') mod ell^(t_c), and
+`_first_failure` is the one place that checks such a table.  Reports are
+plain data and serialize to JSON with stable field order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import etaquot
 from .characters import Character, kronecker_character, parse_character, trivial_mod
@@ -278,19 +280,26 @@ def _good_primes(primes: List[int], level: int, ell: int) -> List[int]:
 
 
 def _first_failure(
-    check: Callable[[int, int], Optional[bool]], primes: List[int], series: QSeries
+    series: QSeries,
+    primes: List[int],
+    m: int,
+    mp: int,
+    period: int,
+    classes: Dict[int, Tuple[int, int]],
 ) -> Tuple[Optional[int], int]:
-    """Run check(p, a(p)) over the primes in order: None when p lies outside
-    the checked classes, else whether the congruence holds at p.  Returns the
-    first prime where it fails (None if none) and how many primes it judged."""
+    """Check a(p) = u_c (p^m + p^m') mod q_c at each prime p whose class
+    c = p mod period is in `classes` (c -> (u_c, q_c), q_c a power of ell);
+    no other prime is judged.  Returns the first prime where the congruence
+    fails (None if none) and how many primes it judged."""
     coeffs = series.coeffs
     checked = 0
     for p in primes:
-        holds = check(p, coeffs[p])
-        if holds is None:
+        rule = classes.get(p % period)
+        if rule is None:
             continue
+        u, q = rule
         checked += 1
-        if not holds:
+        if (coeffs[p] - u * (pow(p, m, q) + pow(p, mp, q))) % q:
             return p, checked
     return None, checked
 
@@ -298,23 +307,19 @@ def _first_failure(
 def _prime_scan(
     claim: CongruenceClaim,
     prime_bound: int,
-    build_check: Callable[[etaquot.CatalogEntry], Callable[[int, int], Optional[bool]]],
+    table: Tuple[int, int, int, Dict[int, Tuple[int, int]]],
     detail: str,
 ) -> VerificationReport:
-    """Scan a(p) mod ell^t over the good primes p <= prime_bound.
-
-    `build_check(entry)` validates the claim against its catalog form and
-    returns the per-prime check of `_first_failure`; the scan stops at the
-    first prime where it fails.
-    """
+    """Scan a(p) mod ell^t over the good primes p <= prime_bound against the
+    table (m, m', period, classes) of `_first_failure`, stopping at the first
+    prime where it fails."""
     started = time.perf_counter()
     if prime_bound < 50:
         raise ValueError("prime bound below 50 would make the scan vacuous")
     entry = etaquot.lookup(claim.form)
-    check = build_check(entry)
     f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t))
     primes = _good_primes(primes_up_to(prime_bound), entry.level, claim.ell)
-    witness, checked = _first_failure(check, primes, f_res)
+    witness, checked = _first_failure(f_res, primes, *table)
     if checked == 0:
         raise ValueError(f"{claim.claim_id}: no admissible primes below {prime_bound}")
     return VerificationReport(
@@ -334,47 +339,29 @@ def verify_prime_power(
 ) -> VerificationReport:
     """Scan a(p) = p^m + p^m' mod ell^t over primes in the claimed classes."""
     ell, t, m, mp = claim.ell, claim.t, claim.m, claim.m_prime
-    modulus = ell**t
-
-    def build_check(entry: etaquot.CatalogEntry):
-        phi = ell ** (t - 1) * (ell - 1)
-        if (m + mp - (entry.weight - 1)) % phi != 0 and t > 1:
-            raise ValueError(f"{claim.claim_id}: exponents violate m + m' = k - 1 mod phi(ell^t)")
-
-        def check(p: int, a_p: int) -> Optional[bool]:
-            if claim.residues is not None and p % claim.residue_modulus not in claim.residues:
-                return None
-            return a_p == (pow(p, m, modulus) + pow(p, mp, modulus)) % modulus
-
-        return check
-
+    phi = ell ** (t - 1) * (ell - 1)
+    if t > 1 and (m + mp - (etaquot.lookup(claim.form).weight - 1)) % phi:
+        raise ValueError(f"{claim.claim_id}: exponents violate m + m' = k - 1 mod phi(ell^t)")
+    rule = (1, ell**t)
+    if claim.residues is None:
+        table = (m, mp, 1, {0: rule})
+    else:
+        table = (m, mp, claim.residue_modulus, dict.fromkeys(claim.residues, rule))
     classes = list(claim.residues) if claim.residues else "all"
     detail = f"classes {classes} mod {claim.residue_modulus}"
-    return _prime_scan(claim, prime_bound, build_check, detail)
+    return _prime_scan(claim, prime_bound, table, detail)
 
 
 def verify_unit_factor(
     claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
 ) -> VerificationReport:
     """Scan a(p) = u (1 + p^m') mod ell^(t_c) with a unit u per residue class."""
-    by_class = {c: (u, tc) for c, u, tc in claim.units}
-
-    def build_check(entry: etaquot.CatalogEntry):
-        if claim.t != max(tc for _, _, tc in claim.units):
-            raise ValueError(f"{claim.claim_id}: t must equal the largest class exponent")
-
-        def check(p: int, a_p: int) -> Optional[bool]:
-            got = by_class.get(p % claim.residue_modulus)
-            if got is None:
-                return None
-            u, tc = got
-            mod_c = claim.ell**tc
-            return (a_p - u * (1 + pow(p, claim.m_prime, mod_c))) % mod_c == 0
-
-        return check
-
+    if claim.t != max(tc for _, _, tc in claim.units):
+        raise ValueError(f"{claim.claim_id}: t must equal the largest class exponent")
+    classes = {c: (u, claim.ell**tc) for c, u, tc in claim.units}
+    table = (0, claim.m_prime, claim.residue_modulus, classes)
     detail = f"units {dict((c, u) for c, u, _ in claim.units)} mod {claim.residue_modulus}"
-    return _prime_scan(claim, prime_bound, build_check, detail)
+    return _prime_scan(claim, prime_bound, table, detail)
 
 
 # -- twist-power congruences: f x 1_ell = f x kron(ell*) mod ell^a ----------
@@ -529,19 +516,12 @@ def _candidate_psi(n_level: int) -> List[Character]:
 
 
 def _square_class_survivors(ell: int, primes: List[int], small: QSeries) -> List[Tuple]:
-    """[(check, None, None, None)] when a(p) = 0 mod ell at every non-square
-    p mod ell among the primes, read from a table of squares, else [] (and
-    always [] for ell = 2, which has no non-squares)."""
-    if ell == 2:
-        return []
-    square = bytearray(ell)
-    for x in range(1, (ell + 1) // 2):
-        square[x * x % ell] = 1
-
-    def check(p: int, a_p: int) -> Optional[bool]:
-        return None if square[p % ell] else a_p % ell == 0
-
-    return [(check, None, None, None)] if _first_failure(check, primes, small)[0] is None else []
+    """[(None, table)] for a(p) = 0 mod ell on the non-squares mod ell (u = 0,
+    so the exponents are immaterial) when it holds at every prime given, else
+    [] (and always [] for ell = 2, which has no non-squares)."""
+    squares = {x * x % ell for x in range(1, ell)}
+    table = (0, 0, ell, dict.fromkeys(set(range(1, ell)) - squares, (0, ell)))
+    return [(None, table)] if table[3] and _first_failure(small, primes, *table)[0] is None else []
 
 
 def _two_exponent_survivors(
@@ -552,7 +532,8 @@ def _two_exponent_survivors(
     rows: List[Tuple[int, int, Tuple[int, ...]]],
 ) -> List[Tuple]:
     """The two-exponent congruences mod ell that hold at every prescan prime,
-    each as (check, m, m', psi) for the full pass.
+    each as (psi, table) for the full pass: the table has psi's period for
+    modulus and u_c = psi(c) on every class c, the psi(c) = 0 ones included.
 
     A candidate is a(p) = psi(p)(p^m + p^m') with m + m' = k - 1 mod ell - 1.
     Exponents only matter mod ell - 1 (Fermat), so each unordered pair
@@ -561,8 +542,7 @@ def _two_exponent_survivors(
     holds each psi over one period and `rows` holds (p, a(p), psi(p) for
     every psi) for the good prescan primes.  A prime needs only a(p), psi(p)
     and its table of p^j mod ell, j < ell - 1: the first splits the pairs by
-    the value of psi(p), each later one drops the (psi, m) it refutes, and a
-    check is built only for what is left.
+    the value of psi(p), and each later one drops the (psi, m) it refutes.
     """
     span = max(ell - 1, 1)
     pairs = tuple(m for m in range(span) if (k - 1 - m) % span >= m)
@@ -585,14 +565,10 @@ def _two_exponent_survivors(
             return []
     survivors = []
     for i, ms in alive.items():
+        classes = {c: (v, ell) for c, v in enumerate(periods[i])}
         for m in ms:
-            period, mp = periods[i], m + ((k - 1 - 2 * m) % span or span)
-
-            def check(p: int, a_p: int, period=period, m=m, mp=mp) -> bool:
-                psi_p = period[p % len(period)]
-                return (a_p - psi_p * (pow(p, m, ell) + pow(p, mp, ell))) % ell == 0
-
-            survivors.append((check, m, mp, psis[i]))
+            mp = m + ((k - 1 - 2 * m) % span or span)
+            survivors.append((psis[i], (m, mp, len(periods[i]), classes)))
     return survivors
 
 
@@ -651,9 +627,9 @@ def scan_exceptional(
         good = _good_primes(scan_primes, n_level, ell)
         qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
         masked = kind == "square-class" and not qualified
-        for check, m, mp, psi in candidates:
-            witness, checked = _first_failure(check, good, f_res)
+        for psi, table in candidates:
+            witness, checked = _first_failure(f_res, good, *table)
             if witness is None and checked:
-                psi_text = psi.describe() if psi is not None else None
+                m, mp, psi_text = (None, None, None) if psi is None else (*table[:2], psi.describe())
                 findings.append(ScanFinding(ell, kind, masked, m, mp, psi_text, checked))
     return findings

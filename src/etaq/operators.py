@@ -95,24 +95,6 @@ def common_space(a: FormMeta, b: FormMeta) -> FormMeta:
     return replace(a, weight=max(a.weight, b.weight), level=lcm(a.level, b.level), cuspidal=both)
 
 
-def hecke_tp(series: QSeries, p: int, meta: FormMeta) -> QSeries:
-    """Hecke operator T_p: b(n) = a(pn) + chi(p) p^(k-1) a(n/p)."""
-    from .qseries import _is_prime
-
-    if not _is_prime(p):
-        raise ValueError(f"T_p wants a prime, got {p}")
-    chi_p = meta.nebentypus(p)
-    mult = chi_p * p ** (meta.weight - 1)
-    out_p = series.precision // p
-    coeffs = []
-    for n in range(out_p + 1):
-        val = series.coeffs[p * n]
-        if mult and n % p == 0:
-            val = val + mult * series.coeffs[n // p]
-        coeffs.append(val)
-    return QSeries._reduced(series.ring, coeffs, out_p)
-
-
 def hecke_tn(series: QSeries, n: int, meta: FormMeta) -> QSeries:
     """General Hecke operator T_n via b(m) = sum_{d | (m,n)} chi(d) d^(k-1) a(mn/d^2)."""
     if n < 1:

@@ -29,25 +29,6 @@ def sigma(n: int, nu: int) -> int:
     return total
 
 
-def sigma_coprime(n: int, nu: int, m: int) -> int:
-    """Divisor power sum restricted to divisors coprime to m."""
-    from math import gcd
-
-    if n < 1:
-        raise ValueError("sigma is defined for n >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            if gcd(d, m) == 1:
-                total += d**nu
-            e = n // d
-            if e != d and gcd(e, m) == 1:
-                total += e**nu
-        d += 1
-    return total
-
-
 @dataclass(frozen=True)
 class EllipticCurve:
     """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""

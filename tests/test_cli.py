@@ -267,6 +267,12 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
          "residues": [2, 5], "residue_modulus": 9, "weight": 1, "level": 7},
         {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "m_prime": 5,
          "residue_modulus": 8, "units": [[7, 193, 14]], "level": 8},
+        {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "m": 3, "m_prime": 5,
+         "residue_modulus": 8, "units": [[7, 193, 14]]},
+        {"kind": "square-class", "form": "delta", "ell": 23, "psi": "1_1", "m": 0,
+         "m_prime": 11, "residues": [1], "residue_modulus": 2},
+        {"kind": "two-exponent", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
+         "psi": "1_1", "residues": [1], "residue_modulus": 4},
     ],
     ids=[
         "residues-without-modulus",
@@ -291,6 +297,9 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         "string-weight",
         "prime-power-with-declared-space",
         "unit-factor-with-declared-level",
+        "unit-factor-with-m-3",
+        "square-class-with-unread-fields",
+        "two-exponent-with-residues",
     ],
 )
 def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):

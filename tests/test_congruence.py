@@ -19,7 +19,8 @@ from etaq.congruence import (
     verify_claims,
 )
 from etaq.cli import main
-from etaq.qseries import ZZ, residue_ring
+from etaq.oracles import primes_up_to
+from etaq.qseries import QSeries, ZZ, residue_ring
 from etaq.etaquot import catalog, lookup
 
 
@@ -268,6 +269,56 @@ def test_prime_scan_without_admissible_primes_raises(claim_id, change):
     claim = dataclasses.replace(claim_by_id(claim_id), **change)
     with pytest.raises(ValueError, match="no admissible primes"):
         verify_claim(claim, prime_bound=500)
+
+
+RULE_PRIMES = primes_up_to(60)
+
+
+def _kron_minus_4(p):
+    return (0, 1, 0, -1)[p % 4]
+
+
+@pytest.mark.parametrize(
+    "ring, a, m, mp, period, classes, witness, checked",
+    [
+        # every prime; a(31) is off by 3, right mod 3 but not mod 9
+        ((3, 2), lambda p: 1 + p + 3 * (p == 31), 0, 1, 1, {0: (1, 9)}, 31, 11),
+        # classes 1, 4 mod 5 (11 19 29 31 41 59); a(p) = 5 off them is never judged
+        ((3, 2), lambda p: p + p * p + (p == 41) if p % 5 in (1, 4) else 5,
+         1, 2, 5, {1: (1, 9), 4: (1, 9)}, 41, 5),
+        ((3, 2), lambda p: p + p * p if p % 5 in (1, 4) else 5,
+         1, 2, 5, {1: (1, 9), 4: (1, 9)}, None, 6),
+        # unit-factor: u and 2^(t_c) per class mod 8; class 1 holds only mod 2^3,
+        # class 7 only mod 2^4, and a(43) (class 3) is off by 16, wrong mod 2^5
+        ((2, 5), lambda p: {1: 1 * (1 + p**5) + 8, 3: 3 * (1 + p**5) + 16 * (p == 43),
+                            7: 5 * (1 + p**5) + 16}.get(p % 8, 1),
+         0, 5, 8, {1: (1, 8), 3: (3, 32), 7: (5, 16)}, 43, 9),
+        # type I with psi = kron(-4): psi(2) = 0 and psi(p) = -1 for p = 3 mod 4
+        ((5, 1), lambda p: _kron_minus_4(p) * (1 + p),
+         0, 1, 4, {c: (_kron_minus_4(c), 5) for c in range(4)}, None, 17),
+        ((5, 1), lambda p: _kron_minus_4(p) * (1 + p) + (p == 2),
+         0, 1, 4, {c: (_kron_minus_4(c), 5) for c in range(4)}, 2, 1),
+        # type II mod 7: u = 0 on the non-squares 3, 5, 6; a(p) = 1 on the rest
+        ((7, 1), lambda p: 2 * (p == 41) if p % 7 in (3, 5, 6) else 1,
+         0, 0, 7, dict.fromkeys((3, 5, 6), (0, 7)), 41, 7),
+    ],
+    ids=[
+        "prime-power-every-prime",
+        "prime-power-classes",
+        "prime-power-classes-hold",
+        "unit-factor-per-class-modulus",
+        "two-exponent-kron-4-holds",
+        "two-exponent-psi-zero-class",
+        "square-class-non-squares",
+    ],
+)
+def test_first_failure_checks_each_class_against_its_rule(
+    ring, a, m, mp, period, classes, witness, checked
+):
+    coeffs = [a(n) if n in RULE_PRIMES else 0 for n in range(61)]
+    series = QSeries(residue_ring(*ring), coeffs)
+    got = congruence._first_failure(series, RULE_PRIMES, m, mp, period, classes)
+    assert got == (witness, checked)
 
 
 def test_classifier_branches():

@@ -336,14 +336,14 @@ def test_delta_is_sum_of_odd_squares_mod_2():
 
 def test_catalog_forms_are_hecke_eigenforms():
     # T_p f = a(p) f for the first two good primes of every catalog form
-    from etaq.operators import FormMeta, hecke_tp
+    from etaq.operators import FormMeta, hecke_tn
 
     for e in catalog():
         meta = FormMeta(int(e.weight), e.level, e.nebentypus, cuspidal=True)
         good = [p for p in primes_up_to(20) if e.level % p != 0][:2]
         f = e.expand(40 * max(good))
         for p in good:
-            tp = hecke_tp(f, p, meta)
+            tp = hecke_tn(f, p, meta)
             ap = f[p]
             expected = f.truncate(tp.precision).scale(ap)
             assert tp == expected, (e.form_id, p)

@@ -1,14 +1,11 @@
 """theta, U, twist, and Hecke operators plus the weight bookkeeping."""
 
-import pytest
-
 from etaq.characters import kronecker_character, trivial_mod
 from etaq.etaquot import lookup
 from etaq.operators import (
     FormMeta,
     common_space,
     hecke_tn,
-    hecke_tp,
     theta,
     theta_mod_rule,
     twist,
@@ -170,14 +167,8 @@ def test_hecke_tp_eigenvalue_on_delta():
     f = lookup("delta").expand(100)
     meta = FormMeta(12, 1, trivial_mod(1))
     for p in (2, 3, 5):
-        tp = hecke_tp(f, p, meta)
+        tp = hecke_tn(f, p, meta)
         assert first_mismatch(tp, f.truncate(tp.precision).scale(f[p])) is None
-
-
-def test_hecke_tp_requires_prime():
-    f = lookup("delta").expand(20)
-    with pytest.raises(ValueError):
-        hecke_tp(f, 4, FormMeta(12, 1, trivial_mod(1)))
 
 
 def test_hecke_composition_identities():
@@ -185,14 +176,14 @@ def test_hecke_composition_identities():
     e = lookup("eta1^6 eta3^6")
     meta = FormMeta(6, 3, e.nebentypus)
     f = e.expand(360)
-    t2 = hecke_tp(f, 2, meta)
-    t2t2 = hecke_tp(t2, 2, meta)
+    t2 = hecke_tn(f, 2, meta)
+    t2t2 = hecke_tn(t2, 2, meta)
     t4 = hecke_tn(f, 4, meta)
     correction = f.truncate(t2t2.precision).scale(e.nebentypus(2) * 2**5)
     assert first_mismatch(t4, t2t2 - correction) is None
 
     t6 = hecke_tn(f, 6, meta)
-    t2t3 = hecke_tp(hecke_tp(f, 3, meta), 2, meta)
+    t2t3 = hecke_tn(hecke_tn(f, 3, meta), 2, meta)
     assert first_mismatch(t6, t2t3) is None
 
 
@@ -224,7 +215,7 @@ def test_operator_outputs_stay_canonical():
             theta(f, 3),
             twist(f, chi),
             u_operator(f, 4),
-            hecke_tp(f, 3, meta),
+            hecke_tn(f, 3, meta),
             hecke_tn(f, 6, meta),
         )
         for image in images:

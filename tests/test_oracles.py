@@ -9,7 +9,6 @@ from etaq.oracles import (
     colored_partition_series,
     primes_up_to,
     sigma,
-    sigma_coprime,
 )
 
 
@@ -33,13 +32,6 @@ def test_sigma_multiplicative_on_coprime_arguments():
 def test_sigma_rejects_nonpositive():
     with pytest.raises(ValueError):
         sigma(0, 1)
-
-
-def test_sigma_coprime_drops_shared_divisors():
-    # divisors of 12 coprime to 2: just 1 and 3
-    assert sigma_coprime(12, 1, 2) == 4
-    assert sigma_coprime(12, 1, 1) == sigma(12, 1)
-    assert sigma_coprime(30, 1, 15) == 1 + 2
 
 
 def test_point_counts_on_the_level_11_curve():
