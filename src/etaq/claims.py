@@ -72,6 +72,14 @@ class CongruenceClaim:
         if self.residues is not None or self.units:
             if self.residue_modulus is None or self.residue_modulus < 1:
                 raise ValueError(f"{self.kind} claim with classes needs residue_modulus >= 1")
+            if self.units and any(len(u) != 3 for u in self.units):
+                raise ValueError("each unit-factor class is a triple [class, unit, exponent]")
+            classes = self.residues if self.residues is not None else [u[0] for u in self.units]
+            outside = [c for c in classes if not 0 <= c < self.residue_modulus]
+            if outside:
+                raise ValueError(
+                    f"{self.kind} claim classes {outside} lie outside 0 .. {self.residue_modulus - 1}"
+                )
         for declared in (self.weight, self.level):
             if declared is not None and (not isinstance(declared, int) or declared < 1):
                 raise ValueError("a declared weight or level must be an integer >= 1")

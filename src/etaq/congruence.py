@@ -5,7 +5,10 @@ base, an optional twist, a theta count, an optional E_w^e pad).  Each side's
 weight, level, cusp flag and theta regime are derived from the `operators`
 bookkeeping; both sides are built to the agreement bound of the space that
 holds them and compared, a proof ("sturm-proved") unless a theta step was
-conservative.  The lower-weight side is padded by a form congruent to 1, so
+conservative.  Every side is built in Z/ell^t from its base on (the form's
+cached expansion, or G_k or the weight-2 series from `eisenstein` in that
+ring), so twist, theta and pad act on residues and no rational series is
+made.  The lower-weight side is padded by a form congruent to 1, so
 for ell >= 5 the weights must differ by a multiple of phi(ell^t) (E_4 and
 weight-2 level-d series serve mod 3 and 2).  Prime-power and unit-factor
 claims are scanned over many primes instead ("numerical-evidence").  Their
@@ -20,7 +23,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import etaquot
 from .characters import Character, kronecker_character, parse_character, trivial_mod
@@ -28,7 +31,7 @@ from .claims import CongruenceClaim
 from .eisenstein import eisenstein_E, eisenstein_E2_level, eisenstein_G
 from .operators import FormMeta, common_space, theta, theta_mod_rule, twist, twist_meta, u_operator
 from .oracles import primes_up_to
-from .qseries import QSeries, Ring, ZZ, first_mismatch, reduce_mod, residue_ring
+from .qseries import QSeries, Ring, ZZ, first_mismatch, residue_ring
 from .sturm import agreement_bound
 
 DEFAULT_PRIME_BOUND = 10_000
@@ -169,20 +172,21 @@ def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
 
 
 def _build_side(side: Side, ell: int, t: int, precision: int) -> QSeries:
+    """A side mod ell^t, every step in the residue ring.  An Eisenstein base
+    reduces its constant only when the side reads a(0): theta, or a twist with
+    chi(0) = 0, kills a constant that need not be ell-integral."""
+    ring = residue_ring(ell, t)
     if side.base == "form":
-        series = cached_expansion(etaquot.lookup(side.arg), precision, residue_ring(ell, t))
-    elif side.base == "G":
-        series = eisenstein_G(side.arg, precision)
+        series = cached_expansion(etaquot.lookup(side.arg), precision, ring)
     else:
-        series = eisenstein_E2_level(side.arg, precision)
+        constant = not side.theta and (side.twist is None or side.twist(0) != 0)
+        build = eisenstein_G if side.base == "G" else eisenstein_E2_level
+        series = build(side.arg, precision, ring, constant)
     if side.twist is not None:
         series = twist(series, side.twist)
     series = theta(series, side.theta)
-    if side.base != "form":
-        # after theta, which kills a constant that need not be ell-integral
-        series = reduce_mod(series, ell, t)
     if side.pad is not None:
-        series = series * reduce_mod(eisenstein_E(side.pad[0], precision), ell, t).pow(side.pad[1])
+        series = series * eisenstein_E(side.pad[0], precision, ring).pow(side.pad[1])
     return series
 
 
@@ -247,7 +251,7 @@ def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> Verification
     # theta^(m+1) contributes p^(m+1) and sigma_(w-1) the factor 1 + p^(w-1).  Weight 2
     # has no G-series, so use the level-N weight-2 series, or G_(ell+1) at level 1
     # (sigma_ell = sigma_1 mod ell).  For w = ell - 1 the constant of G_(ell-1) is not
-    # ell-integral, but theta runs before reduction and kills it.
+    # ell-integral, but theta kills it, so the side never builds it.
     if w == 2 and n_level >= 2:
         base, arg, kernel_name = "level", n_level, f"weight-2 level-{n_level} series"
     elif w == 2:
@@ -275,7 +279,22 @@ def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> Verification
 # -- prime-power congruences on progressions of primes ----------------------
 
 
-def _good_primes(primes: List[int], level: int, ell: int) -> List[int]:
+_sieve: Tuple[int, Tuple[int, ...]] = (1, ())  # (bound, the primes up to it)
+
+
+def _primes_to(bound: int) -> Tuple[int, ...]:
+    """The primes <= bound, cut from one sieve per process.  The sieve is
+    rerun only for a bound above every earlier one, and callers share its
+    immutable tuple."""
+    global _sieve
+    sieved_to, primes = _sieve
+    if bound > sieved_to:
+        primes = tuple(primes_up_to(bound))
+        _sieve = (bound, primes)
+    return primes[: bisect_right(primes, bound)]
+
+
+def _good_primes(primes: Sequence[int], level: int, ell: int) -> List[int]:
     return [p for p in primes if level % p and p != ell]
 
 
@@ -318,7 +337,7 @@ def _prime_scan(
         raise ValueError("prime bound below 50 would make the scan vacuous")
     entry = etaquot.lookup(claim.form)
     f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t))
-    primes = _good_primes(primes_up_to(prime_bound), entry.level, claim.ell)
+    primes = _good_primes(_primes_to(prime_bound), entry.level, claim.ell)
     witness, checked = _first_failure(f_res, primes, *table)
     if checked == 0:
         raise ValueError(f"{claim.claim_id}: no admissible primes below {prime_bound}")
@@ -347,8 +366,9 @@ def verify_prime_power(
         table = (m, mp, 1, {0: rule})
     else:
         table = (m, mp, claim.residue_modulus, dict.fromkeys(claim.residues, rule))
-    classes = list(claim.residues) if claim.residues else "all"
-    detail = f"classes {classes} mod {claim.residue_modulus}"
+    detail = f"classes {list(claim.residues) if claim.residues else 'all'}"
+    if claim.residue_modulus is not None:
+        detail += f" mod {claim.residue_modulus}"
     return _prime_scan(claim, prime_bound, table, detail)
 
 
@@ -593,8 +613,8 @@ def scan_exceptional(
     ones not cached at prime_bound are expanded together, one product per
     int64 group of moduli, and cached under their (form, ell) keys.  Last,
     every survivor runs over every good prime of the expansion mod its ell;
-    a finding fails at no prime and judges at least one.  The primes are
-    sieved once, to max(prime_bound, ell_max).
+    a finding fails at no prime and judges at least one.  The primes come
+    from `_primes_to(max(prime_bound, ell_max))`, which sieves at most once.
     """
     if kind not in ("two-exponent", "square-class"):
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -605,7 +625,7 @@ def scan_exceptional(
     entry = etaquot.lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)
-    primes = primes_up_to(max(prime_bound, ell_max))
+    primes = _primes_to(max(prime_bound, ell_max))
     prescan = [p for p in primes[: bisect_right(primes, small.precision)] if n_level % p]
     psis = _candidate_psi(n_level)
     periods = [psi.values(psi.modulus) for psi in psis]

@@ -1,8 +1,16 @@
-"""Eisenstein series over QQ: classical and level-raising, plus the E_2 stand-in.
+"""Eisenstein series over QQ, ZZ or Z/ell^t: classical and level-raising, plus the E_2 stand-in.
 
-All series come back as QSeries over the rationals at the requested
-precision; divisor sums are filled in by sieving over divisors rather than
-factoring, so the oracle module's trial-division sums stay independent.
+Each constructor takes its coefficient ring the way `etaquot.expand` does,
+with the rationals as the default.  Divisor sums are filled in by one sieve
+over divisors rather than by factoring, so the oracle module's
+trial-division sums stay independent; in Z/ell^t the sieve adds
+pow(d, nu, ell^t).  The only non-integral numbers are the constant -B_k/2k
+of G_k, the constant (N - 1)/24 of the weight-2 level-N series and the
+normalizer -2k/B_k of E_k.  Each is mapped into the ring once, and one that
+is not ell-integral has no image mod ell^t: that is an error.  A caller that
+applies theta, which kills a(0), passes constant=False and never needs it.
+The verification engine builds every Eisenstein side and pad this way,
+directly in the residue ring Z/ell^t where it compares them.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .qseries import QQ, QSeries, reduce_mod
+from .qseries import QQ, QSeries, Ring, reduce_coefficient, reduce_mod
 
 
 @lru_cache(maxsize=None)
@@ -32,50 +40,63 @@ def bernoulli(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-def _divisor_power_sums(precision: int, nu: int) -> list:
-    """Table of sigma_nu(n) for n <= precision, filled by sieving."""
+def _divisor_power_sums(precision: int, nu: int, ring: Ring) -> list:
+    """Table of sigma_nu(n) for n <= precision, filled by sieving.  In a
+    residue ring each divisor adds pow(d, nu, ell^t), so an entry is only
+    congruent to sigma_nu(n); callers reduce once, when they wrap it."""
+    modulus = ring.modulus if ring.kind == "mod" else None
     table = [0] * (precision + 1)
     for d in range(1, precision + 1):
-        dp = d**nu
+        dp = pow(d, nu, modulus)
         for n in range(d, precision + 1, d):
             table[n] += dp
     return table
 
 
-def eisenstein_G(k: int, precision: int) -> QSeries:
-    """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n for even k >= 4."""
+def _coefficient(value: Fraction, n: int, ring: Ring):
+    """The rational coefficient a(n) = value as an element of `ring`."""
+    return reduce_coefficient(value, ring, n) if ring.kind == "mod" else ring.normalize(value)
+
+
+def eisenstein_G(k: int, precision: int, ring: Ring = QQ, constant: bool = True) -> QSeries:
+    """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n for even k >= 4; constant=False
+    leaves a(0) = 0."""
     if k < 4 or k % 2:
         raise ValueError("G_k needs even weight k >= 4; for weight 2 use eisenstein_E2_level")
-    coeffs = _divisor_power_sums(precision, k - 1)
-    coeffs[0] = -bernoulli(k) / (2 * k)
-    return QSeries(QQ, coeffs, precision)
+    coeffs = _divisor_power_sums(precision, k - 1, ring)
+    if constant:
+        coeffs[0] = _coefficient(-bernoulli(k) / (2 * k), 0, ring)
+    return QSeries._reduced(ring, coeffs, precision)
 
 
-def eisenstein_E(k: int, precision: int) -> QSeries:
+def eisenstein_E(k: int, precision: int, ring: Ring = QQ) -> QSeries:
     """Normalized E_k = G_k / (-B_k / 2k), so the constant term is 1."""
-    g = eisenstein_G(k, precision)
-    return g.scale(Fraction(-2 * k, 1) / bernoulli(k))
+    series = eisenstein_G(k, precision, ring, constant=False)
+    scale = _coefficient(Fraction(-2 * k) / bernoulli(k), 1, ring)
+    return series.scale(scale) + QSeries.one(ring, precision)
 
 
 def eisenstein_E2(precision: int) -> QSeries:
     """Quasi-modular E_2 = 1 - 24 sum sigma_1(n) q^n."""
-    coeffs = [Fraction(-24) * s for s in _divisor_power_sums(precision, 1)]
+    coeffs = [Fraction(-24) * s for s in _divisor_power_sums(precision, 1, QQ)]
     coeffs[0] = Fraction(1)
     return QSeries(QQ, coeffs, precision)
 
 
-def eisenstein_E2_level(n_level: int, precision: int) -> QSeries:
-    """The weight-2 level-N form (N E_2(Nz) - E_2(z)) / 24 for N >= 2."""
+def eisenstein_E2_level(
+    n_level: int, precision: int, ring: Ring = QQ, constant: bool = True
+) -> QSeries:
+    """The weight-2 level-N form (N E_2(Nz) - E_2(z)) / 24 for N >= 2;
+    constant=False leaves a(0) = 0."""
     if n_level < 2:
         raise ValueError("the level-raised weight-2 series needs N >= 2")
-    sig = _divisor_power_sums(precision, 1)
-    coeffs: list = [Fraction(n_level - 1, 24)]
-    for m in range(1, precision + 1):
-        val = sig[m]
-        if m % n_level == 0:
-            val -= n_level * sig[m // n_level]
-        coeffs.append(Fraction(val))
-    return QSeries(QQ, coeffs, precision)
+    sig = _divisor_power_sums(precision, 1, ring)
+    coeffs = list(sig)
+    for m in range(n_level, precision + 1, n_level):
+        coeffs[m] -= n_level * sig[m // n_level]
+    if constant:
+        coeffs[0] = _coefficient(Fraction(n_level - 1, 24), 0, ring)
+    return QSeries._reduced(ring, coeffs, precision)
 
 
 def e2_replacement(ell: int, t: int, precision: int) -> QSeries:

@@ -349,19 +349,18 @@ def reduce_mod(a: QSeries, ell: int, t: int = 1) -> QSeries:
     if a.ring.kind == "mod":
         raise ValueError("series is already in a residue ring; reduce from ZZ or QQ")
     ring = residue_ring(ell, t)
-    m = ring.modulus
-    out = []
-    for n, c in enumerate(a.coeffs):
-        if isinstance(c, Fraction):
-            num, den = c.numerator, c.denominator
-        else:
-            num, den = c, 1
-        if den % ell == 0:
-            raise ValueError(
-                f"coefficient a({n}) = {c} is not {ell}-integral; cannot reduce mod {ell}^{t}"
-            )
-        out.append((num * pow(den, -1, m)) % m)
+    out = [reduce_coefficient(c, ring, n) for n, c in enumerate(a.coeffs)]
     return QSeries._canonical(ring, out, a.precision)
+
+
+def reduce_coefficient(c: Coeff, ring: Ring, n: int = 0) -> int:
+    """Coefficient a(n) = c, an integer or a fraction, in the residue ring
+    `ring`; a denominator divisible by ell is an error."""
+    num, den = (c.numerator, c.denominator) if isinstance(c, Fraction) else (c, 1)
+    ell, t, m = ring.ell, ring.t, ring.modulus
+    if den % ell == 0:
+        raise ValueError(f"coefficient a({n}) = {c} is not {ell}-integral; cannot reduce mod {ell}^{t}")
+    return num * pow(den, -1, m) % m
 
 
 def first_mismatch(a: QSeries, b: QSeries) -> int | None:

@@ -273,6 +273,11 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
          "m_prime": 11, "residues": [1], "residue_modulus": 2},
         {"kind": "two-exponent", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
          "psi": "1_1", "residues": [1], "residue_modulus": 4},
+        {"kind": "prime-power", "form": "eta2^12", "ell": 3, "t": 2, "m": 1, "m_prime": 4,
+         "residues": [2, 14], "residue_modulus": 9},
+        {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "m_prime": 5,
+         "residue_modulus": 8, "units": [[7, 193, 14], [13, 1, 11]]},
+        dict(RAW, lhs={"G": 12}),
     ],
     ids=[
         "residues-without-modulus",
@@ -300,6 +305,9 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         "unit-factor-with-m-3",
         "square-class-with-unread-fields",
         "two-exponent-with-residues",
+        "residue-class-out-of-range",
+        "unit-class-out-of-range",
+        "recipe-G-constant-not-ell-integral",
     ],
 )
 def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
@@ -309,6 +317,19 @@ def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
     assert code == 2
     assert "error:" in err
     assert "PASS" not in out
+
+
+def test_raw_identity_reads_the_constant_of_G_only_where_it_reduces(tmp_path, capsys):
+    # G_12 has constant 691/65520: no image mod 5, 0 mod 691, where G_12 = delta
+    path = tmp_path / "claims.json"
+    for ell, code in ((5, 2), (691, 0)):
+        path.write_text(json.dumps({"claims": [dict(RAW, claim_id="x", ell=ell, lhs={"G": 12})]}))
+        got, out, err = run(capsys, "verify", str(path))
+        assert got == code, (ell, err)
+        if code:
+            assert "a(0) = 691/65520 is not 5-integral; cannot reduce mod 5^1" in err
+        else:
+            assert "PASS" in out and "proved" in out
 
 
 DATA = Path(__file__).parent / "data"

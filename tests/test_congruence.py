@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from etaq import congruence, etaquot
+from etaq import congruence, eisenstein, etaquot, qseries
 from etaq.characters import kronecker
 from etaq.claims import CongruenceClaim, builtin_claims
 from etaq.congruence import (
@@ -20,7 +20,7 @@ from etaq.congruence import (
 )
 from etaq.cli import main
 from etaq.oracles import primes_up_to
-from etaq.qseries import QSeries, ZZ, residue_ring
+from etaq.qseries import QQ, QSeries, ZZ, residue_ring
 from etaq.etaquot import catalog, lookup
 
 
@@ -46,6 +46,42 @@ def test_builtin_reports_match_the_pinned_fixture():
     assert len(got) == len(pinned) == 100
     for mine, theirs in zip(got, pinned):
         assert mine == theirs, theirs["claim"]
+
+
+def test_builtin_verify_builds_no_rational_series(monkeypatch):
+    # every side is built in Z/ell^t: no reduce_mod call and no series over QQ
+    def refuse(*args):
+        raise AssertionError("reduce_mod on the verify path")
+
+    def refuse_qq(real):
+        def guarded(first, ring, *args):
+            assert ring != QQ, "a series over QQ on the verify path"
+            return real(first, ring, *args)
+
+        return guarded
+
+    for module in (qseries, eisenstein):
+        monkeypatch.setattr(module, "reduce_mod", refuse)
+    monkeypatch.setattr(QSeries, "__init__", refuse_qq(QSeries.__init__))
+    monkeypatch.setattr(QSeries, "_canonical", classmethod(refuse_qq(QSeries._canonical.__func__)))
+    assert not hasattr(congruence, "reduce_mod")
+    clear_expansion_cache()
+    reports = verify_claims(builtin_claims())
+    clear_expansion_cache()
+    pinned = json.loads(PINNED_REPORTS.read_text())["reports"]
+    got = [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
+    assert got == pinned
+
+
+def test_prime_power_detail_names_the_classes_it_reads():
+    claim = CongruenceClaim(
+        claim_id="x", kind="prime-power", form="delta", ell=691, m=0, m_prime=11
+    )
+    assert verify_claim(claim, prime_bound=500).detail == "classes all"
+    with_modulus = dataclasses.replace(claim, residue_modulus=4)
+    assert verify_claim(with_modulus, prime_bound=500).detail == "classes all mod 4"
+    with_classes = dataclasses.replace(with_modulus, residues=(1, 3))
+    assert verify_claim(with_classes, prime_bound=500).detail == "classes [1, 3] mod 4"
 
 
 def test_two_exponent_delta_691():
@@ -461,6 +497,7 @@ def test_cached_expansions_expand_each_miss_once_and_together(monkeypatch):
 
 
 def test_scan_sieves_once(monkeypatch):
+    # one sieve per process, rerun only for a bound above every earlier one
     sieves = []
     real = congruence.primes_up_to
 
@@ -469,11 +506,16 @@ def test_scan_sieves_once(monkeypatch):
         return real(bound)
 
     monkeypatch.setattr(congruence, "primes_up_to", spy)
-    for kind in ("two-exponent", "square-class"):
-        for ell_max, prime_bound in ((100, 10_000), (691, 500)):
-            sieves.clear()
+    monkeypatch.setattr(congruence, "_sieve", (1, ()))
+    for ell_max, prime_bound in ((691, 500), (100, 10_000)):
+        for kind in ("two-exponent", "square-class"):
             scan_exceptional("delta", kind, ell_max=ell_max, prime_bound=prime_bound)
-            assert sieves == [max(ell_max, prime_bound)], (kind, ell_max, prime_bound)
+    verify_claim(claim_by_id("prime-power:eta2^12:l3^2"))
+    assert sieves == [691, 10_000]
+    for bound in (10_000, 7919, 7918, 2, 1):
+        primes = congruence._primes_to(bound)
+        assert isinstance(primes, tuple) and primes == tuple(real(bound)), bound
+    assert sieves == [691, 10_000]
 
 
 def test_expansion_cache_can_be_cleared():

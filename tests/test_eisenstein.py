@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from etaq import congruence
 from etaq.characters import parse_character
+from etaq.claims import builtin_claims
 from etaq.eisenstein import (
     bernoulli,
     e2_replacement,
@@ -14,7 +16,7 @@ from etaq.eisenstein import (
     eisenstein_G,
 )
 from etaq.oracles import primes_up_to, sigma
-from etaq.qseries import QSeries, first_mismatch, reduce_mod
+from etaq.qseries import QQ, QSeries, first_mismatch, reduce_mod, residue_ring
 
 
 def test_bernoulli_values():
@@ -135,8 +137,68 @@ def test_weight_two_paddings_for_even_levels():
 
 def test_parse_character_strings_used_by_claims():
     # every psi string in the builtin claims must parse
-    from etaq.claims import builtin_claims
-
     for claim in builtin_claims():
         if claim.psi is not None:
             parse_character(claim.psi)
+
+
+def _builtin_eisenstein_builds(monkeypatch):
+    """(constructor, its arguments) for every Eisenstein series that verifying
+    the built-in series claims builds."""
+    builds = []
+    for name in ("eisenstein_G", "eisenstein_E", "eisenstein_E2_level"):
+        real = getattr(congruence, name)
+
+        def record(*args, real=real):
+            builds.append((real, args))
+            return real(*args)
+
+        monkeypatch.setattr(congruence, name, record)
+    congruence.verify_claims(c for c in builtin_claims() if c.kind not in ("prime-power", "unit-factor"))
+    return builds
+
+
+def _sigma_mod(build, arg, n, m):
+    """Coefficient n >= 1 of a built-in Eisenstein series mod m, from the oracle's sigma."""
+    if build is eisenstein_G:
+        return sigma(n, arg - 1) % m
+    if build is eisenstein_E:
+        scale = Fraction(-2 * arg) / bernoulli(arg) * sigma(n, arg - 1)
+        return scale.numerator * pow(scale.denominator, -1, m) % m
+    value = sigma(n, 1) - (arg * sigma(n // arg, 1) if n % arg == 0 else 0)
+    return value % m
+
+
+def test_residue_ring_series_match_the_rational_ones(monkeypatch):
+    builds = _builtin_eisenstein_builds(monkeypatch)
+    assert {build for build, _ in builds} == {eisenstein_G, eisenstein_E, eisenstein_E2_level}
+    for build, args in builds:
+        arg, precision, ring = args[:3]
+        got = build(*args)
+        assert got.ring == ring and got.precision == precision
+        exact = build(arg, precision)
+        if args[3:] == (False,):  # built without its constant: a(0) = 0
+            assert got[0] == 0
+            exact = QSeries(QQ, [0, *exact.coeffs[1:]], precision)
+        assert got == reduce_mod(exact, ring.ell, ring.t), (build.__name__, args)
+        if build is eisenstein_E:  # a pad: E_w = 1 mod ell^t
+            assert got == QSeries.one(ring, precision)
+        m = ring.modulus
+        for n in sorted({1, 2, 6, 12, precision // 2, precision} & set(range(1, precision + 1))):
+            assert got[n] == _sigma_mod(build, arg, n, m), (build.__name__, args, n)
+
+
+def test_residue_ring_constants_reduce_or_are_refused():
+    # G_12 has constant 691/65520: 0 mod 691, no image mod 5
+    assert eisenstein_G(12, 4, residue_ring(691))[0] == 0
+    with pytest.raises(ValueError, match="not 5-integral"):
+        eisenstein_G(12, 4, residue_ring(5))
+    assert eisenstein_G(12, 4, residue_ring(5), constant=False)[0] == 0
+    # (N - 1)/24 for N = 5 is 1/6: a 5-adic unit, no 2-adic image
+    assert eisenstein_E2_level(5, 4, residue_ring(5, 2))[0] * 6 % 25 == 1
+    with pytest.raises(ValueError, match="not 2-integral"):
+        eisenstein_E2_level(5, 4, residue_ring(2))
+    # the normalizer -2k/B_k of E_k: -24/B_12 = 65520/691 has no image mod 691
+    with pytest.raises(ValueError, match="a\\(1\\) = 65520/691 is not 691-integral"):
+        eisenstein_E(12, 4, residue_ring(691))
+    assert eisenstein_E(4, 30, residue_ring(3)) == QSeries.one(residue_ring(3), 30)
