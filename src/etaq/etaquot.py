@@ -13,24 +13,26 @@ Theta Series Identities, 2011); eta(d) stands for eta(delta z):
   psi(delta)    = eta(2d)^2 / eta(d)                 sum_(n >= 0) q^(delta n(n+1)/2)
 
 Each has O(sqrt(P)) terms up to q^P, so multiplying the running product by
-one block is a handful of shifted, scaled adds in numpy slices (int64 when
-the residues cannot overflow, exact Python ints otherwise).  The theta
-blocks absorb every denominator of the catalog, so no catalog form needs a
-division; a denominator no block covers is inverted once with the Newton
-inverse.  When every delta shares a factor g the whole Euler part is a
-series in q^g, so the blocks are planned for the quotient reduced by g and
-each coefficient n is placed at q^(lead + g n) - a large win for the
-high-level forms.  One routine does all of this for a list of rings
-(`expand_all`; `expand` is its one-ring case): residue rings share one
-product modulo the lcm of a group of their moduli, as large as the int64
-guard allows, and each reduces it mod its own modulus.
+one block is a handful of shifted, scaled adds on int64 numpy slices mod m,
+with m small enough that no pass overflows; an exact product (over ZZ, QQ,
+or a modulus too large for int64 such as 2^70) joins a few such runs by CRT,
+as FLINT multiplies over ZZ.  The theta blocks absorb every denominator of
+the catalog, so no catalog form needs a division; a denominator no block
+covers is inverted once with the Newton inverse.  When every delta shares a
+factor g the whole Euler part is a series in q^g, so the blocks are planned
+for the quotient reduced by g and each coefficient n is placed at
+q^(lead + g n) - a large win for the high-level forms.  One routine does
+all of this for a list of rings (`expand_all`; `expand` is its one-ring
+case): residue rings share one product modulo the lcm of a group of their
+moduli, as large as the int64 guard allows, and each reduces it mod its own
+modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -41,6 +43,8 @@ from .qseries import QSeries, Ring, ZZ
 # A sparse pass moves a slot by at most (1 + sum |c|) (modulus - 1) over the
 # block's terms c q^e, so it runs in int64 while that stays below this limit.
 _INT64_LIMIT = 2**63 - 1
+# the nonconstant terms (e, c) of each block (name, delta): `_block_terms`
+_Terms = Dict[Tuple[str, int], List[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -184,25 +188,17 @@ def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict
     return blocks, {d: -r for d, r in sorted(rest.items()) if r < 0}
 
 
-def _pass_weight(terms: Iterable[List[Tuple[int, int]]]) -> int:
-    """1 + sum |c| over the heaviest of the blocks' term lists."""
-    return max((1 + sum(abs(c) for _, c in t) for t in terms), default=1)
-
-
 def _sparse_product(
-    blocks: List[Tuple[str, int]], precision: int, modulus: int | None
+    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, modulus: int
 ) -> np.ndarray:
-    """Coefficients of the product of the blocks (name, delta) up to q^precision.
+    """Coefficients mod `modulus` of the product of the blocks (name, delta) up to q^precision.
 
     One pass per block adds c times the running product shifted by e for each
-    of the block's terms c q^e; residues are reduced after every pass.  A
-    pass moves each slot by at most (1 + sum |c|) (modulus - 1), so int64 is
-    used when that fits for every pass; ZZ and large moduli use Python ints
-    (an object array).
+    of the block's terms c q^e (`terms[block]`); residues are reduced after
+    every pass.  A pass moves each slot by at most (1 + sum |c|) (modulus - 1),
+    which the caller keeps below the int64 limit (numpy int64 wraps silently).
     """
-    terms = {key: _block_terms(*key, precision) for key in set(blocks)}
-    small = modulus is not None and _pass_weight(terms.values()) * (modulus - 1) < _INT64_LIMIT
-    acc = np.zeros(precision + 1, dtype=np.int64 if small else object)
+    acc = np.zeros(precision + 1, dtype=np.int64)
     acc[0] = 1
     for key in blocks:
         nxt = acc.copy()
@@ -214,24 +210,56 @@ def _sparse_product(
                 nxt[e:] -= src
             else:
                 nxt[e:] += c * src
-        if modulus is not None:
-            nxt %= modulus
+        nxt %= modulus
         acc = nxt
     return acc
 
 
+def _crt_moduli(weight: int, bound: int) -> List[int]:
+    """Pairwise coprime moduli m inside the int64 guard, weight (m - 1) < 2^63,
+    whose product exceeds 2 bound: taken greedily downward from the largest."""
+    moduli: List[int] = []
+    product = 1
+    m = (_INT64_LIMIT - 1) // weight + 1
+    while product <= 2 * bound:
+        if all(gcd(m, taken) == 1 for taken in moduli):
+            moduli.append(m)
+            product *= m
+        m -= 1
+    return moduli
+
+
+def _exact_product(
+    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, moduli: List[int]
+) -> List[int]:
+    """Coefficients over ZZ of the product of the blocks up to q^precision,
+    from its int64 runs modulo the `moduli`, joined by CRT (Garner) and lifted
+    to the symmetric range: exact when the moduli come from `_crt_moduli` for
+    a bound on the coefficients' absolute values."""
+    values = _sparse_product(blocks, terms, precision, moduli[0]).tolist()
+    joined = moduli[0]
+    for m in moduli[1:]:
+        inverse = pow(joined, -1, m)
+        residues = _sparse_product(blocks, terms, precision, m).tolist()
+        values = [x + joined * ((r - x) * inverse % m) for x, r in zip(values, residues)]
+        joined *= m
+    half = joined // 2
+    return [x - joined if x > half else x for x in values]
+
+
 def _ring_groups(rings: List[Ring], weight: int, alone: bool) -> List[list]:
     """Split the rings, in order, into runs that share one sparse product,
-    each as [indices into rings, modulus of the product (None over ZZ)].
+    each as [indices into rings, modulus of the product (None: over ZZ)].
 
     A residue ring joins the run before it while weight (M - 1) stays below
     the int64 limit for the lcm M of the run's moduli (numpy int64 wraps
-    silently).  ZZ, QQ (expanded over ZZ), a modulus too large for int64,
-    and every ring when `alone`, run alone.
+    silently).  ZZ, QQ (expanded over ZZ) and a modulus too large for that
+    limit take the exact product, and run alone, as every ring does when
+    `alone`.
     """
     groups: List[list] = []
     for i, ring in enumerate(rings):
-        m = ring.modulus if ring.kind == "mod" else None
+        m = ring.modulus if ring.kind == "mod" and weight * (ring.modulus - 1) < _INT64_LIMIT else None
         if m and groups and groups[-1][1] and not alone:
             joined = lcm(groups[-1][1], m)
             if weight * (joined - 1) < _INT64_LIMIT:
@@ -251,31 +279,48 @@ def _expand_rings(
     blocks are planned once for the quotient reduced by g, multiplied up to
     (precision - lead) // g, and coefficient n is placed at q^(lead + g n).
     Residue rings share one product per int64 group (`_ring_groups`) and
-    reduce it mod their own modulus.  A denominator no block covers needs
-    the Newton inverse in each ring, so then every ring runs alone.
+    reduce it mod their own modulus; the other rings reduce the exact
+    product, if at all.  A denominator no block covers needs the Newton
+    inverse in each ring, so then every ring runs alone.
     """
     g = gcd(*exponents) or 1
     blocks, leftover = _plan_blocks({d // g: r for d, r in exponents.items()})
     den_blocks = [("E", d) for d, r in leftover.items() for _ in range(r)]
     sub = (precision - lead) // g
-    # only rings that share a product need the guard (each product checks its own)
-    weight = _pass_weight(_block_terms(*key, sub) for key in set(blocks)) if len(rings) > 1 else 0
+    terms = {key: _block_terms(*key, sub) for key in set(blocks + den_blocks)}
+    # a block's l^1 norm 1 + sum |c| weights its passes' int64 guard, and the
+    # norms' product bounds every coefficient of a product of blocks
+    norm = {key: 1 + sum(abs(c) for _, c in t) for key, t in terms.items()}
+    weight = max(norm.values(), default=1)
 
-    def residues(ring: Ring, acc: np.ndarray, modulus: Optional[int]) -> List:
-        """The product, run modulo `modulus` (None: over ZZ), as coefficients in the ring."""
+    def product(blocks: List[Tuple[str, int]], modulus: Optional[int]) -> np.ndarray | List[int]:
+        """The blocks' product: int64 residues mod `modulus`, or a list of integers (None)."""
+        if modulus is None:
+            moduli = _crt_moduli(weight, prod(norm[key] for key in blocks))
+            return _exact_product(blocks, terms, sub, moduli)
+        return _sparse_product(blocks, terms, sub, modulus)
+
+    def reduce(acc: np.ndarray | List[int], modulus: Optional[int], m: Optional[int]) -> List[int]:
+        """`product(blocks, modulus)` as residues mod m (None: integers)."""
+        if modulus is None:
+            return acc if m is None else [c % m for c in acc]
+        return (acc if m == modulus else acc % m).tolist()
+
+    def residues(ring: Ring, acc: np.ndarray | List[int], modulus: Optional[int]) -> List:
+        """The product, run by `product(blocks, modulus)`, as coefficients in the ring."""
         m = ring.modulus if ring.kind == "mod" else None
-        values = (acc if m == modulus else acc % m).tolist()
+        values = reduce(acc, modulus, m)
         if leftover:
             work = ring if m else ZZ
-            den = QSeries._canonical(work, _sparse_product(den_blocks, sub, m).tolist(), sub)
+            den = QSeries._canonical(work, reduce(product(den_blocks, modulus), modulus, m), sub)
             values = (QSeries._canonical(work, values, sub) * den.inverse()).coeffs
         return [Fraction(c) for c in values] if ring.kind == "QQ" else values
 
-    # each series is written straight from its group's array, and only one
-    # group's array is alive at a time: a batch keeps no list per ring
+    # each series is written straight from its group's product, and only one
+    # group's product is alive at a time: a batch keeps no list per ring
     out: List[QSeries] = [None] * len(rings)
     for group, modulus in _ring_groups(rings, weight, bool(leftover)):
-        acc = _sparse_product(blocks, sub, modulus)
+        acc = product(blocks, modulus)
         for i in group:
             coeffs = [rings[i].zero()] * (precision + 1)
             coeffs[lead::g] = residues(rings[i], acc, modulus)

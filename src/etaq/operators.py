@@ -11,6 +11,7 @@ joins two sides into the space where they are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import cycle
 from math import gcd, lcm
 from typing import Tuple
 
@@ -34,6 +35,12 @@ def theta(series: QSeries, times: int = 1) -> QSeries:
         raise ValueError("theta cannot be un-applied")
     if times == 0:
         return series
+    if series.ring.kind == "mod":
+        # n^times mod m depends on n mod m only: read it from one period
+        m = series.ring.modulus
+        period = [pow(n, times, m) for n in range(min(m, series.precision + 1))]
+        coeffs = [p * c % m for p, c in zip(cycle(period), series.coeffs)]
+        return QSeries._canonical(series.ring, coeffs, series.precision)
     coeffs = [n**times * c for n, c in enumerate(series.coeffs)]
     return QSeries._reduced(series.ring, coeffs, series.precision)
 

@@ -1,7 +1,7 @@
 """Eta-quotient expansion and the newform catalog."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -100,7 +100,7 @@ def dense_reference(quotient, precision, ring):
 
 def test_sparse_expansion_matches_dense_and_brute_for_every_form():
     # 150 terms reach past 18 pentagonal exponents of prod (1 - q^n); 2^70
-    # overflows the int64 guard, so its passes run on Python ints
+    # overflows the int64 guard, so it reduces the exact (CRT) product
     precision = 150
     rings = [residue_ring(ell, t) for ell, t in ((2, 8), (3, 5), (7, 2), (691, 1), (2, 70))]
     for e in catalog():
@@ -112,6 +112,84 @@ def test_sparse_expansion_matches_dense_and_brute_for_every_form():
             assert sparse == reduce_mod(exact, ring.ell, ring.t), (e.form_id, ring.describe())
         sparse = e.expand(precision, rings[1])
         assert sparse == dense_reference(e.quotient, precision, rings[1]), e.form_id
+
+
+def test_exact_expansion_of_every_form_matches_dense_reference_at_1500_terms():
+    # at 1500 terms three of these exact products join two int64 runs by CRT
+    # and the other nineteen lift one run to the symmetric range; the dense
+    # reference shares no code with the sparse passes
+    for e in catalog():
+        assert e.expand(1500) == dense_reference(e.quotient, 1500, ZZ), e.form_id
+
+
+def _crt_case(exponents, precision):
+    # the guard weight, the coefficient bound B and the CRT moduli of the
+    # exact product of a quotient's blocks
+    blocks, _ = _plan_blocks(exponents)
+    norms = [1 + sum(abs(c) for _, c in _block_terms(*key, precision)) for key in blocks]
+    weight, bound = max(norms), prod(norms)
+    return weight, bound, etaquot._crt_moduli(weight, bound)
+
+
+def test_crt_moduli_are_coprime_inside_the_guard_and_cover_twice_the_bound():
+    # greedily downward from the largest m with weight (m - 1) < 2^63 - 1,
+    # skipping any m that shares a factor with one taken, until the product
+    # exceeds 2B; delta at 10^4 terms has a 115-bit B and needs three moduli
+    cases = [
+        ({1: 24}, 1500, 93, [0, 1]),
+        ({1: 24}, 10000, 115, [0, 1, 3]),
+        ({1: 48}, 1000, 176, [0, 1, 2, 4]),
+        ({1: 8, 2: 8}, 1500, 68, [0, 1]),
+        ({1: 2, 11: 2}, 1500, 21, [0]),
+        ({1: 1}, 10, 3, [0]),
+    ]
+    for exponents, precision, bits, below_top in cases:
+        weight, bound, moduli = _crt_case(exponents, precision)
+        where = (exponents, precision)
+        top = (2**63 - 2) // weight + 1
+        assert weight * (top - 1) < 2**63 - 1 <= weight * top, where
+        assert bound.bit_length() == bits, where
+        assert moduli == [top - k for k in below_top], where
+        for m in range(moduli[-1], top + 1):
+            if m in moduli:
+                assert weight * (m - 1) < 2**63 - 1, where
+                assert all(gcd(m, other) == 1 for other in moduli if other != m), where
+            else:
+                assert any(gcd(m, taken) > 1 for taken in moduli if taken > m), where
+        assert prod(moduli) > 2 * bound >= prod(moduli[:-1]), where
+    # the symmetric range of one modulus m holds |c| <= (m - 1) / 2, no more
+    top = (2**63 - 2) // 3025 + 1
+    assert etaquot._crt_moduli(3025, (top - 1) // 2) == [top]
+    assert etaquot._crt_moduli(3025, (top + 1) // 2) == [top, top - 1]
+
+
+def test_an_exact_product_over_four_moduli_matches_dense_and_brute():
+    # eta(z)^48 at 1000 terms has a 176-bit bound: four int64 runs
+    quotient = EtaQuotient.from_dict({1: 48})
+    assert len(_crt_case({1: 48}, 998)[2]) == 4
+    series = expand(quotient, 1000)
+    assert series == dense_reference(quotient, 1000, ZZ)
+    assert series.truncate(150) == brute_eta_expand({1: 48}, 150)
+    assert min(series.coeffs) < -(2**64) and max(series.coeffs) > 2**64
+
+
+def test_crt_join_lifts_negative_coefficients_to_the_symmetric_range():
+    # prod (1 - q^n)^24 = sum tau(n + 1) q^n changes sign.  Joined from the
+    # fewest small primes whose product exceeds 2 max |tau|, the symmetric
+    # lift returns every coefficient; one prime fewer cannot
+    precision = 80
+    blocks, _ = _plan_blocks({1: 24})
+    terms = {key: _block_terms(*key, precision) for key in set(blocks)}
+    tau = list(brute_eta_expand({1: 24}, precision + 1).coeffs[1:])
+    assert min(tau) < 0 < max(tau)
+    moduli = []
+    for p in primes_up_to(1000):
+        if prod(moduli) > 2 * max(map(abs, tau)):
+            break
+        moduli.append(p)
+    assert len(moduli) >= 3
+    assert etaquot._exact_product(blocks, terms, precision, moduli) == tau
+    assert etaquot._exact_product(blocks, terms, precision, moduli[:-1]) != tau
 
 
 def test_quotients_with_a_denominator_match_brute_oracle_over_zz():
@@ -177,15 +255,18 @@ def test_leftover_denominator_goes_through_the_newton_inverse():
 def test_int64_guard_weights_each_pass_by_its_coefficients():
     # a cube pass moves a slot by up to (1 + sum |c|)(modulus - 1).  At 600
     # terms that weight is 35^2 + 1 against 35 terms, so 3^33 runs in int64,
-    # 3^34 just above the limit in Python ints, and a guard sized by the term
-    # count would wrongly take int64 up to 3^36.  (A power of 2 would not show
-    # an overflow: int64 wraps modulo 2^64.)
+    # 3^34 just above the limit reduces the exact (CRT) product, and a guard
+    # sized by the term count would wrongly take int64 up to 3^36.  (A power
+    # of 2 would not show an overflow: int64 wraps modulo 2^64.)
     precision = 600
     terms = _block_terms("C", 1, precision)
     weight = 1 + sum(abs(c) for _, c in terms)
     below = max(t for t in range(1, 40) if weight * (3**t - 1) < 2**63)
     by_count = max(t for t in range(1, 40) if (len(terms) + 1) * (3**t - 1) < 2**63)
     assert (below, by_count) == (33, 36)
+    for t in range(below, by_count + 1):
+        run = 3**t if t == below else None
+        assert etaquot._ring_groups([residue_ring(3, t)], weight, False) == [[[0], run]], t
     exact = expand_euler_part({1: 24}, precision, ZZ)
     for t in range(below, by_count + 1):
         assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == reduce_mod(exact, 3, t), t
@@ -197,42 +278,59 @@ def _mixed_rings():
 
 
 def _record_runs(monkeypatch):
-    # spy on expand_all: each _sparse_product run as (modulus, dtype), and
-    # the ring groups of the latest call
-    runs, groups = [], []
+    # spy on expand_all: each _sparse_product run as (modulus, dtype), the
+    # CRT moduli of each exact product, and the ring groups of the latest call
+    runs, exact, groups = [], [], []
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
+    real_moduli = etaquot._crt_moduli
 
-    def product_spy(blocks, precision, modulus):
-        acc = real_product(blocks, precision, modulus)
+    def product_spy(blocks, terms, precision, modulus):
+        acc = real_product(blocks, terms, precision, modulus)
         runs.append((modulus, acc.dtype))
         return acc
+
+    def moduli_spy(*args):
+        exact.append(real_moduli(*args))
+        return exact[-1]
 
     def groups_spy(*args):
         groups[:] = real_groups(*args)
         return groups
 
     monkeypatch.setattr(etaquot, "_sparse_product", product_spy)
+    monkeypatch.setattr(etaquot, "_crt_moduli", moduli_spy)
     monkeypatch.setattr(etaquot, "_ring_groups", groups_spy)
-    return runs, groups
+    return runs, exact, groups
+
+
+def _expected_moduli(groups, exact, products):
+    # the moduli _sparse_product should run at: `products` runs per group,
+    # each at the group's modulus, or at the next CRT moduli (None: exact)
+    crt = iter(exact)
+    return [
+        m for _, modulus in groups for _ in range(products) for m in ([modulus] if modulus else next(crt))
+    ]
 
 
 def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
     # one expand_all call over a mixed list of rings gives, for every catalog
     # form, the one-ring expansion in each ring (with its coefficient type).
-    # Every ring sits in exactly one group, every group of more than one ring
-    # runs in int64 (weight (M - 1) < 2^63 for the lcm M of its moduli), and
-    # the primes up to 691 do not fit one int64 modulus for delta.
+    # Every ring sits in exactly one group, every _sparse_product run is
+    # int64: one at the group's modulus, the lcm M of its rings' moduli with
+    # weight (M - 1) < 2^63, or the CRT runs of an exact group (ZZ, QQ,
+    # 2^70); and the primes up to 691 do not fit one int64 modulus for delta.
     rings = _mixed_rings()
-    runs, groups = _record_runs(monkeypatch)
+    runs, exact, groups = _record_runs(monkeypatch)
     for e in catalog():
         runs.clear()
+        exact.clear()
         series = expand_all(e.quotient, 1000, rings)
         assert sorted(i for group, _ in groups for i in group) == list(range(len(rings))), e.form_id
-        assert len(runs) == len(groups), e.form_id
-        for (group, modulus), (ran_at, dtype) in zip(groups, runs):
-            assert ran_at == modulus, e.form_id
-            if len(group) > 1:
-                assert dtype == np.int64, e.form_id
+        assert [ran_at for ran_at, _ in runs] == _expected_moduli(groups, exact, 1), e.form_id
+        assert {dtype for _, dtype in runs} == {np.dtype(np.int64)}, e.form_id
+        assert len(exact) == 3, e.form_id
+        for group, modulus in groups:
+            if modulus:
                 assert modulus == lcm(*(rings[i].modulus for i in group)), e.form_id
         if e.form_id == "delta":
             assert sum(len(group) > 1 for group, _ in groups) >= 2
@@ -261,10 +359,12 @@ def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkey
     quotient = EtaQuotient.from_dict({1: -1, 5: 5})
     assert _plan_blocks(dict(quotient.factors))[1] == {1: 1}
     rings = _mixed_rings()
-    runs, groups = _record_runs(monkeypatch)
+    runs, crt, groups = _record_runs(monkeypatch)
     series = expand_all(quotient, 300, rings)
     assert [group for group, _ in groups] == [[i] for i in range(len(rings))]
-    assert len(runs) == 2 * len(rings)
+    assert [ran_at for ran_at, _ in runs] == _expected_moduli(groups, crt, 2)
+    assert {dtype for _, dtype in runs} == {np.dtype(np.int64)}
+    assert len(crt) == 2 * 3
     exact = brute_eta_expand({1: -1, 5: 5}, 300)
     for ring, got in zip(rings, series):
         where = ring.describe()
@@ -276,9 +376,10 @@ def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkey
 
 
 def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
-    # 3 joins 3^5 without growing its modulus; ZZ, QQ and 2^70 run alone
-    # and end a run; a ring that would push weight (M - 1) past 2^63 opens
-    # a new run; with a leftover denominator every ring runs alone
+    # 3 joins 3^5 without growing its modulus; ZZ, QQ and 2^70 (too large
+    # for the guard) run alone on the exact product (None) and end a run; a
+    # ring that would push weight (M - 1) past 2^63 opens a new run; with a
+    # leftover denominator every ring runs alone
     rings = [residue_ring(3, 5), residue_ring(3), residue_ring(7, 2), ZZ, residue_ring(5), QQ]
     rings += [residue_ring(2, 70), residue_ring(2, 40), residue_ring(3, 20)]
     assert etaquot._ring_groups(rings, 1000, False) == [
@@ -286,13 +387,14 @@ def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
         [[3], None],
         [[4], 5],
         [[5], None],
-        [[6], 2**70],
+        [[6], None],
         [[7], 2**40],
         [[8], 3**20],
     ]
     assert 1000 * (2**40 * 3**20 - 1) >= 2**63 > 1000 * (3**20 - 1)
+    assert 1000 * (2**70 - 1) >= 2**63
     assert etaquot._ring_groups(rings, 1000, True) == [
-        [[i], None if ring.kind != "mod" else ring.modulus] for i, ring in enumerate(rings)
+        [[i], None if ring.kind != "mod" or i == 6 else ring.modulus] for i, ring in enumerate(rings)
     ]
 
 

@@ -196,11 +196,20 @@ def test_hecke_tn_eigenvalues_are_multiplicative():
 
 
 def test_reduce_then_theta_commutes_with_theta_then_reduce():
-    f = lookup("eta2^12").expand(80)
-    for ell, t in ((3, 2), (5, 1)):
-        a = reduce_mod(theta(f, 2), ell, t)
-        b = theta(lookup("eta2^12").expand(80, residue_ring(ell, t)), 2)
-        assert first_mismatch(a, b) is None
+    # a residue series reads n^times mod ell^t from a table of one period;
+    # theta over ZZ, the integer formula n^times a(n), reduced is the
+    # reference.  The moduli below 401 wrap that table, 691 and 2^70 do not
+    moduli = ((2, 1), (2, 70), (3, 2), (3, 5), (5, 1), (5, 2), (23, 1), (691, 1))
+    rings = [residue_ring(ell, t) for ell, t in moduli]
+    for form_id in ("eta2^12", "delta"):
+        f = lookup(form_id).expand(400)
+        residues = [lookup(form_id).expand(400, ring) for ring in rings]
+        for times in range(1, 14):
+            exact = theta(f, times)
+            assert list(exact.coeffs) == [n**times * c for n, c in enumerate(f.coeffs)], times
+            for ring, g in zip(rings, residues):
+                where = (form_id, times, ring.describe())
+                assert reduce_mod(exact, ring.ell, ring.t) == theta(g, times), where
 
 
 def test_operator_outputs_stay_canonical():
