@@ -3,18 +3,27 @@
 Every series verifier checks its claim and describes two sides (`Side`: a
 base, an optional twist, a theta count, an optional E_w^e pad).  Each side's
 weight, level, cusp flag and theta regime are derived from the `operators`
-bookkeeping; both sides are built to the agreement bound of the space that
-holds them and compared, a proof ("sturm-proved") unless a theta step was
-conservative.  Every side is built in Z/ell^t from its base on (the form's
-cached expansion, or G_k or the weight-2 series from `eisenstein` in that
-ring), so twist, theta and pad act on residues and no rational series is
-made.  The lower-weight side is padded by a form congruent to 1, so
-for ell >= 5 the weights must differ by a multiple of phi(ell^t) (E_4 and
-weight-2 level-d series serve mod 3 and 2).  Prime-power and unit-factor
-claims are scanned over many primes instead ("numerical-evidence").  Their
-congruences and the exceptional-prime scan's are all one shape, a table of
-residue classes c with a(p) = u_c (p^m + p^m') mod ell^(t_c), and
-`_first_failure` is the one place that checks such a table.  Reports are
+bookkeeping (`_comparison`); both sides are read to the agreement bound of
+the space that holds them and compared, a proof ("sturm-proved") unless a
+theta step was conservative.  Every side is computed in Z/ell^t from its
+base on (the form's cached expansion, or G_k or the weight-2 series from
+`eisenstein` in that ring), so twist, theta and pad act on residues and no
+rational series is made; twist and theta act one coefficient at a time, so
+only a padded side is built as a series.  The lower-weight side is padded
+by a form congruent to 1, so for ell >= 5 the weights must differ by a
+multiple of phi(ell^t) (E_4 and weight-2 level-d series serve mod 3 and 2).
+Prime-power and unit-factor claims are scanned over many primes instead
+("numerical-evidence").  Their congruences and the exceptional-prime scan's
+are all one shape, a table of residue classes c with
+a(p) = u_c (p^m + p^m') mod ell^(t_c), and `_first_failure` is the one
+place that checks such a table.
+
+`verify_claims` plans a run before it runs a claim: it derives, with no
+series built, which (form, ell^t, precision) each claim will read
+(`_reads`: the form sides at their bound, or the scanned form at the prime
+bound) and expands each catalog form once, over all of its rings
+(`_expand_ahead`), so the claims themselves only hit the cache.  A report's
+`seconds` therefore leaves out the expansions made up front.  Reports are
 plain data and serialize to JSON with stable field order.
 """
 
@@ -23,15 +32,24 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import etaquot
 from .characters import Character, kronecker_character, parse_character, trivial_mod
 from .claims import CongruenceClaim
 from .eisenstein import eisenstein_E, eisenstein_E2_level, eisenstein_G
-from .operators import FormMeta, common_space, theta, theta_mod_rule, twist, twist_meta, u_operator
+from .operators import (
+    FormMeta,
+    common_space,
+    theta,
+    theta_mod_rule,
+    twist,
+    twist_meta,
+    twist_theta_coeffs,
+    u_operator,
+)
 from .oracles import primes_up_to
-from .qseries import QSeries, Ring, ZZ, first_mismatch, residue_ring
+from .qseries import QSeries, Ring, ZZ, residue_ring
 from .sturm import agreement_bound
 
 DEFAULT_PRIME_BOUND = 10_000
@@ -101,21 +119,30 @@ def _ring_key(ring: Ring) -> str:
     return f"mod:{ring.ell}^{ring.t}" if ring.kind == "mod" else ring.kind
 
 
+def _expand_misses(entry: etaquot.CatalogEntry, reads: Iterable[Tuple[Ring, int]]) -> None:
+    """Cache each (ring, precision) read of a catalog form that the cache does
+    not hold that far: one `expand_all` call expands every such ring, at the
+    largest precision read there, and stores it under its (form, ring) key."""
+    missing: Dict[Tuple[str, str], Tuple[Ring, int]] = {}
+    for ring, precision in reads:
+        key = (entry.form_id, _ring_key(ring))
+        if key in missing:
+            missing[key] = (ring, max(precision, missing[key][1]))
+        elif key not in _expansion_cache or _expansion_cache[key].precision < precision:
+            missing[key] = (ring, precision)
+    if missing:
+        rings, precisions = zip(*missing.values())
+        fresh = etaquot.expand_all(entry.quotient, list(precisions), list(rings))
+        _expansion_cache.update(zip(missing, fresh))
+
+
 def cached_expansions(
     entry: etaquot.CatalogEntry, precision: int, rings: List[Ring]
 ) -> List[QSeries]:
     """Expansions of a catalog form in each ring, memoized per (form, ring) at
     the largest precision seen; the misses are expanded together."""
-    keys = [(entry.form_id, _ring_key(ring)) for ring in rings]
-    missing = {
-        key: ring
-        for key, ring in zip(keys, rings)
-        if key not in _expansion_cache or _expansion_cache[key].precision < precision
-    }
-    if missing:
-        fresh = etaquot.expand_all(entry.quotient, precision, list(missing.values()))
-        _expansion_cache.update(zip(missing, fresh))
-    return [_expansion_cache[key].truncate(precision) for key in keys]
+    _expand_misses(entry, [(ring, precision) for ring in rings])
+    return [_expansion_cache[entry.form_id, _ring_key(ring)].truncate(precision) for ring in rings]
 
 
 def cached_expansion(entry: etaquot.CatalogEntry, precision: int, ring: Ring) -> QSeries:
@@ -171,10 +198,13 @@ def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
     return meta, regime
 
 
-def _build_side(side: Side, ell: int, t: int, precision: int) -> QSeries:
-    """A side mod ell^t, every step in the residue ring.  An Eisenstein base
-    reduces its constant only when the side reads a(0): theta, or a twist with
-    chi(0) = 0, kills a constant that need not be ell-integral."""
+def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> Iterable[int]:
+    """A side's coefficients a(0), ..., a(precision) mod ell^t, every step in
+    the residue ring.  An Eisenstein base reduces its constant only when the
+    side reads a(0): theta, or a twist with chi(0) = 0, kills a constant that
+    need not be ell-integral.  Twist and theta act on one coefficient at a
+    time (`twist_theta_coeffs`), so a side without a pad streams from its
+    base and only a padded side is built as a series."""
     ring = residue_ring(ell, t)
     if side.base == "form":
         series = cached_expansion(etaquot.lookup(side.arg), precision, ring)
@@ -182,22 +212,22 @@ def _build_side(side: Side, ell: int, t: int, precision: int) -> QSeries:
         constant = not side.theta and (side.twist is None or side.twist(0) != 0)
         build = eisenstein_G if side.base == "G" else eisenstein_E2_level
         series = build(side.arg, precision, ring, constant)
+    if side.pad is None:
+        return twist_theta_coeffs(series, side.twist, side.theta)
     if side.twist is not None:
         series = twist(series, side.twist)
     series = theta(series, side.theta)
-    if side.pad is not None:
-        series = series * eisenstein_E(side.pad[0], precision, ring).pow(side.pad[1])
-    return series
+    return (series * eisenstein_E(side.pad[0], precision, ring).pow(side.pad[1])).coeffs
 
 
-def _compare(
-    claim: CongruenceClaim, margin: int, lhs: Side, rhs: Side, detail: str = ""
-) -> VerificationReport:
-    """Compare two sides mod ell^t up to the agreement bound of their common
-    space; agreement is evidence, not proof, when a theta step of either side
-    is conservative.  A weight or level the claim declares must contain the
-    derived space, and the comparison then runs there."""
-    started = time.perf_counter()
+def _comparison(
+    claim: CongruenceClaim, margin: int, lhs: Side, rhs: Side
+) -> Tuple[int, int, int, bool]:
+    """(bound, weight, level, conservative) of comparing two sides mod ell^t:
+    the agreement bound (plus the margin) of their common space, and whether
+    a theta step of either side is conservative.  A weight or level the claim
+    declares must contain the derived space, and the comparison then runs
+    there."""
     ell, t = claim.ell, claim.t
     lhs_meta, lhs_regime = _side_space(lhs, ell, t)
     rhs_meta, rhs_regime = _side_space(rhs, ell, t)
@@ -215,8 +245,19 @@ def _compare(
             f"the derived weight {space.weight}, level {space.level}"
         )
     bound = agreement_bound(weight, level, space.cuspidal) + margin
-    mismatch = first_mismatch(*(_build_side(side, ell, t, bound) for side in (lhs, rhs)))
-    conservative = "conservative" in (lhs_regime, rhs_regime)
+    return bound, weight, level, "conservative" in (lhs_regime, rhs_regime)
+
+
+def _compare(
+    claim: CongruenceClaim, margin: int, lhs: Side, rhs: Side, detail: str = ""
+) -> VerificationReport:
+    """Compare two sides mod ell^t up to the bound `_comparison` derives;
+    agreement is evidence, not proof, when a theta step of either side is
+    conservative."""
+    started = time.perf_counter()
+    bound, weight, level, conservative = _comparison(claim, margin, lhs, rhs)
+    lhs_coeffs, rhs_coeffs = (_side_coeffs(side, claim.ell, claim.t, bound) for side in (lhs, rhs))
+    mismatch = next((n for n, (a, b) in enumerate(zip(lhs_coeffs, rhs_coeffs)) if a != b), None)
     rigor = "numerical-evidence" if conservative else "sturm-proved"
     verdict = "failed" if mismatch is not None else "evidence" if conservative else "proved"
     return VerificationReport(
@@ -235,9 +276,7 @@ def _compare(
 # -- two-exponent congruences: a(p) = psi(p) (p^m + p^m') mod ell -----------
 
 
-def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    """Check theta(f x 1_N) against theta^(m+1) of a weight-(m'-m+1) Eisenstein
-    series twisted by psi, modulo ell, across an enclosing space."""
+def _two_exponent_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     entry = etaquot.lookup(claim.form)
     k, n_level, ell = entry.weight, entry.level, claim.ell
     m, mp = claim.m, claim.m_prime
@@ -262,18 +301,28 @@ def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> Verification
         raise ValueError(f"{claim.claim_id}: no Eisenstein kernel for width {w}")
     lhs = Side("form", claim.form, one_n, theta=1)
     rhs = Side(base, arg, psi * one_n, theta=m + 1)
-    return _compare(claim, margin, lhs, rhs, f"kernel {kernel_name}, theta^{m + 1}")
+    return lhs, rhs, f"kernel {kernel_name}, theta^{m + 1}"
+
+
+def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
+    """Check theta(f x 1_N) against theta^(m+1) of a weight-(m'-m+1) Eisenstein
+    series twisted by psi, modulo ell, across an enclosing space."""
+    return _compare(claim, margin, *_two_exponent_sides(claim))
 
 
 # -- square-class congruences: theta^((ell+1)/2) f = theta f mod ell --------
 
 
-def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
+def _square_class_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     one_n = trivial_mod(etaquot.lookup(claim.form).level)
     if claim.ell % 2 == 0:
         raise ValueError(f"{claim.claim_id}: the square-class congruence needs odd ell")
     lhs = Side("form", claim.form, one_n, theta=(claim.ell + 1) // 2)
-    return _compare(claim, margin, lhs, Side("form", claim.form, one_n, theta=1))
+    return lhs, Side("form", claim.form, one_n, theta=1), ""
+
+
+def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
+    return _compare(claim, margin, *_square_class_sides(claim))
 
 
 # -- prime-power congruences on progressions of primes ----------------------
@@ -292,6 +341,11 @@ def _primes_to(bound: int) -> Tuple[int, ...]:
         primes = tuple(primes_up_to(bound))
         _sieve = (bound, primes)
     return primes[: bisect_right(primes, bound)]
+
+
+def _check_prime_bound(prime_bound: int) -> None:
+    if prime_bound < 50:
+        raise ValueError("prime bound below 50 would make the scan vacuous")
 
 
 def _good_primes(primes: Sequence[int], level: int, ell: int) -> List[int]:
@@ -333,8 +387,7 @@ def _prime_scan(
     table (m, m', period, classes) of `_first_failure`, stopping at the first
     prime where it fails."""
     started = time.perf_counter()
-    if prime_bound < 50:
-        raise ValueError("prime bound below 50 would make the scan vacuous")
+    _check_prime_bound(prime_bound)
     entry = etaquot.lookup(claim.form)
     f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t))
     primes = _good_primes(_primes_to(prime_bound), entry.level, claim.ell)
@@ -353,10 +406,7 @@ def _prime_scan(
     )
 
 
-def verify_prime_power(
-    claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> VerificationReport:
-    """Scan a(p) = p^m + p^m' mod ell^t over primes in the claimed classes."""
+def _prime_power_table(claim: CongruenceClaim) -> Tuple[Tuple, str]:
     ell, t, m, mp = claim.ell, claim.t, claim.m, claim.m_prime
     phi = ell ** (t - 1) * (ell - 1)
     if t > 1 and (m + mp - (etaquot.lookup(claim.form).weight - 1)) % phi:
@@ -369,32 +419,47 @@ def verify_prime_power(
     detail = f"classes {list(claim.residues) if claim.residues else 'all'}"
     if claim.residue_modulus is not None:
         detail += f" mod {claim.residue_modulus}"
-    return _prime_scan(claim, prime_bound, table, detail)
+    return table, detail
+
+
+def verify_prime_power(
+    claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
+) -> VerificationReport:
+    """Scan a(p) = p^m + p^m' mod ell^t over primes in the claimed classes."""
+    return _prime_scan(claim, prime_bound, *_prime_power_table(claim))
+
+
+def _unit_factor_table(claim: CongruenceClaim) -> Tuple[Tuple, str]:
+    if claim.t != max(tc for _, _, tc in claim.units):
+        raise ValueError(f"{claim.claim_id}: t must equal the largest class exponent")
+    classes = {c: (u, claim.ell**tc) for c, u, tc in claim.units}
+    table = (0, claim.m_prime, claim.residue_modulus, classes)
+    detail = f"units {dict((c, u) for c, u, _ in claim.units)} mod {claim.residue_modulus}"
+    return table, detail
 
 
 def verify_unit_factor(
     claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
 ) -> VerificationReport:
     """Scan a(p) = u (1 + p^m') mod ell^(t_c) with a unit u per residue class."""
-    if claim.t != max(tc for _, _, tc in claim.units):
-        raise ValueError(f"{claim.claim_id}: t must equal the largest class exponent")
-    classes = {c: (u, claim.ell**tc) for c, u, tc in claim.units}
-    table = (0, claim.m_prime, claim.residue_modulus, classes)
-    detail = f"units {dict((c, u) for c, u, _ in claim.units)} mod {claim.residue_modulus}"
-    return _prime_scan(claim, prime_bound, table, detail)
+    return _prime_scan(claim, prime_bound, *_unit_factor_table(claim))
 
 
 # -- twist-power congruences: f x 1_ell = f x kron(ell*) mod ell^a ----------
 
 
-def verify_twist_power(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
+def _twist_power_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     ell, a = claim.ell, claim.t
     if ell % 2 == 0:
         raise ValueError(f"{claim.claim_id}: twist comparison needs odd ell")
     disc = ell if ell % 4 == 1 else -ell
     lhs = Side("form", claim.form, trivial_mod(ell))
     rhs = Side("form", claim.form, kronecker_character(disc))
-    return _compare(claim, margin, lhs, rhs, f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}")
+    return lhs, rhs, f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}"
+
+
+def verify_twist_power(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
+    return _compare(claim, margin, *_twist_power_sides(claim))
 
 
 # -- raw two-pipeline identities --------------------------------------------
@@ -421,9 +486,12 @@ def _recipe_side(recipe: Dict) -> Side:
     return Side(base, recipe[base], twist_by, recipe.get("theta", 0), pad and tuple(pad))
 
 
+def _raw_identity_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
+    return _recipe_side(claim.lhs), _recipe_side(claim.rhs), ""
+
+
 def verify_raw_identity(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    lhs, rhs = _recipe_side(claim.lhs), _recipe_side(claim.rhs)
-    return _compare(claim, margin, lhs, rhs)
+    return _compare(claim, margin, *_raw_identity_sides(claim))
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -459,13 +527,62 @@ def verify_claim(
     return runner(claim, margin, prime_bound)
 
 
+# What each kind's verifier reads, derived with no series built: the two
+# sides it compares, or the class table it scans, with its detail text.
+_SIDES = {
+    "two-exponent": _two_exponent_sides,
+    "square-class": _square_class_sides,
+    "twist-power": _twist_power_sides,
+    "raw-identity": _raw_identity_sides,
+}
+_TABLES = {"prime-power": _prime_power_table, "unit-factor": _unit_factor_table}
+
+
+def _reads(
+    claim: CongruenceClaim, margin: int, prime_bound: int
+) -> List[Tuple[etaquot.CatalogEntry, Ring, int]]:
+    """(form, ring, precision) of each expansion the claim's verifier reads:
+    the form sides of its comparison at the bound `_comparison` derives, or
+    the scanned form at the prime bound, all mod ell^t."""
+    ring = residue_ring(claim.ell, claim.t)
+    if claim.kind in _TABLES:
+        _TABLES[claim.kind](claim)  # raises where the verifier would, before the scan
+        _check_prime_bound(prime_bound)
+        return [(etaquot.lookup(claim.form), ring, prime_bound)]
+    lhs, rhs, _ = _SIDES[claim.kind](claim)
+    bound = _comparison(claim, margin, lhs, rhs)[0]
+    return [(etaquot.lookup(side.arg), ring, bound) for side in (lhs, rhs) if side.base == "form"]
+
+
+def _expand_ahead(claims: List[CongruenceClaim], margin: int, prime_bound: int) -> None:
+    """Cache every expansion the claims read before any claim runs: one
+    `expand_all` call per catalog form, over all of its rings, each at the
+    largest precision read there (rings in (ell, t) order, so the int64
+    groups do not depend on claim order).  A claim whose reads raise is left
+    out; its verifier raises the same error when its turn comes, so the
+    first fault in claim order is still the one reported."""
+    plan: Dict[str, Tuple[etaquot.CatalogEntry, List[Tuple[Ring, int]]]] = {}
+    for claim in claims:
+        try:
+            reads = _reads(claim, margin, prime_bound)
+        except (ValueError, KeyError):  # raised again, in claim order, by its verifier
+            continue
+        for entry, ring, precision in reads:
+            plan.setdefault(entry.form_id, (entry, []))[1].append((ring, precision))
+    for entry, reads in plan.values():
+        _expand_misses(entry, sorted(reads, key=lambda read: (read[0].ell, read[0].t)))
+
+
 def verify_claims(
     claims,
     margin: int = 0,
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> List[VerificationReport]:
-    """Verify claims one after another; reports sorted by claim id."""
+    """Verify claims one after another, every expansion they read made up
+    front (`_expand_ahead`); reports sorted by claim id."""
     _check_margin(margin)
+    claims = list(claims)
+    _expand_ahead(claims, margin, prime_bound)
     reports = [verify_claim(c, margin, prime_bound) for c in claims]
     return sorted(reports, key=lambda r: r.claim.claim_id)
 
@@ -618,8 +735,7 @@ def scan_exceptional(
     """
     if kind not in ("two-exponent", "square-class"):
         raise ValueError(f"unknown scan kind {kind!r}")
-    if prime_bound < 50:
-        raise ValueError("prime bound below 50 would make the scan vacuous")
+    _check_prime_bound(prime_bound)
     if ell_max < 2:
         raise ValueError(f"ell_max {ell_max} leaves no prime ell to scan")
     entry = etaquot.lookup(form_id)

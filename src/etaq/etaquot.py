@@ -22,18 +22,19 @@ covers is inverted once with the Newton inverse.  When every delta shares a
 factor g the whole Euler part is a series in q^g, so the blocks are planned
 for the quotient reduced by g and each coefficient n is placed at
 q^(lead + g n) - a large win for the high-level forms.  One routine does
-all of this for a list of rings (`expand_all`; `expand` is its one-ring
-case): residue rings share one product modulo the lcm of a group of their
-moduli, as large as the int64 guard allows, and each reduces it mod its own
-modulus.
+all of this for a list of rings, each at its own precision (`expand_all`;
+`expand` is its one-ring case): residue rings share one product modulo the
+lcm of a group of their moduli, as large as the int64 guard allows, run to
+the furthest precision in the group, and each reduces it mod its own modulus
+up to its own precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd, isqrt, lcm, prod
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,41 +112,42 @@ class EtaQuotient:
         return self.name()
 
 
-def _pentagonal(n: int) -> int:
-    """The generalized pentagonal numbers 1, 2, 5, 7, 12, ...: k(3k -+ 1)/2, k = ceil(n/2)."""
-    k = (n + 1) // 2
-    return k * (3 * k + (-1) ** n) // 2
-
-
-def _triangular(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def _square(n: int) -> int:
-    return n * n
-
-
-# Closed-form series in q^delta, named as in the module docstring: the eta
-# product whose Euler part the block is, as (multiple of delta, exponent)
-# pairs, and the exponent and coefficient of its n-th nonconstant term.
+# The eta product whose Euler part each block is, named as in the module
+# docstring, as (multiple of delta, exponent) pairs.
 _BLOCKS = {
-    "E": (((1, 1),), _pentagonal, lambda n: (-1) ** ((n + 1) // 2)),
-    "C": (((1, 3),), _triangular, lambda n: (-1) ** n * (2 * n + 1)),
-    "theta3": (((1, -2), (2, 5), (4, -2)), _square, lambda n: 2),
-    "theta4": (((1, 2), (2, -1)), _square, lambda n: 2 * (-1) ** n),
-    "psi": (((1, -1), (2, 2)), _triangular, lambda n: 1),
+    "E": ((1, 1),),
+    "C": ((1, 3),),
+    "theta3": ((1, -2), (2, 5), (4, -2)),
+    "theta4": ((1, 2), (2, -1)),
+    "psi": ((1, -1), (2, 2)),
 }
 
 
 def _block_terms(name: str, delta: int, precision: int) -> List[Tuple[int, int]]:
-    """(exponent, coefficient) of each nonconstant term of a block in q^delta up to q^precision."""
-    _, exponent, coefficient = _BLOCKS[name]
-    terms = []
-    n = 1
-    while delta * exponent(n) <= precision:
-        terms.append((delta * exponent(n), coefficient(n)))
-        n += 1
-    return terms
+    """(exponent, coefficient) of each nonconstant term of a block in q^delta up
+    to q^precision, in increasing exponent, read off its closed form: the
+    pentagonal numbers k(3k -+ 1)/2 with sign (-1)^k (E), the triangular
+    numbers n(n+1)/2 (C, psi) or the squares n^2 (theta3, theta4), each index
+    range cut by an integer square root where the exponent passes top."""
+    top = precision // delta
+    if name == "E":
+        k_max = (isqrt(24 * top + 1) + 1) // 6  # the last k with k(3k - 1)/2 <= top
+        terms = [
+            (delta * (k * (3 * k + s) // 2), -1 if k % 2 else 1)
+            for k in range(1, k_max + 1)
+            for s in (-1, 1)
+        ]
+        return terms if not terms or terms[-1][0] <= precision else terms[:-1]
+    if name in ("C", "psi"):
+        n_max = (isqrt(8 * top + 1) - 1) // 2  # the last n with n(n + 1)/2 <= top
+        if name == "psi":
+            return [(delta * (n * (n + 1) // 2), 1) for n in range(1, n_max + 1)]
+        return [
+            (delta * (n * (n + 1) // 2), -2 * n - 1 if n % 2 else 2 * n + 1)
+            for n in range(1, n_max + 1)
+        ]
+    sign = -1 if name == "theta4" else 1
+    return [(delta * n * n, 2 * sign if n % 2 else 2) for n in range(1, isqrt(top) + 1)]
 
 
 def euler_factor(delta: int, precision: int, ring: Ring) -> QSeries:
@@ -171,7 +173,7 @@ def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict
     blocks: List[Tuple[str, int]] = []
 
     def use(name: str, delta: int) -> None:
-        for m, r in _BLOCKS[name][0]:
+        for m, r in _BLOCKS[name]:
             rest[m * delta] = rest.get(m * delta, 0) - r
         blocks.append((name, delta))
 
@@ -194,7 +196,8 @@ def _sparse_product(
     """Coefficients mod `modulus` of the product of the blocks (name, delta) up to q^precision.
 
     One pass per block adds c times the running product shifted by e for each
-    of the block's terms c q^e (`terms[block]`); residues are reduced after
+    of the block's terms c q^e with e <= precision (`terms[block]`, in
+    increasing e, may reach further); residues are reduced after
     every pass.  A pass moves each slot by at most (1 + sum |c|) (modulus - 1),
     which the caller keeps below the int64 limit (numpy int64 wraps silently).
     """
@@ -203,6 +206,8 @@ def _sparse_product(
     for key in blocks:
         nxt = acc.copy()
         for e, c in terms[key]:
+            if e > precision:
+                break
             src = acc[: precision + 1 - e]
             if c == 1:
                 nxt[e:] += src
@@ -271,48 +276,56 @@ def _ring_groups(rings: List[Ring], weight: int, alone: bool) -> List[list]:
 
 
 def _expand_rings(
-    exponents: Dict[int, int], lead: int, precision: int, rings: List[Ring]
+    exponents: Dict[int, int], lead: int, precisions: List[int], rings: List[Ring]
 ) -> List[QSeries]:
-    """q^lead prod_delta prod_n (1 - q^(delta n))^(r_delta) up to q^precision, in each ring.
+    """q^lead prod_delta prod_n (1 - q^(delta n))^(r_delta) in each ring, up to
+    q^P for that ring's precision P.
 
     The Euler part is a series in q^g for the gcd g of the deltas, so the
-    blocks are planned once for the quotient reduced by g, multiplied up to
-    (precision - lead) // g, and coefficient n is placed at q^(lead + g n).
-    Residue rings share one product per int64 group (`_ring_groups`) and
+    blocks are planned once for the quotient reduced by g, and coefficient n
+    of their product is placed at q^(lead + g n); a ring at precision P reads
+    n <= (P - lead) // g.  Residue rings share one product per int64 group
+    (`_ring_groups`), run as far as the group's furthest ring reads, and
     reduce it mod their own modulus; the other rings reduce the exact
-    product, if at all.  A denominator no block covers needs the Newton
-    inverse in each ring, so then every ring runs alone.
+    product, if at all.  Each ring's coefficient list is built only to its
+    own precision.  A denominator no block covers needs the Newton inverse in
+    each ring, so then every ring runs alone.
     """
     g = gcd(*exponents) or 1
     blocks, leftover = _plan_blocks({d // g: r for d, r in exponents.items()})
     den_blocks = [("E", d) for d, r in leftover.items() for _ in range(r)]
-    sub = (precision - lead) // g
-    terms = {key: _block_terms(*key, sub) for key in set(blocks + den_blocks)}
+    subs = [(precision - lead) // g for precision in precisions]
+    terms = {key: _block_terms(*key, max(subs, default=0)) for key in set(blocks + den_blocks)}
     # a block's l^1 norm 1 + sum |c| weights its passes' int64 guard, and the
     # norms' product bounds every coefficient of a product of blocks
     norm = {key: 1 + sum(abs(c) for _, c in t) for key, t in terms.items()}
     weight = max(norm.values(), default=1)
 
-    def product(blocks: List[Tuple[str, int]], modulus: Optional[int]) -> np.ndarray | List[int]:
-        """The blocks' product: int64 residues mod `modulus`, or a list of integers (None)."""
+    def product(
+        blocks: List[Tuple[str, int]], modulus: Optional[int], sub: int
+    ) -> np.ndarray | List[int]:
+        """The blocks' product up to q^sub: int64 residues mod `modulus`, or a
+        list of integers (None)."""
         if modulus is None:
             moduli = _crt_moduli(weight, prod(norm[key] for key in blocks))
             return _exact_product(blocks, terms, sub, moduli)
         return _sparse_product(blocks, terms, sub, modulus)
 
     def reduce(acc: np.ndarray | List[int], modulus: Optional[int], m: Optional[int]) -> List[int]:
-        """`product(blocks, modulus)` as residues mod m (None: integers)."""
+        """`product(blocks, modulus, ...)` as residues mod m (None: integers)."""
         if modulus is None:
             return acc if m is None else [c % m for c in acc]
         return (acc if m == modulus else acc % m).tolist()
 
-    def residues(ring: Ring, acc: np.ndarray | List[int], modulus: Optional[int]) -> List:
-        """The product, run by `product(blocks, modulus)`, as coefficients in the ring."""
+    def residues(ring: Ring, acc: np.ndarray | List[int], modulus: Optional[int], sub: int) -> List:
+        """The product to q^sub, run by `product(blocks, modulus, ...)`, as
+        coefficients in the ring."""
         m = ring.modulus if ring.kind == "mod" else None
-        values = reduce(acc, modulus, m)
+        values = reduce(acc[: sub + 1], modulus, m)
         if leftover:
             work = ring if m else ZZ
-            den = QSeries._canonical(work, reduce(product(den_blocks, modulus), modulus, m), sub)
+            den_values = reduce(product(den_blocks, modulus, sub), modulus, m)
+            den = QSeries._canonical(work, den_values, sub)
             values = (QSeries._canonical(work, values, sub) * den.inverse()).coeffs
         return [Fraction(c) for c in values] if ring.kind == "QQ" else values
 
@@ -320,36 +333,42 @@ def _expand_rings(
     # group's product is alive at a time: a batch keeps no list per ring
     out: List[QSeries] = [None] * len(rings)
     for group, modulus in _ring_groups(rings, weight, bool(leftover)):
-        acc = product(blocks, modulus)
+        acc = product(blocks, modulus, max(subs[i] for i in group))
         for i in group:
-            coeffs = [rings[i].zero()] * (precision + 1)
-            coeffs[lead::g] = residues(rings[i], acc, modulus)
-            out[i] = QSeries._canonical(rings[i], coeffs, precision)
+            coeffs = [rings[i].zero()] * (precisions[i] + 1)
+            coeffs[lead::g] = residues(rings[i], acc, modulus, subs[i])
+            out[i] = QSeries._canonical(rings[i], coeffs, precisions[i])
         del acc, coeffs
     return out
 
 
 def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> QSeries:
     """prod_delta prod_n (1 - q^(delta n))^(r_delta), without the q^(s/24) prefactor."""
-    return _expand_rings(exponents, 0, precision, [ring])[0]
+    return _expand_rings(exponents, 0, [precision], [ring])[0]
 
 
-def _leading_power(quotient: EtaQuotient, precision: int) -> int:
+def _leading_power(quotient: EtaQuotient, precisions: List[int]) -> int:
     s = quotient.exponent_sum
     if s % 24 != 0:
         raise ValueError("exponent sum not divisible by 24")
     lead = s // 24
     if lead < 0:
         raise ValueError(f"leading power q^({lead}) is negative; not a holomorphic expansion")
-    if precision < lead:
-        raise ValueError(f"precision {precision} cannot see the leading term q^{lead}")
+    if min(precisions, default=lead) < lead:
+        raise ValueError(f"precision {min(precisions)} cannot see the leading term q^{lead}")
     return lead
 
 
-def expand_all(quotient: EtaQuotient, precision: int, rings: List[Ring]) -> List[QSeries]:
-    """expand(quotient, precision, ring) for each of the rings, in order."""
-    lead = _leading_power(quotient, precision)
-    return _expand_rings(dict(quotient.factors), lead, precision, rings)
+def expand_all(
+    quotient: EtaQuotient, precision: int | Sequence[int], rings: List[Ring]
+) -> List[QSeries]:
+    """expand(quotient, P, ring) for each of the rings, in order, where
+    `precision` is one P for every ring or a sequence of one P per ring."""
+    precisions = [precision] * len(rings) if isinstance(precision, int) else list(precision)
+    if len(precisions) != len(rings):
+        raise ValueError(f"{len(precisions)} precisions for {len(rings)} rings")
+    lead = _leading_power(quotient, precisions)
+    return _expand_rings(dict(quotient.factors), lead, precisions, rings)
 
 
 def expand(quotient: EtaQuotient, precision: int, ring: Ring = ZZ) -> QSeries:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import cycle
 from math import gcd, lcm
-from typing import Tuple
+from typing import Iterator, Optional, Tuple
 
 from .characters import Character
 from .qseries import QSeries
@@ -36,10 +36,7 @@ def theta(series: QSeries, times: int = 1) -> QSeries:
     if times == 0:
         return series
     if series.ring.kind == "mod":
-        # n^times mod m depends on n mod m only: read it from one period
-        m = series.ring.modulus
-        period = [pow(n, times, m) for n in range(min(m, series.precision + 1))]
-        coeffs = [p * c % m for p, c in zip(cycle(period), series.coeffs)]
+        coeffs = tuple(twist_theta_coeffs(series, None, times))
         return QSeries._canonical(series.ring, coeffs, series.precision)
     coeffs = [n**times * c for n, c in enumerate(series.coeffs)]
     return QSeries._reduced(series.ring, coeffs, series.precision)
@@ -81,8 +78,27 @@ def u_operator(series: QSeries, m: int) -> QSeries:
 
 def twist(series: QSeries, chi: Character) -> QSeries:
     """Coefficient twist a(n) -> chi(n) a(n)."""
+    if series.ring.kind == "mod":
+        coeffs = tuple(twist_theta_coeffs(series, chi, 0))
+        return QSeries._canonical(series.ring, coeffs, series.precision)
     coeffs = [v * c for v, c in zip(chi.values(series.precision + 1), series.coeffs)]
     return QSeries._reduced(series.ring, coeffs, series.precision)
+
+
+def twist_theta_coeffs(series: QSeries, chi: Optional[Character], times: int) -> Iterator[int]:
+    """The coefficients chi(n) n^times a(n) of theta^times of the twist of a
+    series over Z/ell^t (no twist when chi is None), one at a time, so that
+    no series need be built.  The factor chi(n) n^times mod ell^t depends on
+    n mod lcm(modulus of chi, ell^t) only (on n mod the modulus of chi when
+    times = 0), so it is read from one period."""
+    m = series.ring.modulus
+    values = chi.values(chi.modulus) if chi is not None else [1]
+    period = lcm(len(values), m) if times else len(values)
+    factors = [
+        values[n % len(values)] * pow(n, times, m) % m
+        for n in range(min(period, series.precision + 1))
+    ]
+    return (f * c % m for f, c in zip(cycle(factors), series.coeffs))
 
 
 def twist_meta(meta: FormMeta, chi: Character) -> FormMeta:

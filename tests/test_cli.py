@@ -319,6 +319,26 @@ def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_verify_reports_the_first_fault_in_claim_order(tmp_path, capsys, reverse):
+    # one fault shows only when the claim runs (G_12's constant has no image
+    # mod 5), the other already when its reads are planned (m + m' != k - 1
+    # mod ell - 1); either way the run stops at whichever comes first
+    at_run = dict(RAW, claim_id="at-run", lhs={"G": 12})
+    at_plan = {"claim_id": "at-plan", "kind": "two-exponent", "form": "delta", "ell": 691,
+               "m": 0, "m_prime": 10, "psi": "1_1"}
+    claims = [at_plan, at_run] if reverse else [at_run, at_plan]
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": claims}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    if reverse:
+        assert err == "error: at-plan: exponents violate m + m' = k - 1 mod ell - 1\n"
+    else:
+        assert err == "error: coefficient a(0) = 691/65520 is not 5-integral; cannot reduce mod 5^1\n"
+
+
 def test_raw_identity_reads_the_constant_of_G_only_where_it_reduces(tmp_path, capsys):
     # G_12 has constant 691/65520: no image mod 5, 0 mod 691, where G_12 = delta
     path = tmp_path / "claims.json"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from math import gcd
 from pathlib import Path
 
@@ -493,6 +494,40 @@ def test_cached_expansions_expand_each_miss_once_and_together(monkeypatch):
     assert congruence.cached_expansion(entry, 400, rings[2]) == fresh[rings[2]]
     assert congruence.cached_expansion(entry, 300, rings[2]) == fresh[rings[2]].truncate(300)
     assert calls[2:] == [["Z/7^2"]]
+    clear_expansion_cache()
+
+
+def test_verify_claims_expands_each_form_once_in_any_order(monkeypatch):
+    # the run plans its reads first: one expand_all call per catalog form,
+    # over every ring it is read in, whatever the claim order, and the cache
+    # ends as a claim-by-claim run leaves it
+    claims = list(builtin_claims())
+    clear_expansion_cache()
+    for claim in claims:
+        verify_claim(claim)
+    one_by_one = {key: series.precision for key, series in congruence._expansion_cache.items()}
+    forms = {form_id for form_id, _ in one_by_one}
+    pinned = json.loads(PINNED_REPORTS.read_text())["reports"]
+    expanded = []
+    real = etaquot.expand_all
+
+    def spy(quotient, precision, rings):
+        expanded.append(quotient.name())
+        return real(quotient, precision, rings)
+
+    monkeypatch.setattr(etaquot, "expand_all", spy)
+    for seed in (1, 2, 3):
+        random.Random(seed).shuffle(claims)
+        clear_expansion_cache()
+        expanded.clear()
+        reports = [r.to_json() for r in verify_claims(claims)]
+        for data in reports:
+            del data["seconds"]
+        assert reports == pinned, seed
+        assert sorted(expanded) == sorted(lookup(form_id).quotient.name() for form_id in forms)
+        assert len(forms) == 22
+        cached = {key: series.precision for key, series in congruence._expansion_cache.items()}
+        assert cached == one_by_one, seed
     clear_expansion_cache()
 
 

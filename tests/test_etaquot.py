@@ -208,7 +208,7 @@ def test_each_block_matches_brute_oracle_of_its_eta_product():
     # series with constant term 1 is determined by any power of it
     precision = 300
     for name in ("C", "theta3", "theta4", "psi"):
-        eta = _BLOCKS[name][0]
+        eta = _BLOCKS[name]
         for delta in (1, 2, 3):
             coeffs = [1] + [0] * precision
             for e, c in _block_terms(name, delta, precision):
@@ -373,6 +373,47 @@ def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkey
             assert got == reduce_mod(exact, ring.ell, ring.t), where
         else:
             assert got == QSeries(ring, exact.coeffs), where
+
+
+def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
+    # one call with a precision per ring, ZZ, QQ and residue rings mixed:
+    # each series equals the one-ring expansion at its own precision, and a
+    # group's product runs as far as its furthest ring reads and no further
+    rings = [ZZ, residue_ring(3), residue_ring(2, 14), QQ, residue_ring(3, 5), residue_ring(2, 70),
+             residue_ring(691), residue_ring(2, 9), residue_ring(7, 2)]
+    precisions = [120, 900, 37, 250, 1, 640, 900, 899, 2]
+    reaches, groups = [], []
+    real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
+
+    def product_spy(blocks, terms, precision, modulus):
+        reaches.append(precision)
+        return real_product(blocks, terms, precision, modulus)
+
+    def groups_spy(*args):
+        groups[:] = real_groups(*args)
+        return groups
+
+    monkeypatch.setattr(etaquot, "_sparse_product", product_spy)
+    monkeypatch.setattr(etaquot, "_ring_groups", groups_spy)
+    leftover = EtaQuotient.from_dict({1: -1, 5: 5})
+    for quotient in [e.quotient for e in catalog()] + [leftover]:
+        reaches.clear()
+        series = expand_all(quotient, precisions, rings)
+        lead = quotient.exponent_sum // 24
+        g = gcd(*(d for d, _ in quotient.factors))
+        subs = [(p - lead) // g for p in precisions]
+        # the leftover runs every ring alone, numerator and denominator alike
+        furthest = {max(subs[i] for i in group) for group, _ in groups}
+        assert set(reaches) == furthest and len(furthest) > 2, quotient
+        for ring, precision, got in zip(rings, precisions, series):
+            where = (quotient.name(), ring.describe(), precision)
+            assert got.precision == precision, where
+            assert got == expand(quotient, precision, ring), where
+            assert {type(c) for c in got.coeffs} == {Fraction if ring == QQ else int}, where
+    with pytest.raises(ValueError, match="2 precisions for 3 rings"):
+        expand_all(leftover, [10, 20], rings[:3])
+    with pytest.raises(ValueError, match="cannot see the leading term"):
+        expand_all(leftover, [10, 0], rings[:2])
 
 
 def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():

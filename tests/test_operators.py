@@ -10,6 +10,7 @@ from etaq.operators import (
     theta_mod_rule,
     twist,
     twist_meta,
+    twist_theta_coeffs,
     u_operator,
 )
 from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
@@ -134,6 +135,20 @@ def test_twist_reads_chi_from_one_period_for_every_character_in_use():
         assert chi.values(3 * m + 1) == [chi(n) for n in range(3 * m + 1)], chi
         f = QSeries(ZZ, [n * n - 7 for n in range(3 * m + 1)])
         assert list(twist(f, chi).coeffs) == [chi(n) * f[n] for n in range(3 * m + 1)], chi
+
+
+def test_twist_theta_coeffs_match_the_integer_operators_reduced():
+    # chi(n) n^times a(n) mod ell^t from one period of the factor, against
+    # twist and theta over ZZ reduced; some of the periods wrap, some do not
+    rings = [residue_ring(ell, t) for ell, t in ((2, 1), (3, 1), (2, 14), (5, 2), (691, 1))]
+    for chi in [None, *_characters_in_use()]:
+        precision = 2 * (chi.modulus if chi else 1) + 40
+        f = QSeries(ZZ, [(-1) ** n * (n**3 - 7 * n + 5) for n in range(precision + 1)])
+        for times in (0, 1, 2, 5):
+            exact = theta(f if chi is None else twist(f, chi), times)
+            for ring in rings:
+                got = list(twist_theta_coeffs(QSeries(ring, f.coeffs), chi, times))
+                assert got == list(reduce_mod(exact, ring.ell, ring.t).coeffs), (chi, times, ring)
 
 
 def test_double_twist_by_quadratic_character_restores_coprime_part():
