@@ -8,23 +8,28 @@ the space that holds them and compared, a proof ("sturm-proved") unless a
 theta step was conservative.  Every side is computed in Z/ell^t from its
 base on (the form's cached expansion, or G_k or the weight-2 series from
 `eisenstein` in that ring), so twist, theta and pad act on residues and no
-rational series is made; twist and theta act one coefficient at a time, so
-only a padded side is built as a series.  The lower-weight side is padded
-by a form congruent to 1, so for ell >= 5 the weights must differ by a
-multiple of phi(ell^t) (E_4 and weight-2 level-d series serve mod 3 and 2).
-Prime-power and unit-factor claims are scanned over many primes instead
-("numerical-evidence").  Their congruences and the exceptional-prime scan's
-are all one shape, a table of residue classes c with
-a(p) = u_c (p^m + p^m') mod ell^(t_c), and `_first_failure` is the one
-place that checks such a table.
+rational series is made.  A side is a numpy array of residues, int64 while
+a product of two fits and Python ints beyond (`residue_dtype`): twist and
+theta are one multiply by a table of chi(n) n^j, the first mismatch is
+found by one array comparison, and only a pad is multiplied as a series.
+The lower-weight side is padded by a form congruent to 1, so for ell >= 5
+the weights must differ by a multiple of phi(ell^t) (E_4 and weight-2
+level-d series serve mod 3 and 2).  Prime-power and unit-factor claims are
+scanned over many primes instead ("numerical-evidence").  Their
+congruences and the exceptional-prime scan's are all one shape, a table of
+residue classes c with a(p) = u_c (p^m + p^m') mod ell^(t_c), and
+`_first_failure` is the one place that checks such a table, at every
+prime at once.
 
 `verify_claims` plans a run before it runs a claim: it derives, with no
 series built, which (form, ell^t, precision) each claim will read
 (`_reads`: the form sides at their bound, or the scanned form at the prime
 bound) and expands each catalog form once, over all of its rings
-(`_expand_ahead`), so the claims themselves only hit the cache.  A report's
-`seconds` therefore leaves out the expansions made up front.  Reports are
-plain data and serialize to JSON with stable field order.
+(`_expand_ahead`), so the claims themselves only hit the cache; each series
+claim's sides and bound are derived there once and kept for its verifier.
+A report's `seconds` therefore leaves out the expansions and derivations
+made up front.  Reports are plain data and serialize to JSON with stable
+field order.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import etaquot
 from .characters import Character, kronecker_character, parse_character, trivial_mod
@@ -45,11 +52,11 @@ from .operators import (
     theta_mod_rule,
     twist,
     twist_meta,
-    twist_theta_coeffs,
+    twist_theta_factors,
     u_operator,
 )
 from .oracles import primes_up_to
-from .qseries import QSeries, Ring, ZZ, residue_ring
+from .qseries import QSeries, Ring, ZZ, powers_mod, residue_dtype, residue_ring
 from .sturm import agreement_bound
 
 DEFAULT_PRIME_BOUND = 10_000
@@ -140,7 +147,8 @@ def cached_expansions(
     entry: etaquot.CatalogEntry, precision: int, rings: List[Ring]
 ) -> List[QSeries]:
     """Expansions of a catalog form in each ring, memoized per (form, ring) at
-    the largest precision seen; the misses are expanded together."""
+    the largest precision seen; the misses are expanded together.  A
+    residue-ring series is a view of its cached array (`QSeries.residues`)."""
     _expand_misses(entry, [(ring, precision) for ring in rings])
     return [_expansion_cache[entry.form_id, _ring_key(ring)].truncate(precision) for ring in rings]
 
@@ -198,13 +206,14 @@ def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
     return meta, regime
 
 
-def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> Iterable[int]:
-    """A side's coefficients a(0), ..., a(precision) mod ell^t, every step in
-    the residue ring.  An Eisenstein base reduces its constant only when the
-    side reads a(0): theta, or a twist with chi(0) = 0, kills a constant that
-    need not be ell-integral.  Twist and theta act on one coefficient at a
-    time (`twist_theta_coeffs`), so a side without a pad streams from its
-    base and only a padded side is built as a series."""
+def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> np.ndarray:
+    """A side's coefficients a(0), ..., a(precision) mod ell^t as an array of
+    dtype `residue_dtype(ell^t)`, every step in the residue ring.  An
+    Eisenstein base reduces its constant only when the side reads a(0):
+    theta, or a twist with chi(0) = 0, kills a constant that need not be
+    ell-integral.  Twist and theta are one multiply by the table of
+    chi(n) n^j mod ell^t (`twist_theta_factors`); only a padded side is
+    built as a series, through the operators, to be multiplied by its pad."""
     ring = residue_ring(ell, t)
     if side.base == "form":
         series = cached_expansion(etaquot.lookup(side.arg), precision, ring)
@@ -212,12 +221,17 @@ def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> Iterable[int]:
         constant = not side.theta and (side.twist is None or side.twist(0) != 0)
         build = eisenstein_G if side.base == "G" else eisenstein_E2_level
         series = build(side.arg, precision, ring, constant)
-    if side.pad is None:
-        return twist_theta_coeffs(series, side.twist, side.theta)
-    if side.twist is not None:
-        series = twist(series, side.twist)
-    series = theta(series, side.theta)
-    return (series * eisenstein_E(side.pad[0], precision, ring).pow(side.pad[1])).coeffs
+    if side.pad is not None:
+        if side.twist is not None:
+            series = twist(series, side.twist)
+        series, pad = theta(series, side.theta), eisenstein_E(side.pad[0], precision, ring)
+        if pad.coeffs[0] != 1 or any(pad.coeffs[1:]):  # a pad that reads 1 leaves the side as it is
+            series = series * pad.pow(side.pad[1])
+        return series.residues()
+    if side.twist is None and not side.theta:
+        return series.residues()
+    m = ring.modulus
+    return series.residues() * twist_theta_factors(side.twist, side.theta, m, precision + 1) % m
 
 
 def _comparison(
@@ -248,16 +262,31 @@ def _comparison(
     return bound, weight, level, "conservative" in (lhs_regime, rhs_regime)
 
 
-def _compare(
-    claim: CongruenceClaim, margin: int, lhs: Side, rhs: Side, detail: str = ""
-) -> VerificationReport:
-    """Compare two sides mod ell^t up to the bound `_comparison` derives;
-    agreement is evidence, not proof, when a theta step of either side is
-    conservative."""
+# The derivation of each series claim the running `verify_claims` planned,
+# by (id(claim), margin).  An entry holds its claim, so no id is reused
+# while it lasts, and the run empties this when it ends.
+_derivations: Dict[Tuple[int, int], Tuple[CongruenceClaim, Tuple]] = {}
+
+
+def _derive(claim: CongruenceClaim, margin: int) -> Tuple[Side, Side, str, Tuple[int, int, int, bool]]:
+    """(lhs, rhs, detail, `_comparison`) of a series claim: as the running
+    `verify_claims` planned it, or derived here."""
+    planned = _derivations.get((id(claim), margin))
+    if planned is not None:
+        return planned[1]
+    lhs, rhs, detail = _SIDES[claim.kind](claim)
+    return lhs, rhs, detail, _comparison(claim, margin, lhs, rhs)
+
+
+def _compare(claim: CongruenceClaim, margin: int) -> VerificationReport:
+    """Compare a series claim's two sides mod ell^t up to the bound
+    `_comparison` derives; agreement is evidence, not proof, when a theta
+    step of either side is conservative."""
     started = time.perf_counter()
-    bound, weight, level, conservative = _comparison(claim, margin, lhs, rhs)
+    lhs, rhs, detail, (bound, weight, level, conservative) = _derive(claim, margin)
     lhs_coeffs, rhs_coeffs = (_side_coeffs(side, claim.ell, claim.t, bound) for side in (lhs, rhs))
-    mismatch = next((n for n, (a, b) in enumerate(zip(lhs_coeffs, rhs_coeffs)) if a != b), None)
+    differ = np.flatnonzero(lhs_coeffs != rhs_coeffs)
+    mismatch = int(differ[0]) if len(differ) else None
     rigor = "numerical-evidence" if conservative else "sturm-proved"
     verdict = "failed" if mismatch is not None else "evidence" if conservative else "proved"
     return VerificationReport(
@@ -307,7 +336,7 @@ def _two_exponent_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
 def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
     """Check theta(f x 1_N) against theta^(m+1) of a weight-(m'-m+1) Eisenstein
     series twisted by psi, modulo ell, across an enclosing space."""
-    return _compare(claim, margin, *_two_exponent_sides(claim))
+    return _compare(claim, margin)
 
 
 # -- square-class congruences: theta^((ell+1)/2) f = theta f mod ell --------
@@ -322,7 +351,7 @@ def _square_class_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
 
 
 def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    return _compare(claim, margin, *_square_class_sides(claim))
+    return _compare(claim, margin)
 
 
 # -- prime-power congruences on progressions of primes ----------------------
@@ -348,13 +377,14 @@ def _check_prime_bound(prime_bound: int) -> None:
         raise ValueError("prime bound below 50 would make the scan vacuous")
 
 
-def _good_primes(primes: Sequence[int], level: int, ell: int) -> List[int]:
-    return [p for p in primes if level % p and p != ell]
+def _good_primes(primes: Sequence[int], level: int, ell: int) -> np.ndarray:
+    primes = np.asarray(primes, dtype=np.int64)
+    return primes[(level % primes != 0) & (primes != ell)]
 
 
 def _first_failure(
-    series: QSeries,
-    primes: List[int],
+    coeffs: np.ndarray,
+    primes: Sequence[int],
     m: int,
     mp: int,
     period: int,
@@ -362,19 +392,30 @@ def _first_failure(
 ) -> Tuple[Optional[int], int]:
     """Check a(p) = u_c (p^m + p^m') mod q_c at each prime p whose class
     c = p mod period is in `classes` (c -> (u_c, q_c), q_c a power of ell);
-    no other prime is judged.  Returns the first prime where the congruence
-    fails (None if none) and how many primes it judged."""
-    coeffs = series.coeffs
-    checked = 0
-    for p in primes:
-        rule = classes.get(p % period)
-        if rule is None:
-            continue
-        u, q = rule
-        checked += 1
-        if (coeffs[p] - u * (pow(p, m, q) + pow(p, mp, q))) % q:
-            return p, checked
-    return None, checked
+    no other prime is judged.  Every prime at once: `coeffs` is an array
+    indexed by p, each judged prime reads u_c and q_c from the sorted class
+    table, and p^m mod q_c is powered for all of them together, in int64
+    while the largest q_c allows (`residue_dtype`).  Returns the first prime
+    where the congruence fails (None if none) and how many primes it judged,
+    that one included."""
+    # every prime lies below 2^62, so a class from there on holds none, and a
+    # larger period leaves each prime its own class
+    keys = sorted(k for k in classes if k < 2**62)
+    if not keys:
+        return None, 0
+    dtype = residue_dtype(max(q for _, q in classes.values()))
+    primes = np.asarray(primes, dtype=np.int64)
+    c, table = primes % min(period, 2**62), np.array(keys)
+    slot = np.minimum(np.searchsorted(table, c), len(keys) - 1)
+    judged = table[slot] == c
+    p, slot = primes[judged], slot[judged]
+    q = np.array([classes[k][1] for k in keys], dtype=dtype)[slot]
+    u = np.array([classes[k][0] % classes[k][1] for k in keys], dtype=dtype)[slot]
+    expected = u * ((powers_mod(p, m, q) + powers_mod(p, mp, q)) % q) % q
+    failed = np.flatnonzero((coeffs[p] - expected) % q)
+    if len(failed):
+        return int(p[failed[0]]), int(failed[0]) + 1
+    return None, len(p)
 
 
 def _prime_scan(
@@ -389,7 +430,7 @@ def _prime_scan(
     started = time.perf_counter()
     _check_prime_bound(prime_bound)
     entry = etaquot.lookup(claim.form)
-    f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t))
+    f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t)).residues()
     primes = _good_primes(_primes_to(prime_bound), entry.level, claim.ell)
     witness, checked = _first_failure(f_res, primes, *table)
     if checked == 0:
@@ -459,7 +500,7 @@ def _twist_power_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
 
 
 def verify_twist_power(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    return _compare(claim, margin, *_twist_power_sides(claim))
+    return _compare(claim, margin)
 
 
 # -- raw two-pipeline identities --------------------------------------------
@@ -491,7 +532,7 @@ def _raw_identity_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
 
 
 def verify_raw_identity(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    return _compare(claim, margin, *_raw_identity_sides(claim))
+    return _compare(claim, margin)
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -543,14 +584,15 @@ def _reads(
 ) -> List[Tuple[etaquot.CatalogEntry, Ring, int]]:
     """(form, ring, precision) of each expansion the claim's verifier reads:
     the form sides of its comparison at the bound `_comparison` derives, or
-    the scanned form at the prime bound, all mod ell^t."""
+    the scanned form at the prime bound, all mod ell^t.  A series claim's
+    derivation is kept for its verifier (`_derivations`)."""
     ring = residue_ring(claim.ell, claim.t)
     if claim.kind in _TABLES:
         _TABLES[claim.kind](claim)  # raises where the verifier would, before the scan
         _check_prime_bound(prime_bound)
         return [(etaquot.lookup(claim.form), ring, prime_bound)]
-    lhs, rhs, _ = _SIDES[claim.kind](claim)
-    bound = _comparison(claim, margin, lhs, rhs)[0]
+    lhs, rhs, _, (bound, *_) = derived = _derive(claim, margin)
+    _derivations[id(claim), margin] = (claim, derived)
     return [(etaquot.lookup(side.arg), ring, bound) for side in (lhs, rhs) if side.base == "form"]
 
 
@@ -579,11 +621,15 @@ def verify_claims(
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> List[VerificationReport]:
     """Verify claims one after another, every expansion they read made up
-    front (`_expand_ahead`); reports sorted by claim id."""
+    front and every series comparison derived once (`_expand_ahead`);
+    reports sorted by claim id."""
     _check_margin(margin)
     claims = list(claims)
-    _expand_ahead(claims, margin, prime_bound)
-    reports = [verify_claim(c, margin, prime_bound) for c in claims]
+    try:
+        _expand_ahead(claims, margin, prime_bound)
+        reports = [verify_claim(c, margin, prime_bound) for c in claims]
+    finally:
+        _derivations.clear()
     return sorted(reports, key=lambda r: r.claim.claim_id)
 
 
@@ -652,7 +698,7 @@ def _candidate_psi(n_level: int) -> List[Character]:
     return out
 
 
-def _square_class_survivors(ell: int, primes: List[int], small: QSeries) -> List[Tuple]:
+def _square_class_survivors(ell: int, primes: np.ndarray, small: np.ndarray) -> List[Tuple]:
     """[(None, table)] for a(p) = 0 mod ell on the non-squares mod ell (u = 0,
     so the exponents are immaterial) when it holds at every prime given, else
     [] (and always [] for ell = 2, which has no non-squares)."""
@@ -729,9 +775,10 @@ def scan_exceptional(
     `cached_expansions` call gives the series mod every surviving ell: the
     ones not cached at prime_bound are expanded together, one product per
     int64 group of moduli, and cached under their (form, ell) keys.  Last,
-    every survivor runs over every good prime of the expansion mod its ell;
-    a finding fails at no prime and judges at least one.  The primes come
-    from `_primes_to(max(prime_bound, ell_max))`, which sieves at most once.
+    every survivor's table is checked at all good primes of the expansion
+    mod its ell at once; a finding fails at no prime and judges at least
+    one.  The primes come from `_primes_to(max(prime_bound, ell_max))`,
+    which sieves at most once.
     """
     if kind not in ("two-exponent", "square-class"):
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -746,25 +793,26 @@ def scan_exceptional(
     psis = _candidate_psi(n_level)
     periods = [psi.values(psi.modulus) for psi in psis]
     rows = [(p, small.coeffs[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
+    prescan = np.array(prescan, dtype=np.int64)
 
     survivors: Dict[int, List[Tuple]] = {}
     for ell in primes[: bisect_right(primes, ell_max)]:
         if kind == "two-exponent":
             found = _two_exponent_survivors(ell, k, psis, periods, rows)
         else:
-            found = _square_class_survivors(ell, _good_primes(prescan, n_level, ell), small)
+            found = _square_class_survivors(ell, _good_primes(prescan, n_level, ell), small.residues())
         if found:
             survivors[ell] = found
 
     series = cached_expansions(entry, prime_bound, [residue_ring(ell) for ell in survivors])
-    scan_primes = primes[: bisect_right(primes, prime_bound)]
+    scan_primes = np.array(primes[: bisect_right(primes, prime_bound)], dtype=np.int64)
     findings: List[ScanFinding] = []
     for (ell, candidates), f_res in zip(survivors.items(), series):
         good = _good_primes(scan_primes, n_level, ell)
         qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
         masked = kind == "square-class" and not qualified
         for psi, table in candidates:
-            witness, checked = _first_failure(f_res, good, *table)
+            witness, checked = _first_failure(f_res.residues(), good, *table)
             if witness is None and checked:
                 m, mp, psi_text = (None, None, None) if psi is None else (*table[:2], psi.describe())
                 findings.append(ScanFinding(ell, kind, masked, m, mp, psi_text, checked))

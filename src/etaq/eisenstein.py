@@ -2,11 +2,11 @@
 
 Each constructor takes its coefficient ring the way `etaquot.expand` does,
 with the rationals as the default.  Divisor sums are filled in by one sieve
-over divisors rather than by factoring, so the oracle module's
-trial-division sums stay independent; in Z/ell^t the sieve adds
-pow(d, nu, ell^t).  The only non-integral numbers are the constant -B_k/2k
-of G_k, the constant (N - 1)/24 of the weight-2 level-N series and the
-normalizer -2k/B_k of E_k.  Each is mapped into the ring once, and one that
+over divisor pairs rather than by factoring, so the oracle module's
+trial-division sums stay independent; in Z/ell^t the sieve adds d^nu mod
+ell^t, every power taken at once in a numpy array.  The only non-integral
+numbers are the constant -B_k/2k of G_k, the constant (N - 1)/24 of the
+weight-2 level-N series and the normalizer -2k/B_k of E_k.  Each is mapped into the ring once, and one that
 is not ell-integral has no image mod ell^t: that is an error.  A caller that
 applies theta, which kills a(0), passes constant=False and never needs it.
 The verification engine builds every Eisenstein side and pad this way,
@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
-from .qseries import QQ, QSeries, Ring, reduce_coefficient, reduce_mod
+import numpy as np
+
+from .qseries import QQ, QSeries, Ring, powers_mod, reduce_coefficient, reduce_mod, residue_dtype
 
 
 @lru_cache(maxsize=None)
@@ -40,17 +42,29 @@ def bernoulli(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-def _divisor_power_sums(precision: int, nu: int, ring: Ring) -> list:
-    """Table of sigma_nu(n) for n <= precision, filled by sieving.  In a
-    residue ring each divisor adds pow(d, nu, ell^t), so an entry is only
-    congruent to sigma_nu(n); callers reduce once, when they wrap it."""
+def _divisor_power_sums(precision: int, nu: int, ring: Ring) -> np.ndarray:
+    """Array of sigma_nu(n) for n <= precision (entry 0 is 0), sieved over the
+    divisor pairs d e = n with d <= e: one slice add per d <= sqrt(precision).
+    In a residue ring the powers are d^nu mod ell^t (dtype `residue_dtype`),
+    so an entry is only congruent to sigma_nu(n), below d(n) ell^t, which
+    stays inside int64; callers reduce once, when they wrap it.  Over ZZ and
+    QQ the entries are Python integers."""
     modulus = ring.modulus if ring.kind == "mod" else None
-    table = [0] * (precision + 1)
-    for d in range(1, precision + 1):
-        dp = pow(d, nu, modulus)
-        for n in range(d, precision + 1, d):
-            table[n] += dp
+    n = np.arange(precision + 1, dtype=residue_dtype(modulus) if modulus else object)
+    power = powers_mod(n, nu, modulus) if modulus else n**nu
+    table = np.zeros_like(power)
+    for d in range(1, isqrt(precision) + 1):
+        table[d * d] += power[d]
+        # n = d e for each e > d adds both divisors
+        table[d * (d + 1) :: d] += power[d] + power[d + 1 : precision // d + 1]
     return table
+
+
+def _series(ring: Ring, coeffs: np.ndarray, precision: int) -> QSeries:
+    """Wrap a table of ring arithmetic results, reduced in bulk."""
+    if ring.kind == "mod":
+        return QSeries._canonical(ring, coeffs % ring.modulus, precision)
+    return QSeries._reduced(ring, coeffs.tolist(), precision)
 
 
 def _coefficient(value: Fraction, n: int, ring: Ring):
@@ -66,7 +80,7 @@ def eisenstein_G(k: int, precision: int, ring: Ring = QQ, constant: bool = True)
     coeffs = _divisor_power_sums(precision, k - 1, ring)
     if constant:
         coeffs[0] = _coefficient(-bernoulli(k) / (2 * k), 0, ring)
-    return QSeries._reduced(ring, coeffs, precision)
+    return _series(ring, coeffs, precision)
 
 
 def eisenstein_E(k: int, precision: int, ring: Ring = QQ) -> QSeries:
@@ -78,7 +92,7 @@ def eisenstein_E(k: int, precision: int, ring: Ring = QQ) -> QSeries:
 
 def eisenstein_E2(precision: int) -> QSeries:
     """Quasi-modular E_2 = 1 - 24 sum sigma_1(n) q^n."""
-    coeffs = [Fraction(-24) * s for s in _divisor_power_sums(precision, 1, QQ)]
+    coeffs = [Fraction(-24) * s for s in _divisor_power_sums(precision, 1, QQ).tolist()]
     coeffs[0] = Fraction(1)
     return QSeries(QQ, coeffs, precision)
 
@@ -91,12 +105,11 @@ def eisenstein_E2_level(
     if n_level < 2:
         raise ValueError("the level-raised weight-2 series needs N >= 2")
     sig = _divisor_power_sums(precision, 1, ring)
-    coeffs = list(sig)
-    for m in range(n_level, precision + 1, n_level):
-        coeffs[m] -= n_level * sig[m // n_level]
+    coeffs = sig.copy()
+    coeffs[n_level::n_level] -= n_level * sig[1 : precision // n_level + 1]
     if constant:
         coeffs[0] = _coefficient(Fraction(n_level - 1, 24), 0, ring)
-    return QSeries._reduced(ring, coeffs, precision)
+    return _series(ring, coeffs, precision)
 
 
 def e2_replacement(ell: int, t: int, precision: int) -> QSeries:

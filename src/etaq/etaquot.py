@@ -13,10 +13,10 @@ Theta Series Identities, 2011); eta(d) stands for eta(delta z):
   psi(delta)    = eta(2d)^2 / eta(d)                 sum_(n >= 0) q^(delta n(n+1)/2)
 
 Each has O(sqrt(P)) terms up to q^P, so multiplying the running product by
-one block is a handful of shifted, scaled adds on int64 numpy slices mod m,
-with m small enough that no pass overflows; an exact product (over ZZ, QQ,
-or a modulus too large for int64 such as 2^70) joins a few such runs by CRT,
-as FLINT multiplies over ZZ.  The theta blocks absorb every denominator of
+one block is a handful of shifted, scaled adds on numpy slices mod m, in
+int32 or int64 with m small enough that no pass overflows; an exact
+product (over ZZ, QQ, or a modulus too large for int64 such as 2^70) joins
+a few such runs by CRT, as FLINT multiplies over ZZ.  The theta blocks absorb every denominator of
 the catalog, so no catalog form needs a division; a denominator no block
 covers is inverted once with the Newton inverse.  When every delta shares a
 factor g the whole Euler part is a series in q^g, so the blocks are planned
@@ -39,11 +39,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characters import Character, parse_character, trivial_mod
-from .qseries import QSeries, Ring, ZZ
+from .qseries import QSeries, Ring, ZZ, residue_dtype
 
 # A sparse pass moves a slot by at most (1 + sum |c|) (modulus - 1) over the
 # block's terms c q^e, so it runs in int64 while that stays below this limit.
 _INT64_LIMIT = 2**63 - 1
+_INT32_LIMIT = 2**31 - 1
 # the nonconstant terms (e, c) of each block (name, delta): `_block_terms`
 _Terms = Dict[Tuple[str, int], List[Tuple[int, int]]]
 
@@ -199,9 +200,12 @@ def _sparse_product(
     of the block's terms c q^e with e <= precision (`terms[block]`, in
     increasing e, may reach further); residues are reduced after
     every pass.  A pass moves each slot by at most (1 + sum |c|) (modulus - 1),
-    which the caller keeps below the int64 limit (numpy int64 wraps silently).
+    which the caller keeps below the int64 limit (numpy int64 wraps silently);
+    the passes run in int32, half the memory traffic, while the largest such
+    weight of these blocks keeps that below the int32 limit.
     """
-    acc = np.zeros(precision + 1, dtype=np.int64)
+    weight = max((1 + sum(abs(c) for _, c in terms[key]) for key in set(blocks)), default=1)
+    acc = np.zeros(precision + 1, dtype=np.int32 if weight * (modulus - 1) < _INT32_LIMIT else np.int64)
     acc[0] = 1
     for key in blocks:
         nxt = acc.copy()
@@ -279,7 +283,8 @@ def _expand_rings(
     exponents: Dict[int, int], lead: int, precisions: List[int], rings: List[Ring]
 ) -> List[QSeries]:
     """q^lead prod_delta prod_n (1 - q^(delta n))^(r_delta) in each ring, up to
-    q^P for that ring's precision P.
+    q^P for that ring's precision P; a residue-ring series holds a read-only
+    array of dtype `residue_dtype(ell^t)` (`QSeries.residues`).
 
     The Euler part is a series in q^g for the gcd g of the deltas, so the
     blocks are planned once for the quotient reduced by g, and coefficient n
@@ -287,8 +292,8 @@ def _expand_rings(
     n <= (P - lead) // g.  Residue rings share one product per int64 group
     (`_ring_groups`), run as far as the group's furthest ring reads, and
     reduce it mod their own modulus; the other rings reduce the exact
-    product, if at all.  Each ring's coefficient list is built only to its
-    own precision.  A denominator no block covers needs the Newton inverse in
+    product, if at all.  Each ring's coefficients are built only to its own
+    precision.  A denominator no block covers needs the Newton inverse in
     each ring, so then every ring runs alone.
     """
     g = gcd(*exponents) or 1
@@ -304,29 +309,29 @@ def _expand_rings(
     def product(
         blocks: List[Tuple[str, int]], modulus: Optional[int], sub: int
     ) -> np.ndarray | List[int]:
-        """The blocks' product up to q^sub: int64 residues mod `modulus`, or a
-        list of integers (None)."""
+        """The blocks' product up to q^sub: residues mod `modulus` in an
+        integer array, or a list of integers (None)."""
         if modulus is None:
             moduli = _crt_moduli(weight, prod(norm[key] for key in blocks))
             return _exact_product(blocks, terms, sub, moduli)
         return _sparse_product(blocks, terms, sub, modulus)
 
-    def reduce(acc: np.ndarray | List[int], modulus: Optional[int], m: Optional[int]) -> List[int]:
+    def reduce(acc: np.ndarray | List[int], modulus: Optional[int], m: Optional[int]):
         """`product(blocks, modulus, ...)` as residues mod m (None: integers)."""
         if modulus is None:
             return acc if m is None else [c % m for c in acc]
-        return (acc if m == modulus else acc % m).tolist()
+        return acc if m == modulus else acc % m
 
-    def residues(ring: Ring, acc: np.ndarray | List[int], modulus: Optional[int], sub: int) -> List:
+    def residues(ring: Ring, acc: np.ndarray | List[int], modulus: Optional[int], sub: int):
         """The product to q^sub, run by `product(blocks, modulus, ...)`, as
-        coefficients in the ring."""
+        coefficients in the ring (an array or a list)."""
         m = ring.modulus if ring.kind == "mod" else None
         values = reduce(acc[: sub + 1], modulus, m)
         if leftover:
             work = ring if m else ZZ
             den_values = reduce(product(den_blocks, modulus, sub), modulus, m)
-            den = QSeries._canonical(work, den_values, sub)
-            values = (QSeries._canonical(work, values, sub) * den.inverse()).coeffs
+            num, den = (QSeries._canonical(work, v, sub) for v in (values, den_values))
+            values = (num * den.inverse()).coeffs
         return [Fraction(c) for c in values] if ring.kind == "QQ" else values
 
     # each series is written straight from its group's product, and only one
@@ -335,9 +340,13 @@ def _expand_rings(
     for group, modulus in _ring_groups(rings, weight, bool(leftover)):
         acc = product(blocks, modulus, max(subs[i] for i in group))
         for i in group:
-            coeffs = [rings[i].zero()] * (precisions[i] + 1)
-            coeffs[lead::g] = residues(rings[i], acc, modulus, subs[i])
-            out[i] = QSeries._canonical(rings[i], coeffs, precisions[i])
+            ring, size = rings[i], precisions[i] + 1
+            if ring.kind == "mod":
+                coeffs = np.zeros(size, dtype=residue_dtype(ring.modulus))
+            else:
+                coeffs = [ring.zero()] * size
+            coeffs[lead::g] = residues(ring, acc, modulus, subs[i])
+            out[i] = QSeries._canonical(ring, coeffs, precisions[i])
         del acc, coeffs
     return out
 

@@ -11,12 +11,13 @@ joins two sides into the space where they are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import cycle
 from math import gcd, lcm
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .characters import Character
-from .qseries import QSeries
+from .qseries import QSeries, powers_mod, residue_dtype
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ def theta(series: QSeries, times: int = 1) -> QSeries:
     if times == 0:
         return series
     if series.ring.kind == "mod":
-        coeffs = tuple(twist_theta_coeffs(series, None, times))
-        return QSeries._canonical(series.ring, coeffs, series.precision)
+        return _twist_theta(series, None, times)
     coeffs = [n**times * c for n, c in enumerate(series.coeffs)]
     return QSeries._reduced(series.ring, coeffs, series.precision)
 
@@ -79,26 +79,30 @@ def u_operator(series: QSeries, m: int) -> QSeries:
 def twist(series: QSeries, chi: Character) -> QSeries:
     """Coefficient twist a(n) -> chi(n) a(n)."""
     if series.ring.kind == "mod":
-        coeffs = tuple(twist_theta_coeffs(series, chi, 0))
-        return QSeries._canonical(series.ring, coeffs, series.precision)
+        return _twist_theta(series, chi, 0)
     coeffs = [v * c for v, c in zip(chi.values(series.precision + 1), series.coeffs)]
     return QSeries._reduced(series.ring, coeffs, series.precision)
 
 
-def twist_theta_coeffs(series: QSeries, chi: Optional[Character], times: int) -> Iterator[int]:
-    """The coefficients chi(n) n^times a(n) of theta^times of the twist of a
-    series over Z/ell^t (no twist when chi is None), one at a time, so that
-    no series need be built.  The factor chi(n) n^times mod ell^t depends on
-    n mod lcm(modulus of chi, ell^t) only (on n mod the modulus of chi when
-    times = 0), so it is read from one period."""
+def twist_theta_factors(chi: Optional[Character], times: int, modulus: int, count: int) -> np.ndarray:
+    """The factors chi(n) n^times mod `modulus` for n < count (no twist when
+    chi is None), as an array of dtype `residue_dtype(modulus)`: theta^times
+    of a twist multiplies coefficient n by the n-th.  The factor depends on
+    n mod lcm(modulus of chi, modulus) only (on n mod the modulus of chi
+    when times = 0), so one period is powered and repeated."""
+    chi_period = chi.modulus if chi is not None else 1
+    size = min(lcm(chi_period, modulus) if times else chi_period, count)
+    factors = powers_mod(np.arange(size, dtype=residue_dtype(modulus)), times, modulus)
+    if chi is not None:
+        factors = np.array(chi.values(size)) * factors % modulus
+    return factors if size == count else np.tile(factors, -(-count // size))[:count]
+
+
+def _twist_theta(series: QSeries, chi: Optional[Character], times: int) -> QSeries:
+    """theta^times of the twist by chi of a series over Z/ell^t."""
     m = series.ring.modulus
-    values = chi.values(chi.modulus) if chi is not None else [1]
-    period = lcm(len(values), m) if times else len(values)
-    factors = [
-        values[n % len(values)] * pow(n, times, m) % m
-        for n in range(min(period, series.precision + 1))
-    ]
-    return (f * c % m for f, c in zip(cycle(factors), series.coeffs))
+    factors = twist_theta_factors(chi, times, m, series.precision + 1)
+    return QSeries._canonical(series.ring, series.residues() * factors % m, series.precision)
 
 
 def twist_meta(meta: FormMeta, chi: Character) -> FormMeta:

@@ -23,6 +23,8 @@ from itertools import repeat
 from math import lcm
 from typing import Sequence, Union
 
+import numpy as np
+
 Coeff = Union[int, Fraction]
 
 
@@ -101,6 +103,28 @@ def residue_ring(ell: int, t: int = 1) -> Ring:
     return Ring("mod", ell, t)
 
 
+def residue_dtype(modulus: int):
+    """The numpy dtype that holds residues mod `modulus`: int64 while the
+    product of two residues fits, (modulus - 1)^2 < 2^63, else object
+    (Python ints, e.g. mod 2^40)."""
+    return np.int64 if (modulus - 1) ** 2 < 2**63 else object
+
+
+def powers_mod(base: np.ndarray, e: int, modulus) -> np.ndarray:
+    """base^e mod modulus elementwise by square and multiply, for e >= 0 and
+    a modulus that is one number or an array like base; every step is
+    reduced, so residues of a `residue_dtype` array never overflow."""
+    base = base % modulus
+    result = np.ones_like(base) % modulus
+    while e:
+        if e & 1:
+            result = result * base % modulus
+        e >>= 1
+        if e:
+            base = base * base % modulus
+    return result
+
+
 def _pack(values: Sequence[int], width: int) -> int:
     """sum values[i] * 256^(width*i) for values in [0, 256^width)."""
     chunks = map(int.to_bytes, values, repeat(width), repeat("little"))
@@ -140,9 +164,14 @@ def _int_product(a: Sequence[int], b: Sequence[int], limit: int) -> list:
 
 
 class QSeries:
-    """Immutable truncated power series sum a(n) q^n, 0 <= n <= precision."""
+    """Immutable truncated power series sum a(n) q^n, 0 <= n <= precision.
 
-    __slots__ = ("ring", "precision", "coeffs")
+    A series made from a numpy array keeps it (`residues`) and reads it as
+    the tuple `coeffs` only when asked, so a residue series stays an array
+    from the expansion to the comparison that reads it.
+    """
+
+    __slots__ = ("ring", "precision", "_coeffs", "_array")
 
     def __init__(self, ring: Ring, coeffs: Sequence[Coeff], precision: int | None = None):
         if precision is None:
@@ -153,7 +182,8 @@ class QSeries:
         padded.extend([0] * (precision + 1 - len(padded)))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "coeffs", tuple(ring.normalize(c) for c in padded))
+        object.__setattr__(self, "_coeffs", tuple(ring.normalize(c) for c in padded))
+        object.__setattr__(self, "_array", None)
 
     @classmethod
     def _canonical(cls, ring: Ring, coeffs: Sequence[Coeff], precision: int) -> "QSeries":
@@ -161,13 +191,39 @@ class QSeries:
 
         Skips the per-coefficient `Ring.normalize`, so callers must guarantee
         Python ints (ZZ), ints reduced into [0, modulus) (residue rings) or
-        Fractions (QQ).  Input from outside always goes through `__init__`.
+        Fractions (QQ).  A numpy array is kept as it is, made read-only, and
+        never written again by its caller.  Input from outside always goes
+        through `__init__`.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        if isinstance(coeffs, np.ndarray):
+            coeffs.flags.writeable = False
+            object.__setattr__(self, "_coeffs", None)
+            object.__setattr__(self, "_array", coeffs)
+        else:
+            object.__setattr__(self, "_coeffs", tuple(coeffs))
+            object.__setattr__(self, "_array", None)
         return self
+
+    @property
+    def coeffs(self) -> tuple:
+        """a(0), ..., a(precision) as a tuple of Python numbers."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(self._array.tolist()))
+        return self._coeffs
+
+    def residues(self) -> np.ndarray:
+        """a(0), ..., a(precision) as a read-only numpy array: dtype
+        `residue_dtype(ell^t)` over Z/ell^t, Python numbers (object) over ZZ
+        and QQ."""
+        if self._array is None:
+            dtype = residue_dtype(self.ring.modulus) if self.ring.kind == "mod" else object
+            array = np.array(self._coeffs, dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return self._array
 
     @classmethod
     def _reduced(cls, ring: Ring, coeffs: Sequence[Coeff], precision: int) -> "QSeries":
@@ -324,7 +380,8 @@ class QSeries:
             raise ValueError("cannot extend precision by truncation")
         if precision == self.precision:
             return self
-        return QSeries._canonical(self.ring, self.coeffs[: precision + 1], precision)
+        source = self._coeffs if self._array is None else self._array
+        return QSeries._canonical(self.ring, source[: precision + 1], precision)
 
     def dilate(self, m: int, precision: int) -> "QSeries":
         """Substitute q -> q^m, i.e. place a(n) at q^(m n), up to the given precision."""
@@ -368,7 +425,8 @@ def first_mismatch(a: QSeries, b: QSeries) -> int | None:
     if a.ring != b.ring:
         raise ValueError("ring mismatch in comparison")
     p = min(a.precision, b.precision)
+    a_coeffs, b_coeffs = a.coeffs, b.coeffs
     for n in range(p + 1):
-        if a.coeffs[n] != b.coeffs[n]:
+        if a_coeffs[n] != b_coeffs[n]:
             return n
     return None

@@ -6,10 +6,11 @@ import random
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from etaq import congruence, eisenstein, etaquot, qseries
-from etaq.characters import kronecker
+from etaq.characters import kronecker, kronecker_character, trivial_mod
 from etaq.claims import CongruenceClaim, builtin_claims
 from etaq.congruence import (
     VerificationReport,
@@ -354,8 +355,111 @@ def test_first_failure_checks_each_class_against_its_rule(
 ):
     coeffs = [a(n) if n in RULE_PRIMES else 0 for n in range(61)]
     series = QSeries(residue_ring(*ring), coeffs)
-    got = congruence._first_failure(series, RULE_PRIMES, m, mp, period, classes)
+    got = congruence._first_failure(series.residues(), RULE_PRIMES, m, mp, period, classes)
     assert got == (witness, checked)
+    assert _first_failure_reference(series.coeffs, RULE_PRIMES, m, mp, period, classes) == got
+
+
+def _first_failure_reference(coeffs, primes, m, mp, period, classes):
+    """The per-prime loop the class-table check replaces, kept as its
+    reference: a(p) = u_c (p^m + p^m') mod q_c at each prime in a class."""
+    checked = 0
+    for p in primes:
+        rule = classes.get(p % period)
+        if rule is None:
+            continue
+        u, q = rule
+        checked += 1
+        if (coeffs[p] - u * (pow(p, m, q) + pow(p, mp, q))) % q:
+            return p, checked
+    return None, checked
+
+
+@pytest.mark.parametrize("plant", ["first", "last", "none", "no-judged-prime"])
+def test_first_failure_matches_the_per_prime_reference_on_random_tables(plant):
+    # random tables: mixed q_c = ell^(t_c) per class, negative u_c, and the
+    # coefficients right mod q_c at every judged prime but the planted one
+    rng = random.Random(plant)
+    primes = primes_up_to(3000)
+    for _ in range(40):
+        ell = rng.choice((2, 3, 5, 7))
+        t = rng.randint(1, 8)
+        period = rng.choice((1, 3, 4, 5, 8, 12, 24, 25))
+        units = {c: rng.choice((1, 2, 3, 4, 5)) for c in range(period) if gcd(c, period) == 1}
+        keep = rng.sample(sorted(units), rng.randint(1, len(units)))
+        if plant == "no-judged-prime":  # classes that hold no prime (or no class at all)
+            keep = sorted(set(range(period)) - {p % period for p in primes}) or [period]
+        classes = {c: (rng.randint(-50, 50), ell ** rng.randint(1, t)) for c in keep}
+        m, mp = rng.randint(0, 12), rng.randint(0, 30)
+        modulus = ell**t
+        coeffs = [rng.randrange(modulus) for _ in range(primes[-1] + 1)]
+        judged = [p for p in primes if p % period in classes]
+        for p in judged:
+            u, q = classes[p % period]
+            want = u * (pow(p, m, q) + pow(p, mp, q))
+            coeffs[p] = (want + q * rng.randrange(modulus // q)) % modulus
+        planted = {"first": judged[:1], "last": judged[-1:]}.get(plant, [])
+        for p in planted:
+            coeffs[p] = (coeffs[p] + 1) % modulus
+        got = congruence._first_failure(np.array(coeffs), primes, m, mp, period, classes)
+        assert got == _first_failure_reference(coeffs, primes, m, mp, period, classes)
+        if plant == "none":
+            assert got == (None, len(judged))
+        elif plant == "no-judged-prime":
+            assert got == (None, 0)
+        else:
+            assert got == (planted[0], judged.index(planted[0]) + 1)
+
+
+def test_first_failure_reads_a_period_beyond_int64_like_the_reference():
+    # a claim file may state any residue modulus: past every prime, each
+    # prime is its own class, and only a class that is a prime is judged
+    primes = primes_up_to(200)
+    coeffs = [(1 + p**4) % 9 if p in primes else 0 for p in range(201)]
+    for period, classes in (
+        (2**64, {13: (1, 9), 2**63 + 5: (1, 9)}),
+        (2**64, {2**63 + 5: (1, 9)}),
+        (2**62 + 1, {2: (1, 9), 199: (1, 3)}),
+    ):
+        got = congruence._first_failure(np.array(coeffs), primes, 0, 4, period, classes)
+        assert got == _first_failure_reference(coeffs, primes, 0, 4, period, classes), period
+    claim = dataclasses.replace(
+        claim_by_id("prime-power:eta2^12:l3^2"), residues=(2,), residue_modulus=2**64
+    )
+    with pytest.raises(ValueError, match="no admissible primes"):
+        verify_claim(claim, prime_bound=500)
+
+
+def test_wide_moduli_take_the_object_path_and_match_the_reference():
+    # mod 3^30 and 2^40 a product of two residues overflows int64, so the
+    # cached residues are Python ints; each report matches a reference made
+    # from the expansion over ZZ, reduced, with the per-prime loop
+    clear_expansion_cache()
+    twist_claim = dataclasses.replace(
+        claim_by_id("twist-power:eta2^12:l3^4"), claim_id="twist-power:eta2^12:l3^30", t=30
+    )
+    report = verify_claim(twist_claim)
+    modulus = 3**30
+    exact = lookup("eta2^12").expand(report.bound)
+    sides = [
+        [chi(n) * c % modulus for n, c in enumerate(exact.coeffs)]
+        for chi in (kronecker_character(-3) * trivial_mod(3), trivial_mod(3))
+    ]
+    mismatch = next((n for n, (a, b) in enumerate(zip(*sides)) if a != b), None)
+    assert mismatch is not None and report.first_failure == mismatch
+    assert report.verdict == "failed"
+    power_claim = dataclasses.replace(
+        claim_by_id("prime-power:eta2^12:l2^11"), claim_id="prime-power:eta2^12:l2^40", t=40
+    )
+    report = verify_claim(power_claim, prime_bound=2000)
+    cached = congruence._expansion_cache["eta2^12", "mod:2^40"].residues()
+    assert cached.dtype == object and {type(c) for c in cached.tolist()} == {int}
+    coeffs = [c % 2**40 for c in lookup("eta2^12").expand(2000).coeffs]
+    primes = [p for p in primes_up_to(2000) if p != 2 and 4 % p]
+    reference = _first_failure_reference(coeffs, primes, 0, 5, 8, {1: (1, 2**40)})
+    assert reference[0] is not None
+    assert (report.first_failure, report.primes_checked) == reference
+    clear_expansion_cache()
 
 
 def test_classifier_branches():

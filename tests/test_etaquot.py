@@ -6,8 +6,9 @@ from math import gcd, lcm, prod
 import numpy as np
 import pytest
 
-from etaq import etaquot
+from etaq import congruence, etaquot
 from etaq.characters import parse_character
+from etaq.claims import builtin_claims
 from etaq.etaquot import (
     _BLOCKS,
     EtaQuotient,
@@ -277,16 +278,30 @@ def _mixed_rings():
     return rings + [residue_ring(ell) for ell in primes_up_to(691)]
 
 
+def _pass_weight(blocks, terms):
+    # the largest 1 + sum |c| over the blocks of one sparse product
+    return max(1 + sum(abs(c) for _, c in terms[key]) for key in blocks)
+
+
+def _int32_exactly_inside_its_guard(runs):
+    # every run is int32 exactly when weight (M - 1) < 2^31 - 1, else int64
+    return all(
+        dtype == (np.int32 if weight * (modulus - 1) < 2**31 - 1 else np.int64)
+        for modulus, dtype, weight in runs
+    )
+
+
 def _record_runs(monkeypatch):
-    # spy on expand_all: each _sparse_product run as (modulus, dtype), the
-    # CRT moduli of each exact product, and the ring groups of the latest call
+    # spy on expand_all: each _sparse_product run as (modulus, dtype, pass
+    # weight), the CRT moduli of each exact product, and the ring groups of
+    # the latest call
     runs, exact, groups = [], [], []
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
     real_moduli = etaquot._crt_moduli
 
     def product_spy(blocks, terms, precision, modulus):
         acc = real_product(blocks, terms, precision, modulus)
-        runs.append((modulus, acc.dtype))
+        runs.append((modulus, acc.dtype, _pass_weight(blocks, terms)))
         return acc
 
     def moduli_spy(*args):
@@ -315,10 +330,12 @@ def _expected_moduli(groups, exact, products):
 def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
     # one expand_all call over a mixed list of rings gives, for every catalog
     # form, the one-ring expansion in each ring (with its coefficient type).
-    # Every ring sits in exactly one group, every _sparse_product run is
-    # int64: one at the group's modulus, the lcm M of its rings' moduli with
-    # weight (M - 1) < 2^63, or the CRT runs of an exact group (ZZ, QQ,
-    # 2^70); and the primes up to 691 do not fit one int64 modulus for delta.
+    # Every ring sits in exactly one group, and each _sparse_product run is
+    # one at the group's modulus, the lcm M of its rings' moduli with
+    # weight (M - 1) < 2^63, or a CRT run of an exact group (ZZ, QQ, 2^70);
+    # a run is int32 exactly when weight (M - 1) < 2^31 - 1, and every CRT
+    # run is int64.  The primes up to 691 do not fit one int64 modulus for
+    # delta.
     rings = _mixed_rings()
     runs, exact, groups = _record_runs(monkeypatch)
     for e in catalog():
@@ -326,8 +343,9 @@ def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
         exact.clear()
         series = expand_all(e.quotient, 1000, rings)
         assert sorted(i for group, _ in groups for i in group) == list(range(len(rings))), e.form_id
-        assert [ran_at for ran_at, _ in runs] == _expected_moduli(groups, exact, 1), e.form_id
-        assert {dtype for _, dtype in runs} == {np.dtype(np.int64)}, e.form_id
+        assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, exact, 1), e.form_id
+        assert _int32_exactly_inside_its_guard(runs), e.form_id
+        assert {dtype for m, dtype, _ in runs if m in sum(exact, [])} == {np.dtype(np.int64)}, e.form_id
         assert len(exact) == 3, e.form_id
         for group, modulus in groups:
             if modulus:
@@ -338,6 +356,43 @@ def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
             where = (e.form_id, ring.describe())
             assert got == expand(e.quotient, 1000, ring), where
             assert {type(c) for c in got.coeffs} == {Fraction if ring == QQ else int}, where
+
+
+def test_int32_runs_of_the_builtin_plan_match_int64_and_the_brute_oracle(monkeypatch):
+    # every sparse product of a verify run over the built-in claims, for
+    # every catalog form and ring group the plan makes: the run (int32 where
+    # its guard allows) equals the same run forced into int64, and the
+    # brute-force oracle reduced mod M, whose coefficient lead + g n is the
+    # run's n-th
+    runs, current = [], []
+    real_rings, real_product = etaquot._expand_rings, etaquot._sparse_product
+
+    def rings_spy(exponents, lead, precisions, rings):
+        current[:] = [(exponents, lead)]
+        return real_rings(exponents, lead, precisions, rings)
+
+    def product_spy(blocks, terms, precision, modulus):
+        acc = real_product(blocks, terms, precision, modulus)
+        runs.append((*current, blocks, terms, precision, modulus, acc))
+        return acc
+
+    monkeypatch.setattr(etaquot, "_expand_rings", rings_spy)
+    monkeypatch.setattr(etaquot, "_sparse_product", product_spy)
+    congruence.clear_expansion_cache()
+    congruence.verify_claims(builtin_claims())
+    congruence.clear_expansion_cache()
+    assert len({tuple(sorted(exponents.items())) for (exponents, _), *_ in runs}) == len(catalog())
+    assert np.dtype(np.int32) in {acc.dtype for *_, acc in runs}
+    monkeypatch.setattr(etaquot, "_INT32_LIMIT", 0)  # every run in int64
+    oracle = {}
+    for (exponents, lead), blocks, terms, precision, modulus, acc in runs:
+        wide = real_product(blocks, terms, precision, modulus)
+        assert wide.dtype == np.int64 and np.array_equal(acc, wide), (exponents, modulus)
+        key = tuple(sorted(exponents.items()))
+        if key not in oracle:
+            oracle[key] = brute_eta_expand(exponents, 200).coeffs
+        exact = oracle[key][lead :: gcd(*exponents)][: precision + 1]
+        assert acc[: len(exact)].tolist() == [c % modulus for c in exact], (exponents, modulus)
 
 
 def test_expand_mod_primes_matches_the_brute_oracle():
@@ -362,8 +417,9 @@ def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkey
     runs, crt, groups = _record_runs(monkeypatch)
     series = expand_all(quotient, 300, rings)
     assert [group for group, _ in groups] == [[i] for i in range(len(rings))]
-    assert [ran_at for ran_at, _ in runs] == _expected_moduli(groups, crt, 2)
-    assert {dtype for _, dtype in runs} == {np.dtype(np.int64)}
+    assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 2)
+    assert _int32_exactly_inside_its_guard(runs)
+    assert {dtype for _, dtype, _ in runs} == {np.dtype(np.int32), np.dtype(np.int64)}
     assert len(crt) == 2 * 3
     exact = brute_eta_expand({1: -1, 5: 5}, 300)
     for ring, got in zip(rings, series):

@@ -10,10 +10,10 @@ from etaq.operators import (
     theta_mod_rule,
     twist,
     twist_meta,
-    twist_theta_coeffs,
+    twist_theta_factors,
     u_operator,
 )
-from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
+from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_dtype, residue_ring
 
 
 def test_theta_multiplies_by_index():
@@ -137,18 +137,28 @@ def test_twist_reads_chi_from_one_period_for_every_character_in_use():
         assert list(twist(f, chi).coeffs) == [chi(n) * f[n] for n in range(3 * m + 1)], chi
 
 
-def test_twist_theta_coeffs_match_the_integer_operators_reduced():
-    # chi(n) n^times a(n) mod ell^t from one period of the factor, against
-    # twist and theta over ZZ reduced; some of the periods wrap, some do not
-    rings = [residue_ring(ell, t) for ell, t in ((2, 1), (3, 1), (2, 14), (5, 2), (691, 1))]
+def test_twist_theta_factors_match_the_integer_operators_reduced():
+    # chi(n) n^times mod ell^t from one period, against twist and theta over
+    # ZZ reduced: as the factor table times a(n), and through the residue
+    # operators; some of the periods wrap, some do not, and the moduli 3^30
+    # and 2^40 take the object dtype
+    moduli = ((2, 1), (3, 1), (2, 14), (5, 2), (691, 1), (3, 30), (2, 40))
+    rings = [residue_ring(ell, t) for ell, t in moduli]
     for chi in [None, *_characters_in_use()]:
         precision = 2 * (chi.modulus if chi else 1) + 40
         f = QSeries(ZZ, [(-1) ** n * (n**3 - 7 * n + 5) for n in range(precision + 1)])
         for times in (0, 1, 2, 5):
             exact = theta(f if chi is None else twist(f, chi), times)
             for ring in rings:
-                got = list(twist_theta_coeffs(QSeries(ring, f.coeffs), chi, times))
-                assert got == list(reduce_mod(exact, ring.ell, ring.t).coeffs), (chi, times, ring)
+                m = ring.modulus
+                want = list(reduce_mod(exact, ring.ell, ring.t).coeffs)
+                factors = twist_theta_factors(chi, times, m, precision + 1)
+                assert factors.dtype == residue_dtype(m), ring
+                got = [x * c % m for x, c in zip(factors.tolist(), f.coeffs)]
+                assert got == want, (chi, times, ring)
+                residue = QSeries(ring, f.coeffs)
+                residue = residue if chi is None else twist(residue, chi)
+                assert list(theta(residue, times).coeffs) == want, (chi, times, ring)
 
 
 def test_double_twist_by_quadratic_character_restores_coprime_part():

@@ -3,10 +3,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from etaq.oracles import slow_convolve
-from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
+from etaq.qseries import (
+    QQ,
+    QSeries,
+    ZZ,
+    first_mismatch,
+    powers_mod,
+    reduce_mod,
+    residue_dtype,
+    residue_ring,
+)
 
 
 def geometric(ring, ratio, precision):
@@ -265,3 +275,38 @@ def test_structural_helpers_and_products_stay_canonical():
             renormalized = QSeries(ring, series.coeffs, series.precision)
             assert series == renormalized
             assert [type(c) for c in series.coeffs] == [type(c) for c in renormalized.coeffs]
+
+
+def test_residue_dtype_is_int64_while_a_product_of_two_residues_fits():
+    assert residue_dtype(691) == residue_dtype(3**5) == residue_dtype(3037000500) == np.int64
+    assert residue_dtype(3037000501) is residue_dtype(3**30) is residue_dtype(2**40) is object
+
+
+@pytest.mark.parametrize("modulus", [2, 7, 3**5, 691, 3037000500, 3**30, 2**40])
+def test_powers_mod_matches_pow(modulus):
+    rng = random.Random(modulus)
+    values = [rng.randrange(10**6) for _ in range(50)] + [0, 1, modulus - 1]
+    base = np.array(values, dtype=residue_dtype(modulus))
+    for e in (0, 1, 2, 13, 690):
+        assert powers_mod(base, e, modulus).tolist() == [pow(v, e, modulus) for v in values]
+    # one modulus per element, as a class table reads them
+    moduli = np.array([rng.choice((9, 27, 81)) for _ in values])
+    got = powers_mod(np.array(values), 5, moduli).tolist()
+    assert got == [pow(v, 5, q) for v, q in zip(values, moduli.tolist())]
+
+
+def test_a_series_made_from_an_array_keeps_it_and_reads_it_as_python_numbers():
+    ring = residue_ring(3, 30)
+    values = [random.Random(n).randrange(ring.modulus) for n in range(12)]
+    for dtype, r in ((np.int64, residue_ring(691)), (object, ring)):
+        residues = [v % r.modulus for v in values]
+        array = np.array(residues, dtype=dtype)
+        series = QSeries._canonical(r, array, 11)
+        assert series.residues() is array and not array.flags.writeable
+        assert series.coeffs == tuple(residues) and {type(c) for c in series.coeffs} == {int}
+        plain = QSeries(r, residues)
+        assert series == plain and hash(series) == hash(plain)
+        assert plain.residues().tolist() == residues and plain.residues().dtype == dtype
+        low = series.truncate(5)
+        assert low.residues().base is array and low == plain.truncate(5)
+    assert QSeries(ZZ, [2**70, -1]).residues().tolist() == [2**70, -1]
