@@ -20,10 +20,10 @@ from .congruence import (
     verify_claim,
     verify_claims,
 )
-from .eisenstein import eisenstein_E, eisenstein_E2, eisenstein_G
+from .eisenstein import eisenstein_E, eisenstein_G
 from .etaquot import CatalogEntry, EtaQuotient, catalog, expand, lookup
 from .operators import FormMeta, hecke_tn, theta, twist, u_operator
-from .qseries import QQ, QSeries, Ring, ZZ, reduce_mod, residue_ring
+from .qseries import QSeries, Ring, ZZ, residue_ring
 from .sturm import agreement_bound, group_index
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "CatalogEntry",
     "EtaQuotient",
     "FormMeta",
-    "QQ",
     "QSeries",
     "Ring",
     "ScanFinding",
@@ -45,7 +44,6 @@ __all__ = [
     "catalog",
     "classify_square_class_prime",
     "eisenstein_E",
-    "eisenstein_E2",
     "eisenstein_G",
     "expand",
     "group_index",
@@ -54,7 +52,6 @@ __all__ = [
     "kronecker_character",
     "lookup",
     "parse_character",
-    "reduce_mod",
     "residue_ring",
     "scan_exceptional",
     "theta",

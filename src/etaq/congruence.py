@@ -7,11 +7,11 @@ bookkeeping (`_comparison`); both sides are read to the agreement bound of
 the space that holds them and compared, a proof ("sturm-proved") unless a
 theta step was conservative.  Every side is computed in Z/ell^t from its
 base on (the form's cached expansion, or G_k or the weight-2 series from
-`eisenstein` in that ring), so twist, theta and pad act on residues and no
-rational series is made.  A side is a numpy array of residues, int64 while
-a product of two fits and Python ints beyond (`residue_dtype`): twist and
-theta are one multiply by a table of chi(n) n^j, the first mismatch is
-found by one array comparison, and only a pad is multiplied as a series.
+`eisenstein` in that ring), so twist, theta and pad act on residues.  A
+side is a numpy array of residues, int64 while a product of two fits and
+Python ints beyond (`residue_dtype`): twist and theta are one multiply by a
+table of chi(n) n^j, the first mismatch is found by one array comparison,
+and only a pad is multiplied as a series.
 The lower-weight side is padded by a form congruent to 1, so for ell >= 5
 the weights must differ by a multiple of phi(ell^t) (E_4 and weight-2
 level-d series serve mod 3 and 2).  Prime-power and unit-factor claims are

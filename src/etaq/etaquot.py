@@ -15,18 +15,18 @@ Theta Series Identities, 2011); eta(d) stands for eta(delta z):
 Each has O(sqrt(P)) terms up to q^P, so multiplying the running product by
 one block is a handful of shifted, scaled adds on numpy slices mod m, in
 int32 or int64 with m small enough that no pass overflows; an exact
-product (over ZZ, QQ, or a modulus too large for int64 such as 2^70) joins
-a few such runs by CRT, as FLINT multiplies over ZZ.  The theta blocks absorb every denominator of
-the catalog, so no catalog form needs a division; a denominator no block
-covers is inverted once with the Newton inverse.  When every delta shares a
-factor g the whole Euler part is a series in q^g, so the blocks are planned
-for the quotient reduced by g and each coefficient n is placed at
-q^(lead + g n) - a large win for the high-level forms.  One routine does
-all of this for a list of rings, each at its own precision (`expand_all`;
-`expand` is its one-ring case): residue rings share one product modulo the
-lcm of a group of their moduli, as large as the int64 guard allows, run to
-the furthest precision in the group, and each reduces it mod its own modulus
-up to its own precision.
+product (over ZZ, or a modulus too large for int64 such as 2^70) joins a
+few such runs by CRT, as FLINT multiplies over ZZ.  The theta blocks absorb
+every denominator of the catalog, so no catalog form needs a division; a
+denominator no block covers is inverted once with the Newton inverse.  When
+every delta shares a factor g the whole Euler part is a series in q^g, so
+the blocks are planned for the quotient reduced by g and each coefficient n
+is placed at q^(lead + g n) - a large win for the high-level forms.  One
+routine does all of this for a list of rings, each at its own precision
+(`expand_all`; `expand` is its one-ring case): residue rings share one
+product modulo the lcm of a group of their moduli, as large as the int64
+guard allows, run to the furthest precision in the group, and each reduces
+it mod its own modulus up to its own precision.
 """
 
 from __future__ import annotations
@@ -262,9 +262,8 @@ def _ring_groups(rings: List[Ring], weight: int, alone: bool) -> List[list]:
 
     A residue ring joins the run before it while weight (M - 1) stays below
     the int64 limit for the lcm M of the run's moduli (numpy int64 wraps
-    silently).  ZZ, QQ (expanded over ZZ) and a modulus too large for that
-    limit take the exact product, and run alone, as every ring does when
-    `alone`.
+    silently).  ZZ and a modulus too large for that limit take the exact
+    product, and run alone, as every ring does when `alone`.
     """
     groups: List[list] = []
     for i, ring in enumerate(rings):
@@ -328,11 +327,10 @@ def _expand_rings(
         m = ring.modulus if ring.kind == "mod" else None
         values = reduce(acc[: sub + 1], modulus, m)
         if leftover:
-            work = ring if m else ZZ
             den_values = reduce(product(den_blocks, modulus, sub), modulus, m)
-            num, den = (QSeries._canonical(work, v, sub) for v in (values, den_values))
+            num, den = (QSeries._canonical(ring, v, sub) for v in (values, den_values))
             values = (num * den.inverse()).coeffs
-        return [Fraction(c) for c in values] if ring.kind == "QQ" else values
+        return values
 
     # each series is written straight from its group's product, and only one
     # group's product is alive at a time: a batch keeps no list per ring
@@ -344,7 +342,7 @@ def _expand_rings(
             if ring.kind == "mod":
                 coeffs = np.zeros(size, dtype=residue_dtype(ring.modulus))
             else:
-                coeffs = [ring.zero()] * size
+                coeffs = [0] * size
             coeffs[lead::g] = residues(ring, acc, modulus, subs[i])
             out[i] = QSeries._canonical(ring, coeffs, precisions[i])
         del acc, coeffs

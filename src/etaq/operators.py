@@ -51,7 +51,9 @@ def theta_mod_rule(ell: int, t: int, applications: int, meta: FormMeta) -> Tuple
         conservative when ell divides the level, where the theta-image
         spaces are not fully understood.
       * ell = 3, t >= 2 or ell = 2, t >= 4: weight steps by 2 + phi(ell^t)
-        and the level picks up one factor ell^(t-1).
+        and the level picks up one factor ell^(t-1), the weight and level of
+        the modular stand-in for E_2 mod ell^t (`oracles.e2_replacement`,
+        checked against `oracles.eisenstein_E2` through q^500 in the tests).
       * otherwise: conservative - weight steps by 2 + 2 ell^(t-1)(ell - 1)
         and the level picks up one factor ell^t.
     """

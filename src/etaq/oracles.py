@@ -1,16 +1,20 @@
 """Slow, independent reference computations used to pin down expected values.
 
 Everything here is deliberately naive (trial division, point counts by brute
-enumeration, term-by-term product expansion) and shares no code with the main
-expansion or operator paths, so the two routes can check each other.
+enumeration, term-by-term product expansion, Eisenstein coefficients one
+sigma at a time) and shares no code with the main expansion, operator or
+Eisenstein paths beyond the Bernoulli numbers, which their own tests pin, so
+the two routes can check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List
 
-from .qseries import QSeries, ZZ
+from .eisenstein import bernoulli
+from .qseries import QSeries, Ring, ZZ, residue_ring
 
 
 def sigma(n: int, nu: int) -> int:
@@ -27,6 +31,36 @@ def sigma(n: int, nu: int) -> int:
                 total += e**nu
         d += 1
     return total
+
+
+def eisenstein_E2(precision: int, ring: Ring) -> QSeries:
+    """Quasi-modular E_2 = 1 - 24 sum sigma_1(n) q^n in the residue ring `ring`."""
+    return QSeries(ring, [1] + [-24 * sigma(n, 1) for n in range(1, precision + 1)], precision)
+
+
+def e2_replacement(ell: int, t: int, precision: int) -> QSeries:
+    """A genuinely modular stand-in for E_2 modulo ell^t, in Z/ell^t.
+
+    -(ell - 1) sum_{i<t} ell^i E_j(ell^i z) with j = 2 + phi(ell^t) lives in
+    weight j on Gamma_0(ell^(t-1)) and is congruent to E_2 mod ell^t, for
+    ell = 3 with t >= 2 and ell = 2 with t >= 4.  E_j(z) = 1 + s sum
+    sigma_(j-1)(n) q^n with s = -2j/B_j, which is ell-integral: ell - 1
+    divides j, so ell exactly divides the denominator of B_j.
+    """
+    if not ((ell == 3 and t >= 2) or (ell == 2 and t >= 4)):
+        raise ValueError("replacement series exists for ell=3, t>=2 and ell=2, t>=4")
+    ring, j = residue_ring(ell, t), 2 + ell ** (t - 1) * (ell - 1)
+    s = Fraction(-2 * j) / bernoulli(j)
+    s = s.numerator * pow(s.denominator, -1, ring.modulus)
+
+    def e_j(n: int) -> int:
+        return s * sigma(n, j - 1) if n else 1
+
+    coeffs = [
+        -(ell - 1) * sum(ell**i * e_j(n // ell**i) for i in range(t) if n % ell**i == 0)
+        for n in range(precision + 1)
+    ]
+    return QSeries(ring, coeffs, precision)
 
 
 @dataclass(frozen=True)

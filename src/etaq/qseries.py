@@ -1,4 +1,4 @@
-"""Exact truncated q-series arithmetic over ZZ, QQ, and Z/ell^t.
+"""Exact truncated q-series arithmetic over ZZ and Z/ell^t.
 
 A series stores trusted coefficients a(0..P) for an explicit precision P and
 an explicit coefficient ring.  Values are immutable; every operation returns
@@ -6,13 +6,15 @@ a fresh series and never fabricates coefficients beyond what both operands
 warrant (the min-precision rule).  Residue-ring coefficients are kept fully
 reduced in [0, ell^t) so equality is a plain sequence comparison.
 
-Every product, over every ring, is one exact Kronecker substitution
+Every product, over both rings, is one exact Kronecker substitution
 (Harvey, J. Symbolic Comput. 44, 2009): each operand is packed into a single
 Python int with slots wide enough for every output coefficient, the two ints
 are multiplied once by CPython's Karatsuba, and the low precision+1 slots are
-unpacked.  Outside input is normalized coefficient by coefficient; results of
-internal arithmetic are reduced in bulk (one `% m` over Z/ell^t, nothing over
-ZZ) and wrapped without `Ring.normalize`.
+unpacked.  Outside input (Python or numpy integers only) is normalized
+coefficient by coefficient, and a ZZ series enters Z/ell^t the same way:
+`QSeries(residue_ring(ell, t), s.coeffs)`.  Results of internal arithmetic
+are reduced in bulk (one `% m` over Z/ell^t, nothing over ZZ) and wrapped
+without `Ring.normalize`.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
-
-Coeff = Union[int, Fraction]
 
 
 def _is_prime(n: int) -> bool:
@@ -46,14 +45,14 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Ring:
-    """Coefficient ring marker: exact integers, exact rationals, or Z/ell^t."""
+    """Coefficient ring marker: exact integers or Z/ell^t."""
 
-    kind: str  # "ZZ" | "QQ" | "mod"
+    kind: str  # "ZZ" | "mod"
     ell: int | None = None
     t: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ZZ", "QQ", "mod"):
+        if self.kind not in ("ZZ", "mod"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "mod":
             if not self.ell or not self.t or self.t < 1:
@@ -67,27 +66,13 @@ class Ring:
             raise ValueError("modulus only makes sense for residue rings")
         return self.ell**self.t
 
-    def normalize(self, x: Coeff) -> Coeff:
-        if self.kind == "mod":
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("fractions cannot enter a residue ring directly; use reduce_mod")
-                x = x.numerator
-            return int(x) % self.modulus
-        if self.kind == "QQ":
-            return x if isinstance(x, Fraction) else Fraction(x)
-        # ZZ
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError(f"non-integer coefficient {x} in integer ring")
-            return x.numerator
-        return int(x)
-
-    def one(self) -> Coeff:
-        return Fraction(1) if self.kind == "QQ" else 1
-
-    def zero(self) -> Coeff:
-        return Fraction(0) if self.kind == "QQ" else 0
+    def normalize(self, x: int) -> int:
+        """A Python or numpy integer as a canonical coefficient: itself over
+        ZZ, its residue in [0, ell^t) over Z/ell^t.  Anything else (a float,
+        a Fraction) is an error, never truncated."""
+        if not isinstance(x, (int, np.integer)):
+            raise ValueError(f"coefficient {x!r} is not an integer")
+        return int(x) % self.modulus if self.kind == "mod" else int(x)
 
     def describe(self) -> str:
         if self.kind == "mod":
@@ -96,7 +81,6 @@ class Ring:
 
 
 ZZ = Ring("ZZ")
-QQ = Ring("QQ")
 
 
 def residue_ring(ell: int, t: int = 1) -> Ring:
@@ -173,7 +157,7 @@ class QSeries:
 
     __slots__ = ("ring", "precision", "_coeffs", "_array")
 
-    def __init__(self, ring: Ring, coeffs: Sequence[Coeff], precision: int | None = None):
+    def __init__(self, ring: Ring, coeffs: Sequence[int], precision: int | None = None):
         if precision is None:
             precision = len(coeffs) - 1
         if precision < 0:
@@ -186,14 +170,14 @@ class QSeries:
         object.__setattr__(self, "_array", None)
 
     @classmethod
-    def _canonical(cls, ring: Ring, coeffs: Sequence[Coeff], precision: int) -> "QSeries":
+    def _canonical(cls, ring: Ring, coeffs: Sequence[int], precision: int) -> "QSeries":
         """Wrap exactly precision+1 coefficients that are already canonical for `ring`.
 
         Skips the per-coefficient `Ring.normalize`, so callers must guarantee
-        Python ints (ZZ), ints reduced into [0, modulus) (residue rings) or
-        Fractions (QQ).  A numpy array is kept as it is, made read-only, and
-        never written again by its caller.  Input from outside always goes
-        through `__init__`.
+        Python ints (ZZ) or ints reduced into [0, modulus) (residue rings).
+        A numpy array is kept as it is, made read-only, and never written
+        again by its caller.  Input from outside always goes through
+        `__init__`.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
@@ -216,8 +200,7 @@ class QSeries:
 
     def residues(self) -> np.ndarray:
         """a(0), ..., a(precision) as a read-only numpy array: dtype
-        `residue_dtype(ell^t)` over Z/ell^t, Python numbers (object) over ZZ
-        and QQ."""
+        `residue_dtype(ell^t)` over Z/ell^t, Python ints (object) over ZZ."""
         if self._array is None:
             dtype = residue_dtype(self.ring.modulus) if self.ring.kind == "mod" else object
             array = np.array(self._coeffs, dtype=dtype)
@@ -226,18 +209,14 @@ class QSeries:
         return self._array
 
     @classmethod
-    def _reduced(cls, ring: Ring, coeffs: Sequence[Coeff], precision: int) -> "QSeries":
-        """Wrap exactly precision+1 results of ring arithmetic on canonical coefficients.
-
-        Reduces in bulk: one `% m` per coefficient over Z/ell^t and nothing
-        over ZZ (callers pass Python ints); QQ keeps `Ring.normalize`.
-        """
+    def _reduced(cls, ring: Ring, coeffs: Sequence[int], precision: int) -> "QSeries":
+        """Wrap exactly precision+1 Python-int results of ring arithmetic on
+        canonical coefficients, reduced in bulk: one `% m` per coefficient
+        over Z/ell^t and nothing over ZZ."""
         if ring.kind == "mod":
             m = ring.modulus
-            return cls._canonical(ring, [c % m for c in coeffs], precision)
-        if ring.kind == "ZZ":
-            return cls._canonical(ring, coeffs, precision)
-        return cls(ring, coeffs, precision)
+            coeffs = [c % m for c in coeffs]
+        return cls._canonical(ring, coeffs, precision)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QSeries values are immutable")
@@ -245,8 +224,8 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(ring: Ring, value: Coeff, precision: int) -> "QSeries":
-        return QSeries(ring, [value], precision)
+    def constant(ring: Ring, value: int, precision: int) -> "QSeries":
+        return QSeries._canonical(ring, [ring.normalize(value)] + [0] * precision, precision)
 
     @staticmethod
     def one(ring: Ring, precision: int) -> "QSeries":
@@ -274,7 +253,7 @@ class QSeries:
         tail = ", ..." if self.precision > 5 else ""
         return f"QSeries({self.ring.describe()}, P={self.precision}, [{head}{tail}])"
 
-    def __getitem__(self, n: int) -> Coeff:
+    def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.precision:
             raise IndexError(f"coefficient index {n} beyond precision {self.precision}")
         return self.coeffs[n]
@@ -300,7 +279,7 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries._reduced(self.ring, [-c for c in self.coeffs], self.precision)
 
-    def scale(self, value: Coeff) -> "QSeries":
+    def scale(self, value: int) -> "QSeries":
         """Multiply every coefficient by a scalar of the same ring."""
         value = self.ring.normalize(value)
         return QSeries._reduced(self.ring, [value * c for c in self.coeffs], self.precision)
@@ -308,32 +287,15 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Truncated Cauchy product at the smaller precision, by one exact integer product."""
         self._check_ring(other)
-        ring = self.ring
         p = min(self.precision, other.precision)
-        a = self.coeffs[: p + 1]
-        b = other.coeffs[: p + 1]
-        if ring.kind != "QQ":
-            return QSeries._reduced(ring, _int_product(a, b, p), p)
-        # clear denominators, multiply the integer numerators, divide back
-        da = lcm(*(c.denominator for c in a))
-        db = lcm(*(c.denominator for c in b))
-        nums = _int_product(
-            [c.numerator * (da // c.denominator) for c in a],
-            [c.numerator * (db // c.denominator) for c in b],
-            p,
-        )
-        den = da * db
-        return QSeries._canonical(ring, [Fraction(c, den) for c in nums], p)
+        product = _int_product(self.coeffs[: p + 1], other.coeffs[: p + 1], p)
+        return QSeries._reduced(self.ring, product, p)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse by Newton iteration; needs a unit constant term."""
         c0 = self.coeffs[0]
         ring = self.ring
-        if ring.kind == "QQ":
-            if c0 == 0:
-                raise ValueError("constant term 0 is not invertible")
-            inv0 = Fraction(1) / c0
-        elif ring.kind == "ZZ":
+        if ring.kind == "ZZ":
             if c0 not in (1, -1):
                 raise ValueError(f"constant term {c0} is not a unit in ZZ")
             inv0 = c0
@@ -350,7 +312,7 @@ class QSeries:
         while cur < self.precision:
             cur = min(2 * cur + 1, self.precision)
             a_cut = self.truncate(cur)
-            pad = (ring.zero(),) * (cur - result.precision)
+            pad = (0,) * (cur - result.precision)
             x = QSeries._canonical(ring, result.coeffs + pad, cur)
             result = x * (two.truncate(cur) - a_cut * x)
         return result
@@ -389,7 +351,7 @@ class QSeries:
             raise ValueError("dilation factor must be >= 1")
         if precision > m * self.precision + m - 1:
             raise ValueError("dilation target precision exceeds known coefficients")
-        out = [self.ring.zero()] * (precision + 1)
+        out = [0] * (precision + 1)
         out[::m] = self.coeffs[: precision // m + 1]
         return QSeries._canonical(self.ring, out, precision)
 
@@ -397,23 +359,10 @@ class QSeries:
         return all(c == 0 for c in self.coeffs)
 
 
-def reduce_mod(a: QSeries, ell: int, t: int = 1) -> QSeries:
-    """Map a ZZ or QQ series into Z/ell^t, inverting denominators coprime to ell.
-
-    A coefficient with denominator divisible by ell is an error: the series
-    is not ell-integral and has no reduction.
-    """
-    if a.ring.kind == "mod":
-        raise ValueError("series is already in a residue ring; reduce from ZZ or QQ")
-    ring = residue_ring(ell, t)
-    out = [reduce_coefficient(c, ring, n) for n, c in enumerate(a.coeffs)]
-    return QSeries._canonical(ring, out, a.precision)
-
-
-def reduce_coefficient(c: Coeff, ring: Ring, n: int = 0) -> int:
+def reduce_coefficient(c: int | Fraction, ring: Ring, n: int = 0) -> int:
     """Coefficient a(n) = c, an integer or a fraction, in the residue ring
     `ring`; a denominator divisible by ell is an error."""
-    num, den = (c.numerator, c.denominator) if isinstance(c, Fraction) else (c, 1)
+    num, den = c.numerator, c.denominator
     ell, t, m = ring.ell, ring.t, ring.modulus
     if den % ell == 0:
         raise ValueError(f"coefficient a({n}) = {c} is not {ell}-integral; cannot reduce mod {ell}^{t}")

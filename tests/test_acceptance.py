@@ -9,10 +9,16 @@ from math import gcd
 from etaq.characters import kronecker
 from etaq.claims import builtin_claims
 from etaq.congruence import classify_square_class_prime, verify_claim, verify_claims
-from etaq.eisenstein import e2_replacement, eisenstein_E2
 from etaq.etaquot import catalog, expand_euler_part, lookup
-from etaq.oracles import CONDUCTOR_11_CURVE, brute_eta_expand, colored_partition_series, primes_up_to
-from etaq.qseries import QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
+from etaq.oracles import (
+    CONDUCTOR_11_CURVE,
+    brute_eta_expand,
+    colored_partition_series,
+    e2_replacement,
+    eisenstein_E2,
+    primes_up_to,
+)
+from etaq.qseries import QSeries, ZZ, first_mismatch, residue_ring
 
 TWO_MINUTES = 120.0
 ONE_MINUTE = 60.0
@@ -125,13 +131,12 @@ def test_criterion_5_twist_power_suite():
 
 
 def test_criterion_6_weight_two_replacements():
-    e2 = eisenstein_E2(500)
     for t in (2, 3):
-        lhs = reduce_mod(e2, 3, t)
-        rhs = reduce_mod(e2_replacement(3, t, 500), 3, t)
+        lhs = eisenstein_E2(500, residue_ring(3, t))
+        rhs = e2_replacement(3, t, 500)
         assert first_mismatch(lhs, rhs) is None, t
     one = QSeries(residue_ring(2, 3), [1] + [0] * 500, 500)
-    assert first_mismatch(reduce_mod(e2, 2, 3), one) is None
+    assert first_mismatch(eisenstein_E2(500, residue_ring(2, 3)), one) is None
     announce(6, "E2 matches both depth-3 replacements mod 9 and 27, and is 1 mod 8, through q^500")
 
 
@@ -196,7 +201,8 @@ def test_criterion_9_property_suites():
     for ell in (2, 3, 5):
         dilated = expand_euler_part({ell: 1}, 100, ZZ)
         powered = expand_euler_part({1: ell}, 100, ZZ)
-        assert first_mismatch(reduce_mod(dilated, ell, 1), reduce_mod(powered, ell, 1)) is None
+        ring = residue_ring(ell)
+        assert first_mismatch(QSeries(ring, dilated.coeffs), QSeries(ring, powered.coeffs)) is None
 
     # odd-square support of the weight-12 level-1 form mod 2
     delta_mod2 = lookup("delta").expand(200, residue_ring(2))

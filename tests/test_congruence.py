@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etaq import congruence, eisenstein, etaquot, qseries
+from etaq import congruence, etaquot
 from etaq.characters import kronecker, kronecker_character, trivial_mod
 from etaq.claims import CongruenceClaim, builtin_claims
 from etaq.congruence import (
@@ -22,7 +22,7 @@ from etaq.congruence import (
 )
 from etaq.cli import main
 from etaq.oracles import primes_up_to
-from etaq.qseries import QQ, QSeries, ZZ, residue_ring
+from etaq.qseries import QSeries, ZZ, residue_ring
 from etaq.etaquot import catalog, lookup
 
 
@@ -48,31 +48,6 @@ def test_builtin_reports_match_the_pinned_fixture():
     assert len(got) == len(pinned) == 100
     for mine, theirs in zip(got, pinned):
         assert mine == theirs, theirs["claim"]
-
-
-def test_builtin_verify_builds_no_rational_series(monkeypatch):
-    # every side is built in Z/ell^t: no reduce_mod call and no series over QQ
-    def refuse(*args):
-        raise AssertionError("reduce_mod on the verify path")
-
-    def refuse_qq(real):
-        def guarded(first, ring, *args):
-            assert ring != QQ, "a series over QQ on the verify path"
-            return real(first, ring, *args)
-
-        return guarded
-
-    for module in (qseries, eisenstein):
-        monkeypatch.setattr(module, "reduce_mod", refuse)
-    monkeypatch.setattr(QSeries, "__init__", refuse_qq(QSeries.__init__))
-    monkeypatch.setattr(QSeries, "_canonical", classmethod(refuse_qq(QSeries._canonical.__func__)))
-    assert not hasattr(congruence, "reduce_mod")
-    clear_expansion_cache()
-    reports = verify_claims(builtin_claims())
-    clear_expansion_cache()
-    pinned = json.loads(PINNED_REPORTS.read_text())["reports"]
-    got = [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
-    assert got == pinned
 
 
 def test_prime_power_detail_names_the_classes_it_reads():

@@ -22,7 +22,7 @@ from etaq.etaquot import (
     lookup,
 )
 from etaq.oracles import brute_eta_expand, primes_up_to
-from etaq.qseries import QQ, QSeries, ZZ, first_mismatch, reduce_mod, residue_ring
+from etaq.qseries import QSeries, ZZ, first_mismatch, residue_ring
 
 
 def test_parse_and_name_roundtrip():
@@ -110,7 +110,7 @@ def test_sparse_expansion_matches_dense_and_brute_for_every_form():
         assert exact == dense_reference(e.quotient, precision, ZZ), e.form_id
         for ring in rings:
             sparse = e.expand(precision, ring)
-            assert sparse == reduce_mod(exact, ring.ell, ring.t), (e.form_id, ring.describe())
+            assert sparse == QSeries(ring, exact.coeffs), (e.form_id, ring.describe())
         sparse = e.expand(precision, rings[1])
         assert sparse == dense_reference(e.quotient, precision, rings[1]), e.form_id
 
@@ -230,7 +230,7 @@ def test_catalog_expands_without_the_newton_inverse(monkeypatch):
     monkeypatch.setattr(QSeries, "inverse", refuse)
     for e in catalog():
         exact = e.expand(400)
-        assert e.expand(400, residue_ring(3, 5)) == reduce_mod(exact, 3, 5), e.form_id
+        assert e.expand(400, residue_ring(3, 5)) == QSeries(residue_ring(3, 5), exact.coeffs), e.form_id
 
 
 def test_leftover_denominator_goes_through_the_newton_inverse():
@@ -243,7 +243,7 @@ def test_leftover_denominator_goes_through_the_newton_inverse():
     series = expand_euler_part({1: -1}, 200, ZZ)
     assert list(series.coeffs) == partitions
     assert series[200] == 3972999029388
-    assert expand_euler_part({1: -1}, 200, residue_ring(3, 5)) == reduce_mod(series, 3, 5)
+    assert expand_euler_part({1: -1}, 200, residue_ring(3, 5)) == QSeries(residue_ring(3, 5), series.coeffs)
     # (q^2; q^2) / (q; q) counts partitions into distinct parts
     assert _plan_blocks({1: -1, 2: 1}) == ([("E", 2)], {1: 1})
     distinct = [1] + [0] * 200
@@ -270,11 +270,11 @@ def test_int64_guard_weights_each_pass_by_its_coefficients():
         assert etaquot._ring_groups([residue_ring(3, t)], weight, False) == [[[0], run]], t
     exact = expand_euler_part({1: 24}, precision, ZZ)
     for t in range(below, by_count + 1):
-        assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == reduce_mod(exact, 3, t), t
+        assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == QSeries(residue_ring(3, t), exact.coeffs), t
 
 
 def _mixed_rings():
-    rings = [ZZ, QQ] + [residue_ring(ell, t) for ell, t in ((2, 70), (3, 5), (7, 2), (2, 14))]
+    rings = [ZZ] + [residue_ring(ell, t) for ell, t in ((2, 70), (3, 5), (7, 2), (2, 14))]
     return rings + [residue_ring(ell) for ell in primes_up_to(691)]
 
 
@@ -332,7 +332,7 @@ def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
     # form, the one-ring expansion in each ring (with its coefficient type).
     # Every ring sits in exactly one group, and each _sparse_product run is
     # one at the group's modulus, the lcm M of its rings' moduli with
-    # weight (M - 1) < 2^63, or a CRT run of an exact group (ZZ, QQ, 2^70);
+    # weight (M - 1) < 2^63, or a CRT run of an exact group (ZZ, 2^70);
     # a run is int32 exactly when weight (M - 1) < 2^31 - 1, and every CRT
     # run is int64.  The primes up to 691 do not fit one int64 modulus for
     # delta.
@@ -346,7 +346,7 @@ def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
         assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, exact, 1), e.form_id
         assert _int32_exactly_inside_its_guard(runs), e.form_id
         assert {dtype for m, dtype, _ in runs if m in sum(exact, [])} == {np.dtype(np.int64)}, e.form_id
-        assert len(exact) == 3, e.form_id
+        assert len(exact) == 2, e.form_id
         for group, modulus in groups:
             if modulus:
                 assert modulus == lcm(*(rings[i].modulus for i in group)), e.form_id
@@ -355,7 +355,7 @@ def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
         for ring, got in zip(rings, series):
             where = (e.form_id, ring.describe())
             assert got == expand(e.quotient, 1000, ring), where
-            assert {type(c) for c in got.coeffs} == {Fraction if ring == QQ else int}, where
+            assert {type(c) for c in got.coeffs} == {int}, where
 
 
 def test_int32_runs_of_the_builtin_plan_match_int64_and_the_brute_oracle(monkeypatch):
@@ -400,11 +400,7 @@ def test_expand_mod_primes_matches_the_brute_oracle():
     for e in catalog():
         exact = brute_eta_expand(dict(e.quotient.factors), 60)
         for ring, got in zip(rings, expand_all(e.quotient, 60, rings)):
-            where = (e.form_id, ring.describe())
-            if ring.kind == "mod":
-                assert got == reduce_mod(exact, ring.ell, ring.t), where
-            else:
-                assert got == QSeries(ring, exact.coeffs), where
+            assert got == QSeries(ring, exact.coeffs), (e.form_id, ring.describe())
 
 
 def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkeypatch):
@@ -420,24 +416,21 @@ def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkey
     assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 2)
     assert _int32_exactly_inside_its_guard(runs)
     assert {dtype for _, dtype, _ in runs} == {np.dtype(np.int32), np.dtype(np.int64)}
-    assert len(crt) == 2 * 3
+    assert len(crt) == 2 * 2
     exact = brute_eta_expand({1: -1, 5: 5}, 300)
     for ring, got in zip(rings, series):
         where = ring.describe()
         assert got == expand(quotient, 300, ring), where
-        if ring.kind == "mod":
-            assert got == reduce_mod(exact, ring.ell, ring.t), where
-        else:
-            assert got == QSeries(ring, exact.coeffs), where
+        assert got == QSeries(ring, exact.coeffs), where
 
 
 def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
-    # one call with a precision per ring, ZZ, QQ and residue rings mixed:
+    # one call with a precision per ring, ZZ and residue rings mixed:
     # each series equals the one-ring expansion at its own precision, and a
     # group's product runs as far as its furthest ring reads and no further
-    rings = [ZZ, residue_ring(3), residue_ring(2, 14), QQ, residue_ring(3, 5), residue_ring(2, 70),
+    rings = [ZZ, residue_ring(3), residue_ring(2, 14), residue_ring(3, 5), residue_ring(2, 70),
              residue_ring(691), residue_ring(2, 9), residue_ring(7, 2)]
-    precisions = [120, 900, 37, 250, 1, 640, 900, 899, 2]
+    precisions = [120, 900, 37, 1, 640, 900, 899, 2]
     reaches, groups = [], []
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
 
@@ -465,7 +458,7 @@ def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
             where = (quotient.name(), ring.describe(), precision)
             assert got.precision == precision, where
             assert got == expand(quotient, precision, ring), where
-            assert {type(c) for c in got.coeffs} == {Fraction if ring == QQ else int}, where
+            assert {type(c) for c in got.coeffs} == {int}, where
     with pytest.raises(ValueError, match="2 precisions for 3 rings"):
         expand_all(leftover, [10, 20], rings[:3])
     with pytest.raises(ValueError, match="cannot see the leading term"):
@@ -473,25 +466,24 @@ def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
 
 
 def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
-    # 3 joins 3^5 without growing its modulus; ZZ, QQ and 2^70 (too large
+    # 3 joins 3^5 without growing its modulus; ZZ and 2^70 (too large
     # for the guard) run alone on the exact product (None) and end a run; a
     # ring that would push weight (M - 1) past 2^63 opens a new run; with a
     # leftover denominator every ring runs alone
-    rings = [residue_ring(3, 5), residue_ring(3), residue_ring(7, 2), ZZ, residue_ring(5), QQ]
+    rings = [residue_ring(3, 5), residue_ring(3), residue_ring(7, 2), ZZ, residue_ring(5)]
     rings += [residue_ring(2, 70), residue_ring(2, 40), residue_ring(3, 20)]
     assert etaquot._ring_groups(rings, 1000, False) == [
         [[0, 1, 2], 3**5 * 7**2],
         [[3], None],
         [[4], 5],
         [[5], None],
-        [[6], None],
-        [[7], 2**40],
-        [[8], 3**20],
+        [[6], 2**40],
+        [[7], 3**20],
     ]
     assert 1000 * (2**40 * 3**20 - 1) >= 2**63 > 1000 * (3**20 - 1)
     assert 1000 * (2**70 - 1) >= 2**63
     assert etaquot._ring_groups(rings, 1000, True) == [
-        [[i], None if ring.kind != "mod" or i == 6 else ring.modulus] for i, ring in enumerate(rings)
+        [[i], None if ring.kind != "mod" or i == 5 else ring.modulus] for i, ring in enumerate(rings)
     ]
 
 
@@ -500,7 +492,7 @@ def test_expansion_in_residue_ring_matches_reduced_exact():
         e = lookup(form_id)
         exact = e.expand(80)
         for ell, t in ((2, 3), (3, 2), (5, 1)):
-            assert reduce_mod(exact, ell, t) == e.expand(80, residue_ring(ell, t))
+            assert QSeries(residue_ring(ell, t), exact.coeffs) == e.expand(80, residue_ring(ell, t))
 
 
 def test_gcd_dilation_consistency():
@@ -520,8 +512,9 @@ def test_eta_power_frobenius_congruence():
         for r in (1, 2, 3):
             dilated = expand_euler_part({ell: r}, 100, ZZ)
             powered = expand_euler_part({1: ell * r}, 100, ZZ)
+            ring = residue_ring(ell)
             assert first_mismatch(
-                reduce_mod(dilated, ell, 1), reduce_mod(powered, ell, 1)
+                QSeries(ring, dilated.coeffs), QSeries(ring, powered.coeffs)
             ) is None, (ell, r)
 
 
