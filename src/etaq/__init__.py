@@ -20,7 +20,7 @@ from .congruence import (
     verify_claim,
     verify_claims,
 )
-from .eisenstein import eisenstein_E, eisenstein_G
+from .eisenstein import eisenstein_G
 from .etaquot import CatalogEntry, EtaQuotient, catalog, expand, lookup
 from .operators import FormMeta, hecke_tn, theta, twist, u_operator
 from .qseries import QSeries, Ring, ZZ, residue_ring
@@ -43,7 +43,6 @@ __all__ = [
     "builtin_claims",
     "catalog",
     "classify_square_class_prime",
-    "eisenstein_E",
     "eisenstein_G",
     "expand",
     "group_index",

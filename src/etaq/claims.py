@@ -25,6 +25,11 @@ _READS = {
 _OPTIONAL = set().union(*_READS.values())
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON's 23.0 and true are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CongruenceClaim:
     claim_id: str
@@ -50,6 +55,11 @@ class CongruenceClaim:
             raise ValueError(f"unknown claim kind {self.kind!r}")
         if self.expect not in ("pass", "fail"):
             raise ValueError("expect must be 'pass' or 'fail'")
+        scalars = (self.m, self.m_prime, self.residue_modulus)
+        numbers = [self.ell, self.t, *(x for x in scalars if x is not None), *(self.residues or ())]
+        numbers += [x for unit in self.units or () for x in unit]
+        if not all(map(_is_int, numbers)):
+            raise ValueError("ell, t, m, m_prime, residue_modulus, residues and units hold integers only")
         if self.ell < 2:
             raise ValueError("ell must be a prime >= 2")
         if self.t < 1:
@@ -81,7 +91,7 @@ class CongruenceClaim:
                     f"{self.kind} claim classes {outside} lie outside 0 .. {self.residue_modulus - 1}"
                 )
         for declared in (self.weight, self.level):
-            if declared is not None and (not isinstance(declared, int) or declared < 1):
+            if declared is not None and (not _is_int(declared) or declared < 1):
                 raise ValueError("a declared weight or level must be an integer >= 1")
         unread = sorted(n for n in _OPTIONAL - _READS[self.kind] if getattr(self, n) is not None)
         if "weight" in unread or "level" in unread:  # only the prime scans read neither

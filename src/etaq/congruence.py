@@ -7,19 +7,19 @@ bookkeeping (`_comparison`); both sides are read to the agreement bound of
 the space that holds them and compared, a proof ("sturm-proved") unless a
 theta step was conservative.  Every side is computed in Z/ell^t from its
 base on (the form's cached expansion, or G_k or the weight-2 series from
-`eisenstein` in that ring), so twist, theta and pad act on residues.  A
-side is a numpy array of residues, int64 while a product of two fits and
-Python ints beyond (`residue_dtype`): twist and theta are one multiply by a
-table of chi(n) n^j, the first mismatch is found by one array comparison,
-and only a pad is multiplied as a series.
-The lower-weight side is padded by a form congruent to 1, so for ell >= 5
-the weights must differ by a multiple of phi(ell^t) (E_4 and weight-2
-level-d series serve mod 3 and 2).  Prime-power and unit-factor claims are
-scanned over many primes instead ("numerical-evidence").  Their
-congruences and the exceptional-prime scan's are all one shape, a table of
-residue classes c with a(p) = u_c (p^m + p^m') mod ell^(t_c), and
-`_first_failure` is the one place that checks such a table, at every
-prime at once.
+`eisenstein` in that ring), as a numpy array of residues, int64 while a
+product of two fits and Python ints beyond (`residue_dtype`): twist and
+theta are one `theta` call, a multiply by a table of chi(n) n^j, and the
+first mismatch is found by one array comparison.
+The lower-weight side is padded by a form congruent to 1 mod ell^t, which
+raises its weight and changes no coefficient: a pad is bookkeeping in
+`_side_space` and is never built.  For ell >= 5 the weights must differ by
+a multiple of phi(ell^t) (E_4 and weight-2 level-d series serve mod 3 and
+2).  Prime-power and unit-factor claims are scanned over many primes
+instead ("numerical-evidence").  Their congruences and the
+exceptional-prime scan's are all one shape, a table of residue classes c
+with a(p) = u_c (p^m + p^m') mod ell^(t_c), and `_first_failure` is the
+one place that checks such a table, at every prime at once.
 
 `verify_claims` plans a run before it runs a claim: it derives, with no
 series built, which (form, ell^t, precision) each claim will read
@@ -44,17 +44,8 @@ import numpy as np
 from . import etaquot
 from .characters import Character, kronecker_character, parse_character, trivial_mod
 from .claims import CongruenceClaim
-from .eisenstein import eisenstein_E, eisenstein_E2_level, eisenstein_G
-from .operators import (
-    FormMeta,
-    common_space,
-    theta,
-    theta_mod_rule,
-    twist,
-    twist_meta,
-    twist_theta_factors,
-    u_operator,
-)
+from .eisenstein import eisenstein_E2_level, eisenstein_G
+from .operators import FormMeta, common_space, theta, theta_mod_rule, twist_meta, u_operator
 from .oracles import primes_up_to
 from .qseries import QSeries, Ring, ZZ, powers_mod, residue_dtype, residue_ring
 from .sturm import agreement_bound
@@ -119,20 +110,16 @@ class VerificationReport:
 
 # -- cached expansions ------------------------------------------------------
 
-_expansion_cache: Dict[Tuple[str, str], QSeries] = {}
-
-
-def _ring_key(ring: Ring) -> str:
-    return f"mod:{ring.ell}^{ring.t}" if ring.kind == "mod" else ring.kind
+_expansion_cache: Dict[Tuple[str, Ring], QSeries] = {}
 
 
 def _expand_misses(entry: etaquot.CatalogEntry, reads: Iterable[Tuple[Ring, int]]) -> None:
     """Cache each (ring, precision) read of a catalog form that the cache does
     not hold that far: one `expand_all` call expands every such ring, at the
     largest precision read there, and stores it under its (form, ring) key."""
-    missing: Dict[Tuple[str, str], Tuple[Ring, int]] = {}
+    missing: Dict[Tuple[str, Ring], Tuple[Ring, int]] = {}
     for ring, precision in reads:
-        key = (entry.form_id, _ring_key(ring))
+        key = (entry.form_id, ring)
         if key in missing:
             missing[key] = (ring, max(precision, missing[key][1]))
         elif key not in _expansion_cache or _expansion_cache[key].precision < precision:
@@ -150,7 +137,7 @@ def cached_expansions(
     the largest precision seen; the misses are expanded together.  A
     residue-ring series is a view of its cached array (`QSeries.residues`)."""
     _expand_misses(entry, [(ring, precision) for ring in rings])
-    return [_expansion_cache[entry.form_id, _ring_key(ring)].truncate(precision) for ring in rings]
+    return [_expansion_cache[entry.form_id, ring].truncate(precision) for ring in rings]
 
 
 def cached_expansion(entry: etaquot.CatalogEntry, precision: int, ring: Ring) -> QSeries:
@@ -173,7 +160,8 @@ def _timed(started: float) -> float:
 class Side:
     """One side of a series comparison, built in this order: a base (a
     catalog form, G_k, or the weight-2 level-N series), an optional twist,
-    theta applied `theta` times, then an optional pad E_w^e."""
+    then theta applied `theta` times.  An optional pad E_w^e = 1 mod ell^t
+    raises the side's weight by w e and leaves its coefficients as they are."""
 
     base: str  # "form" | "G" | "level"
     arg: Union[str, int]  # form id | weight k of G_k | level N
@@ -185,8 +173,11 @@ class Side:
 def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
     """The space of a side mod ell^t and the regime of its theta step ("exact"
     without one).  A theta image is cuspidal, a G or weight-2 base is not,
-    and a pad E_w^e adds w e to the weight; it is 1 mod ell^t only when
-    phi(ell^t) | w."""
+    and a pad E_w^e adds w e to the weight.  A pad must be E_w = 1 mod ell^t
+    term by term, so only even w >= 4 with phi(ell^t) | w is admitted:
+    then (ell - 1) | w, so ell exactly divides the denominator of B_w (von
+    Staudt-Clausen), and E_w - 1 = -(2w/B_w) sum sigma_(w-1)(n) q^n has
+    v_ell(2w/B_w) = v_ell(2w) + 1 >= t, since ell^(t-1) | w."""
     if side.base == "form":
         entry = etaquot.lookup(side.arg)
         meta = FormMeta(entry.weight, entry.level, entry.nebentypus)  # a newform: cuspidal
@@ -200,20 +191,19 @@ def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
         meta, regime = theta_mod_rule(ell, t, side.theta, meta)
     if side.pad is not None:
         w, e = side.pad
-        if w % (ell ** (t - 1) * (ell - 1)):
-            raise ValueError(f"pad E_{w} is not 1 mod {ell}^{t}: phi({ell}^{t}) does not divide w")
+        if w < 4 or w % 2 or w % (ell ** (t - 1) * (ell - 1)):
+            raise ValueError(f"pad E_{w} is not 1 mod {ell}^{t}: need even w >= 4, phi({ell}^{t}) | w")
         meta = replace(meta, weight=meta.weight + w * e)
     return meta, regime
 
 
 def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> np.ndarray:
     """A side's coefficients a(0), ..., a(precision) mod ell^t as an array of
-    dtype `residue_dtype(ell^t)`, every step in the residue ring.  An
+    dtype `residue_dtype(ell^t)`: its base in the residue ring, then twist
+    and theta as one `theta` call; a pad changes no coefficient.  An
     Eisenstein base reduces its constant only when the side reads a(0):
     theta, or a twist with chi(0) = 0, kills a constant that need not be
-    ell-integral.  Twist and theta are one multiply by the table of
-    chi(n) n^j mod ell^t (`twist_theta_factors`); only a padded side is
-    built as a series, through the operators, to be multiplied by its pad."""
+    ell-integral."""
     ring = residue_ring(ell, t)
     if side.base == "form":
         series = cached_expansion(etaquot.lookup(side.arg), precision, ring)
@@ -221,17 +211,7 @@ def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> np.ndarray:
         constant = not side.theta and (side.twist is None or side.twist(0) != 0)
         build = eisenstein_G if side.base == "G" else eisenstein_E2_level
         series = build(side.arg, precision, ring, constant)
-    if side.pad is not None:
-        if side.twist is not None:
-            series = twist(series, side.twist)
-        series, pad = theta(series, side.theta), eisenstein_E(side.pad[0], precision, ring)
-        if pad.coeffs[0] != 1 or any(pad.coeffs[1:]):  # a pad that reads 1 leaves the side as it is
-            series = series * pad.pow(side.pad[1])
-        return series.residues()
-    if side.twist is None and not side.theta:
-        return series.residues()
-    m = ring.modulus
-    return series.residues() * twist_theta_factors(side.twist, side.theta, m, precision + 1) % m
+    return theta(series, side.theta, side.twist).residues()
 
 
 def _comparison(
@@ -520,7 +500,7 @@ def _recipe_side(recipe: Dict) -> Side:
     if pad is not None and not (isinstance(pad, list) and len(pad) == 2):
         raise ValueError(f"recipe pad must be a pair [w, e]: {recipe}")
     numbers = [recipe.get("G", 0), recipe.get("theta", 0), *(pad or [])]
-    if not all(isinstance(x, int) and x >= 0 for x in numbers):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in numbers):
         raise ValueError(f"recipe G, theta and pad entries must be integers >= 0: {recipe}")
     base = "form" if "form" in recipe else "G"
     twist_by = parse_character(recipe["twist"]) if "twist" in recipe else None

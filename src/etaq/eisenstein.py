@@ -1,16 +1,16 @@
-"""Eisenstein series in Z/ell^t: classical G_k and E_k, and the level-raising weight-2 series.
+"""Eisenstein series in Z/ell^t: classical G_k and the level-raising weight-2 series.
 
 Each constructor takes the residue ring it builds in.  Divisor sums are
 filled in by one sieve over divisor pairs rather than by factoring, so the
 oracle module's trial-division sums stay independent; the sieve adds d^nu
 mod ell^t, every power taken at once in a numpy array.  The only
-non-integral numbers are the constant -B_k/2k of G_k, the constant
-(N - 1)/24 of the weight-2 level-N series and the normalizer -2k/B_k of
-E_k.  Each is mapped into the ring once, and one that is not ell-integral
-has no image mod ell^t: that is an error.  A caller that applies theta,
-which kills a(0), passes constant=False and never needs it.  The
-verification engine builds every Eisenstein side and pad this way,
-directly in the residue ring Z/ell^t where it compares them.
+non-integral numbers are the constants -B_k/2k of G_k and (N - 1)/24 of
+the weight-2 level-N series.  Each is mapped into the ring once, and one
+that is not ell-integral has no image mod ell^t: that is an error.  A
+caller that applies theta, which kills a(0), passes constant=False and
+never needs it.  The verification engine builds every Eisenstein side this
+way, directly in the residue ring Z/ell^t where it compares them; a pad
+E_w = 1 mod ell^t is never built (`congruence._side_space`).
 """
 
 from __future__ import annotations
@@ -68,13 +68,6 @@ def eisenstein_G(k: int, precision: int, ring: Ring, constant: bool = True) -> Q
     if constant:
         coeffs[0] = reduce_coefficient(-bernoulli(k) / (2 * k), ring)
     return QSeries._canonical(ring, coeffs % ring.modulus, precision)
-
-
-def eisenstein_E(k: int, precision: int, ring: Ring) -> QSeries:
-    """Normalized E_k = G_k / (-B_k / 2k), so the constant term is 1."""
-    series = eisenstein_G(k, precision, ring, constant=False)
-    scale = reduce_coefficient(Fraction(-2 * k) / bernoulli(k), ring, 1)
-    return series.scale(scale) + QSeries.one(ring, precision)
 
 
 def eisenstein_E2_level(n_level: int, precision: int, ring: Ring, constant: bool = True) -> QSeries:

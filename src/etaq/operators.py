@@ -30,15 +30,20 @@ class FormMeta:
     cuspidal: bool = True
 
 
-def theta(series: QSeries, times: int = 1) -> QSeries:
-    """Apply the q d/dq operator `times` times: a(n) -> n^times a(n)."""
+def theta(series: QSeries, times: int = 1, chi: Optional[Character] = None) -> QSeries:
+    """Apply the q d/dq operator `times` times to the twist by chi (no twist
+    when chi is None): a(n) -> chi(n) n^times a(n).  Over Z/ell^t this is one
+    multiply by the table of `twist_theta_factors`."""
     if times < 0:
         raise ValueError("theta cannot be un-applied")
-    if times == 0:
+    if times == 0 and chi is None:
         return series
     if series.ring.kind == "mod":
-        return _twist_theta(series, None, times)
-    coeffs = [n**times * c for n, c in enumerate(series.coeffs)]
+        m = series.ring.modulus
+        factors = twist_theta_factors(chi, times, m, series.precision + 1)
+        return QSeries._canonical(series.ring, series.residues() * factors % m, series.precision)
+    values = [1] * (series.precision + 1) if chi is None else chi.values(series.precision + 1)
+    coeffs = [v * n**times * c for n, (v, c) in enumerate(zip(values, series.coeffs))]
     return QSeries._reduced(series.ring, coeffs, series.precision)
 
 
@@ -80,10 +85,7 @@ def u_operator(series: QSeries, m: int) -> QSeries:
 
 def twist(series: QSeries, chi: Character) -> QSeries:
     """Coefficient twist a(n) -> chi(n) a(n)."""
-    if series.ring.kind == "mod":
-        return _twist_theta(series, chi, 0)
-    coeffs = [v * c for v, c in zip(chi.values(series.precision + 1), series.coeffs)]
-    return QSeries._reduced(series.ring, coeffs, series.precision)
+    return theta(series, 0, chi)
 
 
 def twist_theta_factors(chi: Optional[Character], times: int, modulus: int, count: int) -> np.ndarray:
@@ -98,13 +100,6 @@ def twist_theta_factors(chi: Optional[Character], times: int, modulus: int, coun
     if chi is not None:
         factors = np.array(chi.values(size)) * factors % modulus
     return factors if size == count else np.tile(factors, -(-count // size))[:count]
-
-
-def _twist_theta(series: QSeries, chi: Optional[Character], times: int) -> QSeries:
-    """theta^times of the twist by chi of a series over Z/ell^t."""
-    m = series.ring.modulus
-    factors = twist_theta_factors(chi, times, m, series.precision + 1)
-    return QSeries._canonical(series.ring, series.residues() * factors % m, series.precision)
 
 
 def twist_meta(meta: FormMeta, chi: Character) -> FormMeta:

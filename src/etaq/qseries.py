@@ -345,37 +345,15 @@ class QSeries:
         source = self._coeffs if self._array is None else self._array
         return QSeries._canonical(self.ring, source[: precision + 1], precision)
 
-    def dilate(self, m: int, precision: int) -> "QSeries":
-        """Substitute q -> q^m, i.e. place a(n) at q^(m n), up to the given precision."""
-        if m < 1:
-            raise ValueError("dilation factor must be >= 1")
-        if precision > m * self.precision + m - 1:
-            raise ValueError("dilation target precision exceeds known coefficients")
-        out = [0] * (precision + 1)
-        out[::m] = self.coeffs[: precision // m + 1]
-        return QSeries._canonical(self.ring, out, precision)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
 
-def reduce_coefficient(c: int | Fraction, ring: Ring, n: int = 0) -> int:
-    """Coefficient a(n) = c, an integer or a fraction, in the residue ring
-    `ring`; a denominator divisible by ell is an error."""
+def reduce_coefficient(c: int | Fraction, ring: Ring) -> int:
+    """A constant term a(0) = c, an integer or a fraction, in the residue
+    ring `ring`; a denominator divisible by ell is an error."""
     num, den = c.numerator, c.denominator
     ell, t, m = ring.ell, ring.t, ring.modulus
     if den % ell == 0:
-        raise ValueError(f"coefficient a({n}) = {c} is not {ell}-integral; cannot reduce mod {ell}^{t}")
+        raise ValueError(f"coefficient a(0) = {c} is not {ell}-integral; cannot reduce mod {ell}^{t}")
     return num * pow(den, -1, m) % m
-
-
-def first_mismatch(a: QSeries, b: QSeries) -> int | None:
-    """First index (up to the common precision) where two series differ."""
-    if a.ring != b.ring:
-        raise ValueError("ring mismatch in comparison")
-    p = min(a.precision, b.precision)
-    a_coeffs, b_coeffs = a.coeffs, b.coeffs
-    for n in range(p + 1):
-        if a_coeffs[n] != b_coeffs[n]:
-            return n
-    return None

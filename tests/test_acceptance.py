@@ -18,7 +18,7 @@ from etaq.oracles import (
     eisenstein_E2,
     primes_up_to,
 )
-from etaq.qseries import QSeries, ZZ, first_mismatch, residue_ring
+from etaq.qseries import QSeries, ZZ, residue_ring
 
 TWO_MINUTES = 120.0
 ONE_MINUTE = 60.0
@@ -134,9 +134,9 @@ def test_criterion_6_weight_two_replacements():
     for t in (2, 3):
         lhs = eisenstein_E2(500, residue_ring(3, t))
         rhs = e2_replacement(3, t, 500)
-        assert first_mismatch(lhs, rhs) is None, t
+        assert lhs == rhs, t
     one = QSeries(residue_ring(2, 3), [1] + [0] * 500, 500)
-    assert first_mismatch(eisenstein_E2(500, residue_ring(2, 3)), one) is None
+    assert eisenstein_E2(500, residue_ring(2, 3)) == one
     announce(6, "E2 matches both depth-3 replacements mod 9 and 27, and is 1 mod 8, through q^500")
 
 
@@ -202,7 +202,7 @@ def test_criterion_9_property_suites():
         dilated = expand_euler_part({ell: 1}, 100, ZZ)
         powered = expand_euler_part({1: ell}, 100, ZZ)
         ring = residue_ring(ell)
-        assert first_mismatch(QSeries(ring, dilated.coeffs), QSeries(ring, powered.coeffs)) is None
+        assert QSeries(ring, dilated.coeffs) == QSeries(ring, powered.coeffs)
 
     # odd-square support of the weight-12 level-1 form mod 2
     delta_mod2 = lookup("delta").expand(200, residue_ring(2))

@@ -278,6 +278,22 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "m_prime": 5,
          "residue_modulus": 8, "units": [[7, 193, 14], [13, 1, 11]]},
         dict(RAW, lhs={"G": 12}),
+        {"kind": "two-exponent", "form": "delta", "ell": 691.0, "m": 0, "m_prime": 11,
+         "psi": "1_1"},
+        {"kind": "square-class", "form": "delta", "ell": 23.0},
+        {"kind": "twist-power", "form": "eta2^12", "ell": 3, "t": 3.0},
+        {"kind": "twist-power", "form": "eta2^12", "ell": 3, "t": True},
+        {"kind": "prime-power", "form": "delta", "ell": 691, "m": 0.0, "m_prime": 11},
+        {"kind": "prime-power", "form": "eta2^12", "ell": 3, "t": 2, "m": 1, "m_prime": 4,
+         "residues": [2, 5], "residue_modulus": 9.0},
+        {"kind": "prime-power", "form": "eta2^12", "ell": 3, "t": 2, "m": 1, "m_prime": 4,
+         "residues": [2.0, 5], "residue_modulus": 9},
+        {"kind": "unit-factor", "form": "eta2^12", "ell": 2, "t": 14, "m_prime": 5,
+         "residue_modulus": 8, "units": [[7, 193.0, 14]]},
+        dict(RAW, lhs={"form": "delta", "theta": True}, rhs={"form": "delta", "theta": 1}),
+        dict(RAW, lhs={"form": "delta", "pad": [4, True]}),
+        dict(RAW, lhs={"form": "delta", "pad": [0, 1]}),
+        dict(RAW, ell=3, lhs={"form": "delta", "pad": [2, 1]}),
     ],
     ids=[
         "residues-without-modulus",
@@ -308,6 +324,18 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         "residue-class-out-of-range",
         "unit-class-out-of-range",
         "recipe-G-constant-not-ell-integral",
+        "float-ell-two-exponent",
+        "float-ell-square-class",
+        "float-t",
+        "bool-t",
+        "float-m",
+        "float-residue-modulus",
+        "float-residue",
+        "float-unit",
+        "recipe-bool-theta",
+        "recipe-bool-pad",
+        "recipe-pad-weight-0",
+        "recipe-pad-weight-2",
     ],
 )
 def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):

@@ -427,7 +427,7 @@ def test_wide_moduli_take_the_object_path_and_match_the_reference():
         claim_by_id("prime-power:eta2^12:l2^11"), claim_id="prime-power:eta2^12:l2^40", t=40
     )
     report = verify_claim(power_claim, prime_bound=2000)
-    cached = congruence._expansion_cache["eta2^12", "mod:2^40"].residues()
+    cached = congruence._expansion_cache["eta2^12", residue_ring(2, 40)].residues()
     assert cached.dtype == object and {type(c) for c in cached.tolist()} == {int}
     coeffs = [c % 2**40 for c in lookup("eta2^12").expand(2000).coeffs]
     primes = [p for p in primes_up_to(2000) if p != 2 and 4 % p]
@@ -501,17 +501,17 @@ def test_scan_findings_to_691_match_the_pinned_fixture():
 
 def test_scan_caches_match_fresh_expansions_and_verify_after(capsys, monkeypatch):
     # both scans store their batched mod-ell series in the expansion cache
-    # under the per-ell key, and later verify calls read them from there
+    # under their (form, ring) key, and later verify calls read them from there
     clear_expansion_cache()
     for kind in ("I", "II"):
         assert main(["scan", "--form", "delta", "--type", kind, "--ell-max", "691"]) == 0
     capsys.readouterr()
     entry = lookup("delta")
-    residues = {key: series for key, series in congruence._expansion_cache.items() if key[1] != "ZZ"}
-    assert {("delta", f"mod:{ell}^1") for ell in (2, 3, 5, 7, 23, 691)} <= set(residues)
-    for (form_id, ring_key), series in residues.items():
-        assert (form_id, ring_key) == ("delta", f"mod:{series.ring.ell}^1")
-        assert series == entry.expand(series.precision, series.ring), ring_key
+    residues = {key: series for key, series in congruence._expansion_cache.items() if key[1] != ZZ}
+    assert {("delta", residue_ring(ell)) for ell in (2, 3, 5, 7, 23, 691)} <= set(residues)
+    for (form_id, ring), series in residues.items():
+        assert (form_id, ring) == ("delta", residue_ring(series.ring.ell)) and series.ring == ring
+        assert series == entry.expand(series.precision, ring), ring
 
     def refuse(quotient, precision, rings):
         names = [ring.describe() for ring in rings]
@@ -523,6 +523,29 @@ def test_scan_caches_match_fresh_expansions_and_verify_after(capsys, monkeypatch
         data = verify_claim(claim_by_id(claim_id)).to_json()
         del data["seconds"]
         assert data == pinned[claim_id]
+
+
+def test_builtin_claims_and_planted_controls_multiply_no_two_series(capsys, monkeypatch):
+    # a side is its base times one table of chi(n) n^j, and a pad E_w = 1 mod
+    # ell^t changes no coefficient, so no verify run multiplies two series
+    def refuse(self, other):
+        raise AssertionError("verify multiplied two series")
+
+    clear_expansion_cache()
+    monkeypatch.setattr(QSeries, "__mul__", refuse)
+    assert main(["verify"]) == 0
+    assert "100/100 claims as expected" in capsys.readouterr().out
+    controls = sorted((Path(__file__).parent / "data").glob("control_*.json"))
+    codes = {path.name: main(["verify", str(path)]) for path in controls}
+    assert codes == {
+        "control_conservative_theta.json": 0,
+        "control_declared_space_too_small.json": 2,
+        "control_kron3_twist.json": 2,
+        "control_pad_not_one.json": 2,
+        "control_weights_not_congruent.json": 2,
+    }
+    assert "pad E_12 is not 1 mod 3^3" in capsys.readouterr().err
+    clear_expansion_cache()
 
 
 def test_scan_rejects_bad_input():

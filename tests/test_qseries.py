@@ -11,7 +11,6 @@ from etaq.qseries import (
     QSeries,
     Ring,
     ZZ,
-    first_mismatch,
     powers_mod,
     residue_dtype,
     residue_ring,
@@ -236,22 +235,9 @@ def test_negative_pow_inverts():
     assert f.pow(-2) == f.inverse().pow(2)
 
 
-def test_scale_and_dilate():
+def test_scale():
     f = QSeries(ZZ, [1, 2, 3], precision=2)
     assert list(f.scale(5).coeffs) == [5, 10, 15]
-    d = f.dilate(3, 8)
-    assert d.precision == 8
-    assert [d[n] for n in range(9)] == [1, 0, 0, 2, 0, 0, 3, 0, 0]
-
-
-def test_first_mismatch():
-    a = QSeries(ZZ, [1, 2, 3, 4])
-    b = QSeries(ZZ, [1, 2, 9, 4])
-    assert first_mismatch(a, b) == 2
-    assert first_mismatch(a, a) is None
-    # compares only across the shared trusted range
-    c = QSeries(ZZ, [1, 2])
-    assert first_mismatch(a, c) is None
 
 
 def test_distributivity_random():
@@ -267,7 +253,7 @@ def test_distributivity_random():
 
 
 def test_structural_helpers_and_products_stay_canonical():
-    # truncate, dilate, sums, differences, negation, scaling,
+    # truncate, sums, differences, negation, scaling,
     # products and inverses skip Ring.normalize (or reduce in bulk); their
     # coefficients must still equal (value and type) the normalized ones
     rng = random.Random(29)
@@ -276,7 +262,7 @@ def test_structural_helpers_and_products_stay_canonical():
         g = QSeries(ring, [rng.randrange(-99, 99) for _ in range(12)])
         unit = QSeries.one(ring, 12) + QSeries(ring, [0, *f.coeffs])
         derived = (f + g, f - g, -f, f.scale(-3), unit.inverse())
-        for series in (f * g, f.truncate(5), f.dilate(3, 30)) + derived:
+        for series in (f * g, f.truncate(5)) + derived:
             renormalized = QSeries(ring, series.coeffs, series.precision)
             assert series == renormalized
             assert [type(c) for c in series.coeffs] == [type(c) for c in renormalized.coeffs]

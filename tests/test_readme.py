@@ -20,4 +20,7 @@ def test_the_library_example_runs_as_written():
 
 def test_every_public_name_resolves():
     assert all(hasattr(etaq, name) for name in etaq.__all__)
-    assert not {"QQ", "reduce_mod", "eisenstein_E2"} & set(etaq.__all__)
+    retired = {"QQ", "reduce_mod", "eisenstein_E2", "eisenstein_E", "first_mismatch", "dilate"}
+    assert not retired & set(etaq.__all__)
+    assert not hasattr(etaq.eisenstein, "eisenstein_E") and not hasattr(etaq.qseries, "first_mismatch")
+    assert not hasattr(etaq.QSeries, "dilate")
