@@ -51,6 +51,8 @@ class CongruenceClaim:
     note: str = ""
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, str) for x in (self.claim_id, self.form, self.note)):
+            raise ValueError("claim_id, form and note must be strings")
         if self.kind not in KINDS:
             raise ValueError(f"unknown claim kind {self.kind!r}")
         if self.expect not in ("pass", "fail"):

@@ -134,8 +134,8 @@ def cached_expansions(
     entry: etaquot.CatalogEntry, precision: int, rings: List[Ring]
 ) -> List[QSeries]:
     """Expansions of a catalog form in each ring, memoized per (form, ring) at
-    the largest precision seen; the misses are expanded together.  A
-    residue-ring series is a view of its cached array (`QSeries.residues`)."""
+    the largest precision seen; the misses are expanded together.  Each
+    series is a view of its cached array (`QSeries.residues`)."""
     _expand_misses(entry, [(ring, precision) for ring in rings])
     return [_expansion_cache[entry.form_id, ring].truncate(precision) for ring in rings]
 
@@ -772,7 +772,8 @@ def scan_exceptional(
     prescan = [p for p in primes[: bisect_right(primes, small.precision)] if n_level % p]
     psis = _candidate_psi(n_level)
     periods = [psi.values(psi.modulus) for psi in psis]
-    rows = [(p, small.coeffs[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
+    a = small.coeffs
+    rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
     prescan = np.array(prescan, dtype=np.int64)
 
     survivors: Dict[int, List[Tuple]] = {}

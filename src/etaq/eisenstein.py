@@ -21,7 +21,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .qseries import QSeries, Ring, powers_mod, reduce_coefficient, residue_dtype
+from .qseries import QSeries, Ring, powers_mod, reduce_coefficient
 
 
 @lru_cache(maxsize=None)
@@ -46,10 +46,10 @@ def _divisor_power_sums(precision: int, nu: int, ring: Ring) -> np.ndarray:
     """Array of sigma_nu(n) mod ell^t for n <= precision (entry 0 is 0),
     sieved over the divisor pairs d e = n with d <= e: one slice add per
     d <= sqrt(precision).  The powers are d^nu mod ell^t (dtype
-    `residue_dtype`), so an entry is only congruent to sigma_nu(n), below
+    `ring.dtype`), so an entry is only congruent to sigma_nu(n), below
     d(n) ell^t, which stays inside int64; callers reduce once, when they
     wrap it."""
-    n = np.arange(precision + 1, dtype=residue_dtype(ring.modulus))
+    n = np.arange(precision + 1, dtype=ring.dtype)
     power = powers_mod(n, nu, ring.modulus)
     table = np.zeros_like(power)
     for d in range(1, isqrt(precision) + 1):

@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characters import Character, parse_character, trivial_mod
-from .qseries import QSeries, Ring, ZZ, residue_dtype
+from .qseries import QSeries, Ring, ZZ
 
 # A sparse pass moves a slot by at most (1 + sum |c|) (modulus - 1) over the
 # block's terms c q^e, so it runs in int64 while that stays below this limit.
@@ -282,8 +282,8 @@ def _expand_rings(
     exponents: Dict[int, int], lead: int, precisions: List[int], rings: List[Ring]
 ) -> List[QSeries]:
     """q^lead prod_delta prod_n (1 - q^(delta n))^(r_delta) in each ring, up to
-    q^P for that ring's precision P; a residue-ring series holds a read-only
-    array of dtype `residue_dtype(ell^t)` (`QSeries.residues`).
+    q^P for that ring's precision P, written into an array of dtype
+    `ring.dtype` that the series keeps (`QSeries.residues`).
 
     The Euler part is a series in q^g for the gcd g of the deltas, so the
     blocks are planned once for the quotient reduced by g, and coefficient n
@@ -329,7 +329,7 @@ def _expand_rings(
         if leftover:
             den_values = reduce(product(den_blocks, modulus, sub), modulus, m)
             num, den = (QSeries._canonical(ring, v, sub) for v in (values, den_values))
-            values = (num * den.inverse()).coeffs
+            values = (num * den.inverse()).residues()
         return values
 
     # each series is written straight from its group's product, and only one
@@ -338,11 +338,8 @@ def _expand_rings(
     for group, modulus in _ring_groups(rings, weight, bool(leftover)):
         acc = product(blocks, modulus, max(subs[i] for i in group))
         for i in group:
-            ring, size = rings[i], precisions[i] + 1
-            if ring.kind == "mod":
-                coeffs = np.zeros(size, dtype=residue_dtype(ring.modulus))
-            else:
-                coeffs = [0] * size
+            ring = rings[i]
+            coeffs = np.zeros(precisions[i] + 1, dtype=ring.dtype)
             coeffs[lead::g] = residues(ring, acc, modulus, subs[i])
             out[i] = QSeries._canonical(ring, coeffs, precisions[i])
         del acc, coeffs

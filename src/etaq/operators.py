@@ -42,9 +42,10 @@ def theta(series: QSeries, times: int = 1, chi: Optional[Character] = None) -> Q
         m = series.ring.modulus
         factors = twist_theta_factors(chi, times, m, series.precision + 1)
         return QSeries._canonical(series.ring, series.residues() * factors % m, series.precision)
-    values = [1] * (series.precision + 1) if chi is None else chi.values(series.precision + 1)
-    coeffs = [v * n**times * c for n, (v, c) in enumerate(zip(values, series.coeffs))]
-    return QSeries._reduced(series.ring, coeffs, series.precision)
+    factors = np.arange(series.precision + 1, dtype=object) ** times
+    if chi is not None:
+        factors *= chi.values(series.precision + 1)
+    return QSeries._canonical(series.ring, series.residues() * factors, series.precision)
 
 
 def theta_mod_rule(ell: int, t: int, applications: int, meta: FormMeta) -> Tuple[FormMeta, str]:
@@ -80,7 +81,7 @@ def u_operator(series: QSeries, m: int) -> QSeries:
     if m < 1:
         raise ValueError("U_m needs m >= 1")
     p = series.precision // m
-    return QSeries._canonical(series.ring, series.coeffs[: m * p + 1 : m], p)
+    return QSeries._canonical(series.ring, series.residues()[: m * p + 1 : m], p)
 
 
 def twist(series: QSeries, chi: Character) -> QSeries:
@@ -125,6 +126,7 @@ def hecke_tn(series: QSeries, n: int, meta: FormMeta) -> QSeries:
         raise ValueError("T_n needs n >= 1")
     out_p = series.precision // n
     chi, k = meta.nebentypus, meta.weight
+    values = series.coeffs
     coeffs = []
     for m in range(out_p + 1):
         total = 0
@@ -133,6 +135,6 @@ def hecke_tn(series: QSeries, n: int, meta: FormMeta) -> QSeries:
             if g % d == 0:
                 cd = chi(d)
                 if cd:
-                    total += cd * d ** (k - 1) * series.coeffs[m * n // (d * d)]
+                    total += cd * d ** (k - 1) * values[m * n // (d * d)]
         coeffs.append(total)
-    return QSeries._reduced(series.ring, coeffs, out_p)
+    return QSeries._reduced(series.ring, np.array(coeffs, dtype=object), out_p)

@@ -1,10 +1,12 @@
 """Exact truncated q-series arithmetic over ZZ and Z/ell^t.
 
 A series stores trusted coefficients a(0..P) for an explicit precision P and
-an explicit coefficient ring.  Values are immutable; every operation returns
-a fresh series and never fabricates coefficients beyond what both operands
-warrant (the min-precision rule).  Residue-ring coefficients are kept fully
-reduced in [0, ell^t) so equality is a plain sequence comparison.
+an explicit coefficient ring, as one read-only numpy array of dtype
+`Ring.dtype`: Python ints (object) over ZZ, residues in [0, ell^t) over
+Z/ell^t (int64 while a product of two fits, else object).  Values are
+immutable; every operation returns a fresh series and never fabricates
+coefficients beyond what both operands warrant (the min-precision rule).
+Residues are kept fully reduced, so equality compares the arrays.
 
 Every product, over both rings, is one exact Kronecker substitution
 (Harvey, J. Symbolic Comput. 44, 2009): each operand is packed into a single
@@ -13,8 +15,8 @@ are multiplied once by CPython's Karatsuba, and the low precision+1 slots are
 unpacked.  Outside input (Python or numpy integers only) is normalized
 coefficient by coefficient, and a ZZ series enters Z/ell^t the same way:
 `QSeries(residue_ring(ell, t), s.coeffs)`.  Results of internal arithmetic
-are reduced in bulk (one `% m` over Z/ell^t, nothing over ZZ) and wrapped
-without `Ring.normalize`.
+are arrays reduced in bulk (one `% m` over Z/ell^t, nothing over ZZ) and
+wrapped without `Ring.normalize`.
 """
 
 from __future__ import annotations
@@ -27,19 +29,36 @@ from typing import Sequence
 import numpy as np
 
 
+# Miller-Rabin to the 13 primes <= 41 as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); nothing certifies a larger n.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    """Trial-division primality check (moduli here are tiny)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Primality of n: trial division by the bases, which settles every
+    n < 41^2, then a strong probable-prime test to each base.  An n at or
+    above _PRIME_TEST_LIMIT that no base divides is refused (ValueError)."""
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
+        return n > 1
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot certify that {n} is prime: the test is exact below {_PRIME_TEST_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -65,6 +84,12 @@ class Ring:
         if self.kind != "mod":
             raise ValueError("modulus only makes sense for residue rings")
         return self.ell**self.t
+
+    @property
+    def dtype(self):
+        """The numpy dtype of a series' coefficients: `residue_dtype(ell^t)`
+        over Z/ell^t, object (Python ints) over ZZ."""
+        return residue_dtype(self.modulus) if self.kind == "mod" else object
 
     def normalize(self, x: int) -> int:
         """A Python or numpy integer as a canonical coefficient: itself over
@@ -150,90 +175,66 @@ def _int_product(a: Sequence[int], b: Sequence[int], limit: int) -> list:
 class QSeries:
     """Immutable truncated power series sum a(n) q^n, 0 <= n <= precision.
 
-    A series made from a numpy array keeps it (`residues`) and reads it as
-    the tuple `coeffs` only when asked, so a residue series stays an array
-    from the expansion to the comparison that reads it.
+    The coefficients are one read-only numpy array of dtype `ring.dtype`
+    (`residues`); `coeffs` reads it as a tuple of Python ints.
     """
 
-    __slots__ = ("ring", "precision", "_coeffs", "_array")
+    __slots__ = ("ring", "precision", "_array")
 
     def __init__(self, ring: Ring, coeffs: Sequence[int], precision: int | None = None):
         if precision is None:
             precision = len(coeffs) - 1
         if precision < 0:
             raise ValueError("precision must be non-negative")
-        padded = list(coeffs[: precision + 1])
-        padded.extend([0] * (precision + 1 - len(padded)))
+        values = [ring.normalize(c) for c in coeffs[: precision + 1]]
+        values.extend([0] * (precision + 1 - len(values)))
+        self._wrap(ring, values, precision)
+
+    def _wrap(self, ring: Ring, coeffs: Sequence[int], precision: int) -> None:
+        array = np.asarray(coeffs, dtype=ring.dtype)
+        array.flags.writeable = False
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "_coeffs", tuple(ring.normalize(c) for c in padded))
-        object.__setattr__(self, "_array", None)
+        object.__setattr__(self, "_array", array)
 
     @classmethod
     def _canonical(cls, ring: Ring, coeffs: Sequence[int], precision: int) -> "QSeries":
         """Wrap exactly precision+1 coefficients that are already canonical for `ring`.
 
         Skips the per-coefficient `Ring.normalize`, so callers must guarantee
-        Python ints (ZZ) or ints reduced into [0, modulus) (residue rings).
-        A numpy array is kept as it is, made read-only, and never written
-        again by its caller.  Input from outside always goes through
-        `__init__`.
+        integers (ZZ) or integers reduced into [0, modulus) (residue rings).
+        An array of dtype `ring.dtype` is kept as it is, made read-only, and
+        never written again by its caller.  Input from outside always goes
+        through `__init__`.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "precision", precision)
-        if isinstance(coeffs, np.ndarray):
-            coeffs.flags.writeable = False
-            object.__setattr__(self, "_coeffs", None)
-            object.__setattr__(self, "_array", coeffs)
-        else:
-            object.__setattr__(self, "_coeffs", tuple(coeffs))
-            object.__setattr__(self, "_array", None)
+        self._wrap(ring, coeffs, precision)
         return self
 
     @property
     def coeffs(self) -> tuple:
-        """a(0), ..., a(precision) as a tuple of Python numbers."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(self._array.tolist()))
-        return self._coeffs
+        """a(0), ..., a(precision) as a tuple of Python ints."""
+        return tuple(self._array.tolist())
 
     def residues(self) -> np.ndarray:
-        """a(0), ..., a(precision) as a read-only numpy array: dtype
-        `residue_dtype(ell^t)` over Z/ell^t, Python ints (object) over ZZ."""
-        if self._array is None:
-            dtype = residue_dtype(self.ring.modulus) if self.ring.kind == "mod" else object
-            array = np.array(self._coeffs, dtype=dtype)
-            array.flags.writeable = False
-            object.__setattr__(self, "_array", array)
+        """a(0), ..., a(precision) as a read-only numpy array of dtype `ring.dtype`."""
         return self._array
 
     @classmethod
-    def _reduced(cls, ring: Ring, coeffs: Sequence[int], precision: int) -> "QSeries":
-        """Wrap exactly precision+1 Python-int results of ring arithmetic on
-        canonical coefficients, reduced in bulk: one `% m` per coefficient
-        over Z/ell^t and nothing over ZZ."""
+    def _reduced(cls, ring: Ring, coeffs: np.ndarray, precision: int) -> "QSeries":
+        """Wrap exactly precision+1 results of ring arithmetic on canonical
+        coefficients, an array, reduced in bulk: one `% m` over Z/ell^t and
+        nothing over ZZ."""
         if ring.kind == "mod":
-            m = ring.modulus
-            coeffs = [c % m for c in coeffs]
+            coeffs = coeffs % ring.modulus
         return cls._canonical(ring, coeffs, precision)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QSeries values are immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
     def constant(ring: Ring, value: int, precision: int) -> "QSeries":
         return QSeries._canonical(ring, [ring.normalize(value)] + [0] * precision, precision)
-
-    @staticmethod
-    def one(ring: Ring, precision: int) -> "QSeries":
-        return QSeries.constant(ring, 1, precision)
-
-    @staticmethod
-    def zero(ring: Ring, precision: int) -> "QSeries":
-        return QSeries.constant(ring, 0, precision)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -242,21 +243,21 @@ class QSeries:
             isinstance(other, QSeries)
             and self.ring == other.ring
             and self.precision == other.precision
-            and self.coeffs == other.coeffs
+            and np.array_equal(self._array, other._array)
         )
 
     def __hash__(self):
         return hash((self.ring, self.precision, self.coeffs))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
+        head = ", ".join(str(c) for c in self._array[:6].tolist())
         tail = ", ..." if self.precision > 5 else ""
         return f"QSeries({self.ring.describe()}, P={self.precision}, [{head}{tail}])"
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.precision:
             raise IndexError(f"coefficient index {n} beyond precision {self.precision}")
-        return self.coeffs[n]
+        return int(self._array[n])
 
     def _check_ring(self, other: "QSeries") -> None:
         if self.ring != other.ring:
@@ -267,33 +268,26 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         self._check_ring(other)
         p = min(self.precision, other.precision)
-        pairs = zip(self.coeffs[: p + 1], other.coeffs[: p + 1])
-        return QSeries._reduced(self.ring, [x + y for x, y in pairs], p)
+        return QSeries._reduced(self.ring, self._array[: p + 1] + other._array[: p + 1], p)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         self._check_ring(other)
         p = min(self.precision, other.precision)
-        pairs = zip(self.coeffs[: p + 1], other.coeffs[: p + 1])
-        return QSeries._reduced(self.ring, [x - y for x, y in pairs], p)
+        return QSeries._reduced(self.ring, self._array[: p + 1] - other._array[: p + 1], p)
 
     def __neg__(self) -> "QSeries":
-        return QSeries._reduced(self.ring, [-c for c in self.coeffs], self.precision)
-
-    def scale(self, value: int) -> "QSeries":
-        """Multiply every coefficient by a scalar of the same ring."""
-        value = self.ring.normalize(value)
-        return QSeries._reduced(self.ring, [value * c for c in self.coeffs], self.precision)
+        return QSeries._reduced(self.ring, -self._array, self.precision)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Truncated Cauchy product at the smaller precision, by one exact integer product."""
         self._check_ring(other)
         p = min(self.precision, other.precision)
-        product = _int_product(self.coeffs[: p + 1], other.coeffs[: p + 1], p)
-        return QSeries._reduced(self.ring, product, p)
+        product = _int_product(self._array[: p + 1].tolist(), other._array[: p + 1].tolist(), p)
+        return QSeries._reduced(self.ring, np.array(product, dtype=object), p)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse by Newton iteration; needs a unit constant term."""
-        c0 = self.coeffs[0]
+        c0 = self[0]
         ring = self.ring
         if ring.kind == "ZZ":
             if c0 not in (1, -1):
@@ -301,7 +295,7 @@ class QSeries:
             inv0 = c0
         else:
             try:
-                inv0 = pow(int(c0), -1, ring.modulus)
+                inv0 = pow(c0, -1, ring.modulus)
             except ValueError:
                 raise ValueError(
                     f"constant term {c0} is not a unit mod {ring.ell}^{ring.t}"
@@ -312,27 +306,11 @@ class QSeries:
         while cur < self.precision:
             cur = min(2 * cur + 1, self.precision)
             a_cut = self.truncate(cur)
-            pad = (0,) * (cur - result.precision)
-            x = QSeries._canonical(ring, result.coeffs + pad, cur)
+            x = np.zeros(cur + 1, dtype=ring.dtype)
+            x[: result.precision + 1] = result._array
+            x = QSeries._canonical(ring, x, cur)
             result = x * (two.truncate(cur) - a_cut * x)
         return result
-
-    def pow(self, e: int) -> "QSeries":
-        """Binary powering; negative exponents invert first."""
-        if e == 0:
-            return QSeries.one(self.ring, self.precision)
-        base = self.inverse() if e < 0 else self
-        e = abs(e)
-        result = None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    __pow__ = pow
 
     # -- structural helpers ------------------------------------------------
 
@@ -342,11 +320,10 @@ class QSeries:
             raise ValueError("cannot extend precision by truncation")
         if precision == self.precision:
             return self
-        source = self._coeffs if self._array is None else self._array
-        return QSeries._canonical(self.ring, source[: precision + 1], precision)
+        return QSeries._canonical(self.ring, self._array[: precision + 1], precision)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self._array.any()
 
 
 def reduce_coefficient(c: int | Fraction, ring: Ring) -> int:

@@ -294,6 +294,11 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         dict(RAW, lhs={"form": "delta", "pad": [4, True]}),
         dict(RAW, lhs={"form": "delta", "pad": [0, 1]}),
         dict(RAW, ell=3, lhs={"form": "delta", "pad": [2, 1]}),
+        [dict(RAW, claim_id=5, lhs={"form": "delta"}),
+         dict(RAW, claim_id="y", lhs={"form": "delta"})],
+        [dict(RAW, claim_id=5, lhs={"form": "delta"})],
+        dict(RAW, lhs={"form": "delta"}, note=5),
+        dict(RAW, lhs={"form": "delta"}, form=5),
     ],
     ids=[
         "residues-without-modulus",
@@ -336,11 +341,17 @@ RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta
         "recipe-bool-pad",
         "recipe-pad-weight-0",
         "recipe-pad-weight-2",
+        "int-claim-id-beside-a-string",
+        "int-claim-id",
+        "int-note",
+        "int-form",
     ],
 )
 def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
+    # a list is the whole claim file, ids included
+    claims = claim if isinstance(claim, list) else [dict(claim, claim_id="x")]
     path = tmp_path / "claims.json"
-    path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))
+    path.write_text(json.dumps({"claims": claims}))
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "error:" in err

@@ -88,13 +88,14 @@ def dense_reference(quotient, precision, ring):
     """
     lead = quotient.exponent_sum // 24
     work = precision - lead
-    num = den = QSeries.one(ring, work)
+    num = den = QSeries.constant(ring, 1, work)
     for delta, r in quotient.factors:
-        piece = euler_factor(delta, work, ring).pow(abs(r))
-        if r > 0:
-            num = num * piece
-        else:
-            den = den * piece
+        piece = euler_factor(delta, work, ring)
+        for _ in range(abs(r)):
+            if r > 0:
+                num = num * piece
+            else:
+                den = den * piece
     return QSeries(ring, [0] * lead + list((num * den.inverse()).coeffs))
 
 
@@ -218,7 +219,9 @@ def test_each_block_matches_brute_oracle_of_its_eta_product():
             power = 24 // gcd(24, s)
             lead = s * power // 24
             expected = brute_eta_expand({d: power * r for d, r in exponents.items()}, precision + lead)
-            powered = QSeries(ZZ, coeffs).pow(power)
+            powered = QSeries(ZZ, coeffs)
+            for _ in range(power - 1):
+                powered = powered * QSeries(ZZ, coeffs)
             assert QSeries(ZZ, [0] * lead + list(powered.coeffs)) == expected, (name, delta)
 
 
@@ -534,7 +537,7 @@ def test_catalog_forms_are_hecke_eigenforms():
         for p in good:
             tp = hecke_tn(f, p, meta)
             ap = f[p]
-            expected = f.truncate(tp.precision).scale(ap)
+            expected = QSeries(f.ring, [ap * a for a in f.truncate(tp.precision).coeffs])
             assert tp == expected, (e.form_id, p)
 
 
