@@ -43,10 +43,17 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# _squarefree_part factors by trial division up to sqrt|d|, which stays
+# within 10^6 steps for |d| up to this bound; a larger d is refused.
+_DISC_LIMIT = 10**12
+
+
 def _squarefree_part(d: int) -> tuple[int, int]:
     """Write d = e * c^2 with e squarefree (sign kept on e); returns (e, c)."""
     if d == 0:
         raise ValueError("discriminant 0 has no squarefree part")
+    if abs(d) > _DISC_LIMIT:
+        raise ValueError(f"discriminant {d} is beyond the limit |d| <= 10^12")
     sign = -1 if d < 0 else 1
     d = abs(d)
     e, c = 1, 1

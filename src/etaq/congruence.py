@@ -239,6 +239,7 @@ def _comparison(
             f"the derived weight {space.weight}, level {space.level}"
         )
     bound = agreement_bound(weight, level, space.cuspidal) + margin
+    etaquot.check_precision(bound, f"{claim.claim_id}: agreement bound")
     return bound, weight, level, "conservative" in (lhs_regime, rhs_regime)
 
 
@@ -355,6 +356,7 @@ def _primes_to(bound: int) -> Tuple[int, ...]:
 def _check_prime_bound(prime_bound: int) -> None:
     if prime_bound < 50:
         raise ValueError("prime bound below 50 would make the scan vacuous")
+    etaquot.check_precision(prime_bound, "prime bound")
 
 
 def _good_primes(primes: Sequence[int], level: int, ell: int) -> np.ndarray:
@@ -765,6 +767,7 @@ def scan_exceptional(
     _check_prime_bound(prime_bound)
     if ell_max < 2:
         raise ValueError(f"ell_max {ell_max} leaves no prime ell to scan")
+    etaquot.check_precision(ell_max, "ell_max")
     entry = etaquot.lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)

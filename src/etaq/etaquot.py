@@ -18,15 +18,37 @@ int32 or int64 with m small enough that no pass overflows; an exact
 product (over ZZ, or a modulus too large for int64 such as 2^70) joins a
 few such runs by CRT, as FLINT multiplies over ZZ.  The theta blocks absorb
 every denominator of the catalog, so no catalog form needs a division; a
-denominator no block covers is inverted once with the Newton inverse.  When
-every delta shares a factor g the whole Euler part is a series in q^g, so
-the blocks are planned for the quotient reduced by g and each coefficient n
-is placed at q^(lead + g n) - a large win for the high-level forms.  One
-routine does all of this for a list of rings, each at its own precision
-(`expand_all`; `expand` is its one-ring case): residue rings share one
-product modulo the lcm of a group of their moduli, as large as the int64
-guard allows, run to the furthest precision in the group, and each reduces
-it mod its own modulus up to its own precision.
+denominator no block covers is inverted once with the Newton inverse.  The
+blocks run in descending delta, each at the stride s = gcd(deltas so far):
+the product so far is a series in q^s, kept on P/s + 1 slots, so a block
+in q^delta costs about its terms times P/delta while s = delta.  When every
+delta shares a factor g the whole Euler part is a series in q^g, and
+coefficient n of the product is placed at q^(lead + g n) - a large win for
+the high-level forms.
+
+Modulo ell^t the exponents are first rewritten (Ono, The Web of
+Modularity, ch. 1): E(delta)^(ell^t a) = E(ell delta)^(ell^(t-1) a) mod ell^t,
+applied until every |r_delta| < ell^t (`_frobenius`), so that
+mod 23 Delta is E(1) E(23), two add-only passes, and mod 2 it is
+E(8) E(16).  The congruence holds because (1 - x)^ell = 1 - x^ell mod ell
+(the binomials C(ell, i), 0 < i < ell, are divisible by ell); if
+A = B mod ell^j then A^ell = B^ell mod ell^(j+1), since
+A^ell - B^ell = (A - B) sum A^i B^(ell-1-i) and the sum = ell A^(ell-1) = 0
+mod ell; so (1 - x)^(ell^t) = (1 - x^ell)^(ell^(t-1)) mod ell^t for every
+x = q^(delta n), and inverting a series with constant term 1 keeps the
+congruence, which covers negative a.
+
+One routine does all of this for a list of rings, each at its own
+precision (`expand_all`; `expand` is its one-ring case).  Residue rings
+whose exponents stay as given share one product modulo the lcm of a group
+of their moduli, as large as the int64 guard allows, run to the furthest
+precision in the group, and each reduces it mod its own modulus up to its
+own precision; a ring that reads less than its group joins it only where
+it keeps the group's int32 or int64 dtype.  A ring with rewritten
+exponents rides on such a group when the group already reads as far and
+keeps its dtype with the ring's modulus, which costs nothing; otherwise
+it runs the rewritten product alone, unless that needs the Newton
+inverse, in which case it expands the exponents as given.
 """
 
 from __future__ import annotations
@@ -45,6 +67,9 @@ from .qseries import QSeries, Ring, ZZ
 # block's terms c q^e, so it runs in int64 while that stays below this limit.
 _INT64_LIMIT = 2**63 - 1
 _INT32_LIMIT = 2**31 - 1
+# The most coefficients any outside input may ask for: a precision, an
+# agreement bound or a prime bound past it is refused before any work starts.
+PRECISION_LIMIT = 10**6
 # the nonconstant terms (e, c) of each block (name, delta): `_block_terms`
 _Terms = Dict[Tuple[str, int], List[Tuple[int, int]]]
 
@@ -192,36 +217,58 @@ def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict
 
 
 def _sparse_product(
-    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, modulus: int
+    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, modulus: int, stride: int
 ) -> np.ndarray:
-    """Coefficients mod `modulus` of the product of the blocks (name, delta) up to q^precision.
+    """Coefficients mod `modulus` of the product of the blocks (name, delta) up
+    to q^precision, as a series in q^stride (`stride` divides every delta):
+    slot n holds the coefficient of q^(stride n).
 
-    One pass per block adds c times the running product shifted by e for each
-    of the block's terms c q^e with e <= precision (`terms[block]`, in
-    increasing e, may reach further); residues are reduced after
-    every pass.  A pass moves each slot by at most (1 + sum |c|) (modulus - 1),
-    which the caller keeps below the int64 limit (numpy int64 wraps silently);
-    the passes run in int32, half the memory traffic, while the largest such
-    weight of these blocks keeps that below the int32 limit.
+    The blocks run in descending delta.  The product so far is a series in
+    q^s for the gcd s of the deltas run so far, kept on precision // s + 1
+    slots and spread onto the finer grid only when a block needs it, so a
+    block pass costs its terms times P / s.  One pass per block adds c times
+    the running product shifted by e / s for each of the block's terms c q^e
+    with e <= precision (`terms[block]`, in increasing e, may reach further);
+    residues are reduced after every pass.  A pass moves each slot by at most
+    (1 + sum |c|) (modulus - 1) over those terms, which the caller keeps below
+    the int64 limit (numpy int64 wraps silently); the passes run in int32,
+    half the memory traffic, while the largest such weight of these blocks
+    keeps that below the int32 limit.
     """
-    weight = max((1 + sum(abs(c) for _, c in terms[key]) for key in set(blocks)), default=1)
-    acc = np.zeros(precision + 1, dtype=np.int32 if weight * (modulus - 1) < _INT32_LIMIT else np.int64)
+    weight = max(
+        (1 + sum(abs(c) for e, c in terms[key] if e <= precision) for key in set(blocks)), default=1
+    )
+    dtype = np.int32 if weight * (modulus - 1) < _INT32_LIMIT else np.int64
+    step = max((delta for _, delta in blocks), default=stride)
+    acc = np.zeros(precision // step + 1, dtype=dtype)
     acc[0] = 1
-    for key in blocks:
-        nxt = acc.copy()
+    for key in sorted(blocks, key=lambda key: -key[1]):
+        if key[1] % step:
+            acc, step = _spread(acc, step, gcd(step, key[1]), precision), gcd(step, key[1])
+        nxt, size = acc.copy(), len(acc)
         for e, c in terms[key]:
             if e > precision:
                 break
-            src = acc[: precision + 1 - e]
+            shift = e // step
+            src = acc[: size - shift]
             if c == 1:
-                nxt[e:] += src
+                nxt[shift:] += src
             elif c == -1:
-                nxt[e:] -= src
+                nxt[shift:] -= src
             else:
-                nxt[e:] += c * src
+                nxt[shift:] += c * src
         nxt %= modulus
         acc = nxt
-    return acc
+    return _spread(acc, step, stride, precision)
+
+
+def _spread(acc: np.ndarray, step: int, stride: int, precision: int) -> np.ndarray:
+    """A series in q^step, read to q^precision, on the grid of q^stride (stride | step)."""
+    if step == stride:
+        return acc
+    out = np.zeros(precision // stride + 1, dtype=acc.dtype)
+    out[:: step // stride] = acc
+    return out
 
 
 def _crt_moduli(weight: int, bound: int) -> List[int]:
@@ -239,42 +286,143 @@ def _crt_moduli(weight: int, bound: int) -> List[int]:
 
 
 def _exact_product(
-    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, moduli: List[int]
+    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, moduli: List[int], stride: int
 ) -> List[int]:
-    """Coefficients over ZZ of the product of the blocks up to q^precision,
-    from its int64 runs modulo the `moduli`, joined by CRT (Garner) and lifted
-    to the symmetric range: exact when the moduli come from `_crt_moduli` for
-    a bound on the coefficients' absolute values."""
-    values = _sparse_product(blocks, terms, precision, moduli[0]).tolist()
+    """Coefficients over ZZ of the product of the blocks up to q^precision, in
+    q^stride, from its int64 runs modulo the `moduli`, joined by CRT (Garner)
+    and lifted to the symmetric range: exact when the moduli come from
+    `_crt_moduli` for a bound on the coefficients' absolute values."""
+    values = _sparse_product(blocks, terms, precision, moduli[0], stride).tolist()
     joined = moduli[0]
     for m in moduli[1:]:
         inverse = pow(joined, -1, m)
-        residues = _sparse_product(blocks, terms, precision, m).tolist()
+        residues = _sparse_product(blocks, terms, precision, m, stride).tolist()
         values = [x + joined * ((r - x) * inverse % m) for x, r in zip(values, residues)]
         joined *= m
     half = joined // 2
     return [x - joined if x > half else x for x in values]
 
 
-def _ring_groups(rings: List[Ring], weight: int, alone: bool) -> List[list]:
-    """Split the rings, in order, into runs that share one sparse product,
-    each as [indices into rings, modulus of the product (None: over ZZ)].
+def _frobenius(exponents: Dict[int, int], ell: int, t: int) -> Optional[Dict[int, int]]:
+    """The exponents with E(delta)^(ell^t a) rewritten as E(ell delta)^(ell^(t-1) a),
+    smallest delta first, until every |r_delta| < ell^t; None when no
+    |r_delta| reaches ell^t.  Each step lowers sum |r|, so the rewriting ends."""
+    m = ell**t
+    if all(abs(r) < m for r in exponents.values()):
+        return None
+    rest = dict(exponents)
+    while True:
+        delta = min((d for d, r in rest.items() if abs(r) >= m), default=None)
+        if delta is None:
+            return {d: r for d, r in sorted(rest.items()) if r}
+        a = rest[delta] // m if rest[delta] > 0 else -(-rest[delta] // m)
+        rest[delta] -= a * m
+        rest[ell * delta] = rest.get(ell * delta, 0) + a * ell ** (t - 1)
 
-    A residue ring joins the run before it while weight (M - 1) stays below
-    the int64 limit for the lcm M of the run's moduli (numpy int64 wraps
-    silently).  ZZ and a modulus too large for that limit take the exact
-    product, and run alone, as every ring does when `alone`.
+
+def _reduce(acc: np.ndarray | List[int], modulus: Optional[int], m: Optional[int]):
+    """A product run mod `modulus` (None: over ZZ) as residues mod m (None: integers)."""
+    if modulus is None:
+        return acc if m is None else [c % m for c in acc]
+    return acc if m == modulus else acc % m
+
+
+class _Plan:
+    """One set of exponents as blocks, read to q^reach: the blocks of
+    `_plan_blocks`, one E(delta) per factor of a leftover denominator, each
+    block's terms, and the stride g, the gcd of the deltas, in which the
+    whole Euler part is a series."""
+
+    __slots__ = ("stride", "blocks", "den_blocks", "terms", "_norms")
+
+    def __init__(self, exponents: Dict[int, int], reach: int) -> None:
+        self.stride = gcd(*exponents) or 1
+        self.blocks, leftover = _plan_blocks(exponents)
+        self.den_blocks = [("E", d) for d, r in leftover.items() for _ in range(r)]
+        self.terms = {key: _block_terms(*key, reach) for key in set(self.blocks + self.den_blocks)}
+        self._norms: Dict[int, Dict[Tuple[str, int], int]] = {}
+
+    def norms(self, reach: int) -> Dict[Tuple[str, int], int]:
+        """Each block's l^1 norm 1 + sum |c| over its terms to q^reach: it
+        weights the block's passes in the int64 guard, and the norms' product
+        bounds every coefficient of a product of blocks."""
+        if reach not in self._norms:
+            self._norms[reach] = {
+                key: 1 + sum(abs(c) for e, c in t if e <= reach) for key, t in self.terms.items()
+            }
+        return self._norms[reach]
+
+    def width(self, modulus: int, reach: int) -> int:
+        """What a run mod `modulus` to q^reach needs: 0 int32, 1 int64, 2 the exact product."""
+        spread = max(self.norms(reach).values(), default=1) * (modulus - 1)
+        return (spread >= _INT32_LIMIT) + (spread >= _INT64_LIMIT)
+
+    def product(self, blocks: List[Tuple[str, int]], modulus: Optional[int], reach: int):
+        """The blocks' product to q^reach in q^stride: residues mod `modulus`
+        in an integer array, or a list of integers (None)."""
+        if modulus is None:
+            norm = self.norms(reach)
+            moduli = _crt_moduli(max(norm.values()), prod(norm[key] for key in blocks))
+            return _exact_product(blocks, self.terms, reach, moduli, self.stride)
+        return _sparse_product(blocks, self.terms, reach, modulus, self.stride)
+
+    def residues(self, ring: Ring, acc: np.ndarray | List[int], modulus: Optional[int], reach: int):
+        """The Euler part to q^reach from `product(blocks, modulus, ...)`, as
+        coefficients in the ring (an array or a list), slot n at q^(stride n);
+        a leftover denominator is divided out by the Newton inverse."""
+        m = ring.modulus if ring.kind == "mod" else None
+        values = _reduce(acc[: reach // self.stride + 1], modulus, m)
+        if self.den_blocks:
+            den_values = _reduce(self.product(self.den_blocks, modulus, reach), modulus, m)
+            num, den = (QSeries._canonical(ring, v, reach // self.stride) for v in (values, den_values))
+            values = (num * den.inverse()).residues()
+        return values
+
+
+def _ring_groups(rings: List[Ring], reaches: List[int], plans: List[_Plan], shared: _Plan) -> List[list]:
+    """Split the rings into runs that share one sparse product, each as
+    [indices into rings, modulus of the product (None: over ZZ), plan].
+
+    The rings on the shared plan go in order.  A residue ring joins the run
+    before it while weight (M - 1) stays below the int64 limit for the lcm M
+    of the run's moduli, weighted by the blocks to the run's reach (numpy
+    int64 wraps silently), and the ring either reads as far as the run or
+    keeps its dtype: a ring that reads less never widens a run from int32 to
+    int64.  ZZ and a modulus too large for that limit take the exact product
+    and run alone, as every ring does when the shared plan has a leftover
+    denominator.  A ring with a plan of its own (`_frobenius`) rides on the
+    first residue run that reads as far and keeps its dtype with the ring's
+    modulus, which costs nothing; else it runs its own plan alone.
     """
+    alone = bool(shared.den_blocks)
     groups: List[list] = []
     for i, ring in enumerate(rings):
-        m = ring.modulus if ring.kind == "mod" and weight * (ring.modulus - 1) < _INT64_LIMIT else None
+        if plans[i] is not shared:
+            continue
+        m = ring.modulus if ring.kind == "mod" and shared.width(ring.modulus, reaches[i]) < 2 else None
         if m and groups and groups[-1][1] and not alone:
-            joined = lcm(groups[-1][1], m)
-            if weight * (joined - 1) < _INT64_LIMIT:
-                groups[-1][0].append(i)
+            run, modulus, _ = groups[-1]
+            far = max(reaches[j] for j in run)
+            joined = lcm(modulus, m)
+            width = shared.width(joined, max(far, reaches[i]))
+            if width < 2 and (reaches[i] >= far or width == shared.width(modulus, far)):
+                run.append(i)
                 groups[-1][1] = joined
                 continue
-        groups.append([[i], m])
+        groups.append([[i], m, shared])
+    runs = [group for group in groups if group[1] and not alone]
+    for i, plan in enumerate(plans):
+        if plan is shared:
+            continue
+        m = rings[i].modulus
+        for group in runs:
+            far = max(reaches[j] for j in group[0])
+            if reaches[i] <= far and shared.width(lcm(group[1], m), far) == shared.width(group[1], far):
+                group[0].append(i)
+                group[1] = lcm(group[1], m)
+                break
+        else:
+            groups.append([[i], m if plan.width(m, reaches[i]) < 2 else None, plan])
     return groups
 
 
@@ -285,62 +433,33 @@ def _expand_rings(
     q^P for that ring's precision P, written into an array of dtype
     `ring.dtype` that the series keeps (`QSeries.residues`).
 
-    The Euler part is a series in q^g for the gcd g of the deltas, so the
-    blocks are planned once for the quotient reduced by g, and coefficient n
-    of their product is placed at q^(lead + g n); a ring at precision P reads
-    n <= (P - lead) // g.  Residue rings share one product per int64 group
-    (`_ring_groups`), run as far as the group's furthest ring reads, and
-    reduce it mod their own modulus; the other rings reduce the exact
-    product, if at all.  Each ring's coefficients are built only to its own
-    precision.  A denominator no block covers needs the Newton inverse in
-    each ring, so then every ring runs alone.
+    A ring reads the Euler part to q^(P - lead).  A residue ring ell^t in
+    which some |r_delta| reaches ell^t expands the exponents `_frobenius`
+    rewrites, unless their plan needs the Newton inverse or the ring rides
+    on a shared run; every other ring expands the exponents as given.  Runs
+    are grouped by `_ring_groups`, each runs as far as its furthest ring
+    reads, and each ring reduces the run mod its own modulus and places
+    slot n at q^(lead + g n) for its plan's stride g, building its
+    coefficients only to its own precision.
     """
-    g = gcd(*exponents) or 1
-    blocks, leftover = _plan_blocks({d // g: r for d, r in exponents.items()})
-    den_blocks = [("E", d) for d, r in leftover.items() for _ in range(r)]
-    subs = [(precision - lead) // g for precision in precisions]
-    terms = {key: _block_terms(*key, max(subs, default=0)) for key in set(blocks + den_blocks)}
-    # a block's l^1 norm 1 + sum |c| weights its passes' int64 guard, and the
-    # norms' product bounds every coefficient of a product of blocks
-    norm = {key: 1 + sum(abs(c) for _, c in t) for key, t in terms.items()}
-    weight = max(norm.values(), default=1)
-
-    def product(
-        blocks: List[Tuple[str, int]], modulus: Optional[int], sub: int
-    ) -> np.ndarray | List[int]:
-        """The blocks' product up to q^sub: residues mod `modulus` in an
-        integer array, or a list of integers (None)."""
-        if modulus is None:
-            moduli = _crt_moduli(weight, prod(norm[key] for key in blocks))
-            return _exact_product(blocks, terms, sub, moduli)
-        return _sparse_product(blocks, terms, sub, modulus)
-
-    def reduce(acc: np.ndarray | List[int], modulus: Optional[int], m: Optional[int]):
-        """`product(blocks, modulus, ...)` as residues mod m (None: integers)."""
-        if modulus is None:
-            return acc if m is None else [c % m for c in acc]
-        return acc if m == modulus else acc % m
-
-    def residues(ring: Ring, acc: np.ndarray | List[int], modulus: Optional[int], sub: int):
-        """The product to q^sub, run by `product(blocks, modulus, ...)`, as
-        coefficients in the ring (an array or a list)."""
-        m = ring.modulus if ring.kind == "mod" else None
-        values = reduce(acc[: sub + 1], modulus, m)
-        if leftover:
-            den_values = reduce(product(den_blocks, modulus, sub), modulus, m)
-            num, den = (QSeries._canonical(ring, v, sub) for v in (values, den_values))
-            values = (num * den.inverse()).residues()
-        return values
-
+    reaches = [precision - lead for precision in precisions]
+    shared = _Plan(exponents, max(reaches, default=0))
+    plans = [shared] * len(rings)
+    for i, ring in enumerate(rings):
+        rewritten = _frobenius(exponents, ring.ell, ring.t) if ring.kind == "mod" else None
+        if rewritten is not None:
+            plan = _Plan(rewritten, reaches[i])
+            if not plan.den_blocks:
+                plans[i] = plan
     # each series is written straight from its group's product, and only one
     # group's product is alive at a time: a batch keeps no list per ring
     out: List[QSeries] = [None] * len(rings)
-    for group, modulus in _ring_groups(rings, weight, bool(leftover)):
-        acc = product(blocks, modulus, max(subs[i] for i in group))
+    for group, modulus, plan in _ring_groups(rings, reaches, plans, shared):
+        acc = plan.product(plan.blocks, modulus, max(reaches[i] for i in group))
         for i in group:
             ring = rings[i]
             coeffs = np.zeros(precisions[i] + 1, dtype=ring.dtype)
-            coeffs[lead::g] = residues(ring, acc, modulus, subs[i])
+            coeffs[lead :: plan.stride] = plan.residues(ring, acc, modulus, reaches[i])
             out[i] = QSeries._canonical(ring, coeffs, precisions[i])
         del acc, coeffs
     return out
@@ -349,6 +468,12 @@ def _expand_rings(
 def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> QSeries:
     """prod_delta prod_n (1 - q^(delta n))^(r_delta), without the q^(s/24) prefactor."""
     return _expand_rings(exponents, 0, [precision], [ring])[0]
+
+
+def check_precision(value: int, what: str) -> None:
+    """Refuse (ValueError) a bound from outside input past PRECISION_LIMIT."""
+    if value > PRECISION_LIMIT:
+        raise ValueError(f"{what} {value} exceeds the limit of {PRECISION_LIMIT} coefficients")
 
 
 def _leading_power(quotient: EtaQuotient, precisions: List[int]) -> int:
@@ -372,6 +497,7 @@ def expand_all(
     if len(precisions) != len(rings):
         raise ValueError(f"{len(precisions)} precisions for {len(rings)} rings")
     lead = _leading_power(quotient, precisions)
+    check_precision(max(precisions, default=0), "precision")
     return _expand_rings(dict(quotient.factors), lead, precisions, rings)
 
 

@@ -147,3 +147,17 @@ def test_modulus_is_lcm_of_parts():
     assert Character(6, -3).modulus == 6
     assert Character(2, 5).modulus == 10
     assert Character(1, -2).modulus == 8  # -8 = (-2) * 2^2 folds to disc -2
+
+
+def test_discriminants_past_the_trial_division_limit_are_refused():
+    # _squarefree_part factors by trial division, so |d| > 10^12 is refused
+    # at once, a prime d = 10^20 + 39 included; |d| = 10^12 still factors
+    assert _squarefree_part(-(10**12)) == (-1, 10**6)
+    assert _squarefree_part(10**12 - 11) == (10**12 - 11, 1)  # a prime
+    for d in (10**12 + 1, -(10**12) - 1, 100000000000000000039):
+        with pytest.raises(ValueError, match="beyond the limit"):
+            _squarefree_part(d)
+        with pytest.raises(ValueError, match="beyond the limit"):
+            parse_character(f"kron({d})")
+        with pytest.raises(ValueError, match="beyond the limit"):
+            kronecker_character(d)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -356,6 +357,47 @@ def test_verify_malformed_claim_is_a_usage_error(tmp_path, capsys, claim):
     assert code == 2
     assert "error:" in err
     assert "PASS" not in out
+
+
+BIG_PRIME = 100000000000000000039
+
+
+@pytest.mark.parametrize(
+    "argv, claim, message",
+    [
+        (["expand", "--form", "delta", "--terms", "1000001"], None,
+         "precision 1000001 exceeds the limit of 1000000 coefficients"),
+        (["scan", "--form", "delta", "--type", "I", "--ell-max", "1000001"], None,
+         "ell_max 1000001 exceeds the limit of 1000000 coefficients"),
+        (["scan", "--form", "delta", "--type", "II", "--prime-bound", "1000001"], None,
+         "prime bound 1000001 exceeds the limit of 1000000 coefficients"),
+        (["verify", "--only", "prime-power", "--prime-bound", "1000001"], None,
+         "prime bound 1000001 exceeds the limit of 1000000 coefficients"),
+        (["verify"], {"kind": "square-class", "form": "delta", "ell": BIG_PRIME},
+         "x: agreement bound 416666666666666667000000000000000000067 exceeds the limit"),
+        (["verify"], {"kind": "square-class", "form": "delta", "ell": 1000000007},
+         "x: agreement bound 41666667333333337 exceeds the limit"),
+        (["verify"], {"kind": "two-exponent", "form": "delta", "ell": 691, "m": 0, "m_prime": 11,
+                      "psi": f"kron({BIG_PRIME})"},
+         f"discriminant {BIG_PRIME} is beyond the limit |d| <= 10^12"),
+        (["verify"], dict(RAW, lhs={"form": "delta", "twist": f"kron({BIG_PRIME})"}),
+         f"discriminant {BIG_PRIME} is beyond the limit |d| <= 10^12"),
+    ],
+    ids=["expand-terms", "scan-ell-max", "scan-prime-bound", "verify-prime-bound",
+         "square-class-huge-ell", "square-class-ell-1e9", "huge-psi", "huge-twist"],
+)
+def test_outsized_input_is_a_usage_error_at_once(tmp_path, capsys, argv, claim, message):
+    # a bound past 10^6 coefficients, or a discriminant past 10^12, exits 2
+    # naming its limit before any sieve, expansion or factoring starts
+    if claim is not None:
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))
+        argv = argv + [str(path)]
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -189,8 +189,8 @@ def test_crt_join_lifts_negative_coefficients_to_the_symmetric_range():
             break
         moduli.append(p)
     assert len(moduli) >= 3
-    assert etaquot._exact_product(blocks, terms, precision, moduli) == tau
-    assert etaquot._exact_product(blocks, terms, precision, moduli[:-1]) != tau
+    assert etaquot._exact_product(blocks, terms, precision, moduli, 1) == tau
+    assert etaquot._exact_product(blocks, terms, precision, moduli[:-1], 1) != tau
 
 
 def test_quotients_with_a_denominator_match_brute_oracle_over_zz():
@@ -267,9 +267,11 @@ def test_int64_guard_weights_each_pass_by_its_coefficients():
     below = max(t for t in range(1, 40) if weight * (3**t - 1) < 2**63)
     by_count = max(t for t in range(1, 40) if (len(terms) + 1) * (3**t - 1) < 2**63)
     assert (below, by_count) == (33, 36)
+    plan = etaquot._Plan({1: 24}, precision)
+    assert max(plan.norms(precision).values()) == weight
     for t in range(below, by_count + 1):
         run = 3**t if t == below else None
-        assert etaquot._ring_groups([residue_ring(3, t)], weight, False) == [[[0], run]], t
+        assert etaquot._ring_groups([residue_ring(3, t)], [precision], [plan], plan) == [[[0], run, plan]], t
     exact = expand_euler_part({1: 24}, precision, ZZ)
     for t in range(below, by_count + 1):
         assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == QSeries(residue_ring(3, t), exact.coeffs), t
@@ -280,9 +282,10 @@ def _mixed_rings():
     return rings + [residue_ring(ell) for ell in primes_up_to(691)]
 
 
-def _pass_weight(blocks, terms):
-    # the largest 1 + sum |c| over the blocks of one sparse product
-    return max(1 + sum(abs(c) for _, c in terms[key]) for key in blocks)
+def _pass_weight(blocks, terms, precision):
+    # the largest 1 + sum |c| over the terms up to q^precision of the blocks
+    # of one sparse product: the terms its passes add
+    return max(1 + sum(abs(c) for e, c in terms[key] if e <= precision) for key in blocks)
 
 
 def _int32_exactly_inside_its_guard(runs):
@@ -301,9 +304,9 @@ def _record_runs(monkeypatch):
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
     real_moduli = etaquot._crt_moduli
 
-    def product_spy(blocks, terms, precision, modulus):
-        acc = real_product(blocks, terms, precision, modulus)
-        runs.append((modulus, acc.dtype, _pass_weight(blocks, terms)))
+    def product_spy(blocks, terms, precision, modulus, stride):
+        acc = real_product(blocks, terms, precision, modulus, stride)
+        runs.append((modulus, acc.dtype, _pass_weight(blocks, terms, precision)))
         return acc
 
     def moduli_spy(*args):
@@ -325,8 +328,38 @@ def _expected_moduli(groups, exact, products):
     # each at the group's modulus, or at the next CRT moduli (None: exact)
     crt = iter(exact)
     return [
-        m for _, modulus in groups for _ in range(products) for m in ([modulus] if modulus else next(crt))
+        m for _, modulus, _ in groups for _ in range(products) for m in ([modulus] if modulus else next(crt))
     ]
+
+
+def _rewritten_blocks(exponents, ring):
+    # the blocks of the ring's Frobenius rewrite of the exponents, or None
+    # when no |r_delta| reaches ell^t or the rewrite needs the Newton inverse
+    rewritten = etaquot._frobenius(exponents, ring.ell, ring.t) if ring.kind == "mod" else None
+    if rewritten is None:
+        return None
+    blocks, leftover = _plan_blocks(rewritten)
+    return None if leftover else blocks
+
+
+def _check_rewritten_groups(exponents, rings, reaches, groups):
+    # a ring with a rewrite runs it alone, or rides on a residue run of the
+    # shared plan that reads as far; every other ring runs the shared plan;
+    # returns how many rings ran their rewrite
+    shared = {id(plan) for group, modulus, plan in groups if _rewritten_blocks(exponents, rings[group[0]]) is None}
+    assert len(shared) <= 1, exponents
+    ran = 0
+    for group, modulus, plan in groups:
+        if id(plan) not in shared:
+            (i,) = group
+            assert plan.blocks == _rewritten_blocks(exponents, rings[i]), (exponents, i)
+            assert modulus == rings[i].modulus, (exponents, i)
+            ran += 1
+            continue
+        for i in group:
+            if _rewritten_blocks(exponents, rings[i]) is not None:
+                assert modulus and reaches[i] <= max(reaches[j] for j in group), (exponents, i)
+    return ran
 
 
 def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
@@ -337,35 +370,55 @@ def test_expand_mod_primes_matches_per_prime_expansion(monkeypatch):
     # weight (M - 1) < 2^63, or a CRT run of an exact group (ZZ, 2^70);
     # a run is int32 exactly when weight (M - 1) < 2^31 - 1, and every CRT
     # run is int64.  The primes up to 691 do not fit one int64 modulus for
-    # delta.
+    # delta.  A ring ell^t in which some |r_delta| reaches ell^t rides on a
+    # shared run that reads as far, or else runs its Frobenius rewrite alone
+    # (`_frobenius`), as every such ring does in a call without the others;
+    # both give the same series.
     rings = _mixed_rings()
     runs, exact, groups = _record_runs(monkeypatch)
+    rewritten = 0
     for e in catalog():
+        exponents = dict(e.quotient.factors)
+        lead = e.quotient.exponent_sum // 24
+        own = [i for i, ring in enumerate(rings) if _rewritten_blocks(exponents, ring) is not None]
+        runs.clear()
+        alone = expand_all(e.quotient, 1000, [rings[i] for i in own])
+        assert [group for group, _, _ in groups] == [[k] for k in range(len(own))], e.form_id
+        assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, [], 1), e.form_id
+        assert _int32_exactly_inside_its_guard(runs), e.form_id
+        assert _check_rewritten_groups(exponents, [rings[i] for i in own], [1000 - lead] * len(own), groups) == len(own)
+        rewritten += len(own)
         runs.clear()
         exact.clear()
         series = expand_all(e.quotient, 1000, rings)
-        assert sorted(i for group, _ in groups for i in group) == list(range(len(rings))), e.form_id
+        assert sorted(i for group, _, _ in groups for i in group) == list(range(len(rings))), e.form_id
         assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, exact, 1), e.form_id
         assert _int32_exactly_inside_its_guard(runs), e.form_id
         assert {dtype for m, dtype, _ in runs if m in sum(exact, [])} == {np.dtype(np.int64)}, e.form_id
         assert len(exact) == 2, e.form_id
-        for group, modulus in groups:
+        for group, modulus, _ in groups:
             if modulus:
                 assert modulus == lcm(*(rings[i].modulus for i in group)), e.form_id
+        _check_rewritten_groups(exponents, rings, [1000 - lead] * len(rings), groups)
         if e.form_id == "delta":
-            assert sum(len(group) > 1 for group, _ in groups) >= 2
+            assert sum(len(group) > 1 for group, _, _ in groups) >= 2
+            # the nine primes up to 24
+            assert len(own) == 9
         for ring, got in zip(rings, series):
             where = (e.form_id, ring.describe())
             assert got == expand(e.quotient, 1000, ring), where
             assert {type(c) for c in got.coeffs} == {int}, where
+        assert all(alone[k] == series[i] for k, i in enumerate(own)), e.form_id
+    assert rewritten > len(catalog())
 
 
 def test_int32_runs_of_the_builtin_plan_match_int64_and_the_brute_oracle(monkeypatch):
     # every sparse product of a verify run over the built-in claims, for
-    # every catalog form and ring group the plan makes: the run (int32 where
-    # its guard allows) equals the same run forced into int64, and the
-    # brute-force oracle reduced mod M, whose coefficient lead + g n is the
-    # run's n-th
+    # every catalog form and ring group the plan makes, the Frobenius
+    # rewrites included: the run (int32 where its guard allows) equals the
+    # same run forced into int64, and the brute-force oracle of the form
+    # reduced mod M, whose coefficient lead + s n is the run's n-th for the
+    # run's stride s
     runs, current = [], []
     real_rings, real_product = etaquot._expand_rings, etaquot._sparse_product
 
@@ -373,9 +426,9 @@ def test_int32_runs_of_the_builtin_plan_match_int64_and_the_brute_oracle(monkeyp
         current[:] = [(exponents, lead)]
         return real_rings(exponents, lead, precisions, rings)
 
-    def product_spy(blocks, terms, precision, modulus):
-        acc = real_product(blocks, terms, precision, modulus)
-        runs.append((*current, blocks, terms, precision, modulus, acc))
+    def product_spy(blocks, terms, precision, modulus, stride):
+        acc = real_product(blocks, terms, precision, modulus, stride)
+        runs.append((*current, blocks, terms, precision, modulus, stride, acc))
         return acc
 
     monkeypatch.setattr(etaquot, "_expand_rings", rings_spy)
@@ -385,15 +438,16 @@ def test_int32_runs_of_the_builtin_plan_match_int64_and_the_brute_oracle(monkeyp
     congruence.clear_expansion_cache()
     assert len({tuple(sorted(exponents.items())) for (exponents, _), *_ in runs}) == len(catalog())
     assert np.dtype(np.int32) in {acc.dtype for *_, acc in runs}
+    assert any(blocks != _plan_blocks(exponents)[0] for (exponents, _), blocks, *_ in runs)
     monkeypatch.setattr(etaquot, "_INT32_LIMIT", 0)  # every run in int64
     oracle = {}
-    for (exponents, lead), blocks, terms, precision, modulus, acc in runs:
-        wide = real_product(blocks, terms, precision, modulus)
+    for (exponents, lead), blocks, terms, precision, modulus, stride, acc in runs:
+        wide = real_product(blocks, terms, precision, modulus, stride)
         assert wide.dtype == np.int64 and np.array_equal(acc, wide), (exponents, modulus)
         key = tuple(sorted(exponents.items()))
         if key not in oracle:
             oracle[key] = brute_eta_expand(exponents, 200).coeffs
-        exact = oracle[key][lead :: gcd(*exponents)][: precision + 1]
+        exact = oracle[key][lead::stride][: precision // stride + 1]
         assert acc[: len(exact)].tolist() == [c % modulus for c in exact], (exponents, modulus)
 
 
@@ -408,13 +462,15 @@ def test_expand_mod_primes_matches_the_brute_oracle():
 def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkeypatch):
     # eta(z)^-1 eta(5z)^5: no block covers eta(z)^-1, so each ring of
     # expand_all runs alone, with its own product for the numerator and the
-    # denominator and its own Newton inverse
+    # denominator and its own Newton inverse; the Frobenius rewrites mod 2,
+    # 4, 3 and 5 keep eta(z)^-1 and fall back to the shared plan
     quotient = EtaQuotient.from_dict({1: -1, 5: 5})
     assert _plan_blocks(dict(quotient.factors))[1] == {1: 1}
-    rings = _mixed_rings()
+    rings = _mixed_rings() + [residue_ring(2, 2)]
     runs, crt, groups = _record_runs(monkeypatch)
     series = expand_all(quotient, 300, rings)
-    assert [group for group, _ in groups] == [[i] for i in range(len(rings))]
+    assert [group for group, _, _ in groups] == [[i] for i in range(len(rings))]
+    assert len({id(plan) for _, _, plan in groups}) == 1
     assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 2)
     assert _int32_exactly_inside_its_guard(runs)
     assert {dtype for _, dtype, _ in runs} == {np.dtype(np.int32), np.dtype(np.int64)}
@@ -429,16 +485,18 @@ def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkey
 def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
     # one call with a precision per ring, ZZ and residue rings mixed:
     # each series equals the one-ring expansion at its own precision, and a
-    # group's product runs as far as its furthest ring reads and no further
+    # group's product runs as far as its furthest ring reads and no further,
+    # on the shared plan and on a ring's Frobenius rewrite alike (5 reads
+    # further than any shared run, so it runs its rewrite where it has one)
     rings = [ZZ, residue_ring(3), residue_ring(2, 14), residue_ring(3, 5), residue_ring(2, 70),
-             residue_ring(691), residue_ring(2, 9), residue_ring(7, 2)]
-    precisions = [120, 900, 37, 1, 640, 900, 899, 2]
+             residue_ring(691), residue_ring(2, 9), residue_ring(7, 2), residue_ring(5), residue_ring(2)]
+    precisions = [120, 900, 37, 1, 640, 900, 899, 2, 950, 10]
     reaches, groups = [], []
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
 
-    def product_spy(blocks, terms, precision, modulus):
+    def product_spy(blocks, terms, precision, modulus, stride):
         reaches.append(precision)
-        return real_product(blocks, terms, precision, modulus)
+        return real_product(blocks, terms, precision, modulus, stride)
 
     def groups_spy(*args):
         groups[:] = real_groups(*args)
@@ -447,20 +505,22 @@ def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
     monkeypatch.setattr(etaquot, "_sparse_product", product_spy)
     monkeypatch.setattr(etaquot, "_ring_groups", groups_spy)
     leftover = EtaQuotient.from_dict({1: -1, 5: 5})
+    rewritten = 0
     for quotient in [e.quotient for e in catalog()] + [leftover]:
         reaches.clear()
         series = expand_all(quotient, precisions, rings)
         lead = quotient.exponent_sum // 24
-        g = gcd(*(d for d, _ in quotient.factors))
-        subs = [(p - lead) // g for p in precisions]
+        subs = [p - lead for p in precisions]
         # the leftover runs every ring alone, numerator and denominator alike
-        furthest = {max(subs[i] for i in group) for group, _ in groups}
+        furthest = {max(subs[i] for i in group) for group, _, _ in groups}
         assert set(reaches) == furthest and len(furthest) > 2, quotient
+        rewritten += _check_rewritten_groups(dict(quotient.factors), rings, subs, groups)
         for ring, precision, got in zip(rings, precisions, series):
             where = (quotient.name(), ring.describe(), precision)
             assert got.precision == precision, where
             assert got == expand(quotient, precision, ring), where
             assert {type(c) for c in got.coeffs} == {int}, where
+    assert rewritten > 0
     with pytest.raises(ValueError, match="2 precisions for 3 rings"):
         expand_all(leftover, [10, 20], rings[:3])
     with pytest.raises(ValueError, match="cannot see the leading term"):
@@ -468,24 +528,59 @@ def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
 
 
 def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
-    # 3 joins 3^5 without growing its modulus; ZZ and 2^70 (too large
-    # for the guard) run alone on the exact product (None) and end a run; a
-    # ring that would push weight (M - 1) past 2^63 opens a new run; with a
-    # leftover denominator every ring runs alone
+    # delta's blocks at 600 terms weight each pass by w = 35^2.  3 joins
+    # 3^5 without growing its modulus; ZZ and 2^70 (too large for the guard)
+    # run alone on the exact product (None) and end a run; a ring that
+    # would push w (M - 1) past 2^63 opens a new run; with a leftover
+    # denominator every ring runs alone
+    plan = etaquot._Plan({1: 24}, 600)
+    w = max(plan.norms(600).values())
+    assert w == 35**2
     rings = [residue_ring(3, 5), residue_ring(3), residue_ring(7, 2), ZZ, residue_ring(5)]
     rings += [residue_ring(2, 70), residue_ring(2, 40), residue_ring(3, 20)]
-    assert etaquot._ring_groups(rings, 1000, False) == [
-        [[0, 1, 2], 3**5 * 7**2],
-        [[3], None],
-        [[4], 5],
-        [[5], None],
-        [[6], 2**40],
-        [[7], 3**20],
+    reaches = [600] * len(rings)
+    assert etaquot._ring_groups(rings, reaches, [plan] * len(rings), plan) == [
+        [[0, 1, 2], 3**5 * 7**2, plan],
+        [[3], None, plan],
+        [[4], 5, plan],
+        [[5], None, plan],
+        [[6], 2**40, plan],
+        [[7], 3**20, plan],
     ]
-    assert 1000 * (2**40 * 3**20 - 1) >= 2**63 > 1000 * (3**20 - 1)
-    assert 1000 * (2**70 - 1) >= 2**63
-    assert etaquot._ring_groups(rings, 1000, True) == [
-        [[i], None if ring.kind != "mod" or i == 5 else ring.modulus] for i, ring in enumerate(rings)
+    assert w * (2**40 * 3**20 - 1) >= 2**63 > w * (3**20 - 1)
+    assert w * (2**70 - 1) >= 2**63
+    alone = etaquot._Plan({1: -1, 5: 5}, 600)
+    assert etaquot._ring_groups(rings, reaches, [alone] * len(rings), alone) == [
+        [[i], None if ring.kind != "mod" or i == 5 else ring.modulus, alone] for i, ring in enumerate(rings)
+    ]
+
+
+def test_ring_groups_keep_a_run_in_int32_for_a_ring_that_reads_less():
+    # 3^5 7^2 runs in int32 under w = 35^2; 5^4 would widen it to int64,
+    # so it joins only when it reads as far as the run, and a ring with its
+    # own (Frobenius) plan rides on the run only when the run reads as far
+    # and keeps its dtype with the ring's modulus
+    plan = etaquot._Plan({1: 24}, 600)
+    w = max(plan.norms(600).values())
+    assert w * (3**5 * 7**2 - 1) < 2**31 - 1 <= w * (3**5 * 7**2 * 5**4 - 1)
+    rings = [residue_ring(3, 5), residue_ring(7, 2), residue_ring(5, 4)]
+    for reach, expected in ((600, [[[0, 1, 2], 3**5 * 7**2 * 5**4, plan]]),
+                            (599, [[[0, 1], 3**5 * 7**2, plan], [[2], 5**4, plan]])):
+        assert etaquot._ring_groups(rings, [600, 600, reach], [plan] * 3, plan) == expected, reach
+    mod23 = etaquot._Plan(etaquot._frobenius({1: 24}, 23, 1), 600)
+    assert mod23.blocks == [("E", 1), ("E", 23)]
+    rings = [residue_ring(3, 5), residue_ring(7, 2), residue_ring(23)]
+    assert etaquot._ring_groups(rings, [600, 600, 600], [plan, plan, mod23], plan) == [
+        [[0, 1, 2], 3**5 * 7**2 * 23, plan]
+    ]
+    assert etaquot._ring_groups(rings, [600, 600, 601], [plan, plan, mod23], plan) == [
+        [[0, 1], 3**5 * 7**2, plan],
+        [[2], 23, mod23],
+    ]
+    rings[2] = residue_ring(691)  # 3^5 7^2 691 needs int64
+    assert etaquot._ring_groups(rings, [600, 600, 600], [plan, plan, mod23], plan) == [
+        [[0, 1], 3**5 * 7**2, plan],
+        [[2], 691, mod23],
     ]
 
 
@@ -516,6 +611,82 @@ def test_eta_power_frobenius_congruence():
             powered = expand_euler_part({1: ell * r}, 100, ZZ)
             ring = residue_ring(ell)
             assert QSeries(ring, dilated.coeffs) == QSeries(ring, powered.coeffs), (ell, r)
+
+
+def test_frobenius_rewrite_matches_the_exact_expansion_and_the_brute_oracle(monkeypatch):
+    # every catalog form in every ring ell^t with some |r_delta| >= ell^t,
+    # for the primes up to 691 at t = 1 and every power of 2 and 3: each
+    # such ring runs its rewrite alone, falls back to the shared plan when
+    # the rewrite needs the Newton inverse, or rides on a run of such
+    # fallbacks, and equals the exact expansion reduced mod ell^t to 2000
+    # terms and the brute oracle to 200
+    runs, _, groups = _record_runs(monkeypatch)
+    moduli = [(ell, 1) for ell in primes_up_to(691)] + [(ell, t) for ell in (2, 3) for t in range(2, 7)]
+    total = 0
+    for e in catalog():
+        exponents = dict(e.quotient.factors)
+        top = max(abs(r) for r in exponents.values())
+        rings = [residue_ring(ell, t) for ell, t in moduli if ell**t <= top]
+        series = expand_all(e.quotient, 2000, rings)
+        lead = e.quotient.exponent_sum // 24
+        ran = _check_rewritten_groups(exponents, rings, [2000 - lead] * len(rings), groups)
+        exact, brute = e.expand(2000), brute_eta_expand(exponents, 200)
+        for ring, got in zip(rings, series):
+            where = (e.form_id, ring.describe())
+            assert got == QSeries(ring, exact.coeffs), where
+            assert got.truncate(200) == QSeries(ring, brute.coeffs), where
+        total += ran
+    assert total == 58
+    # mod 3 the rewrite of eta4^36 / eta2^12 eta8^12 leaves a denominator no
+    # block covers, so that ring falls back to the shared plan, which needs
+    # no Newton inverse
+    quotient = lookup("eta4^36 / eta2^12 eta8^12").quotient
+    exponents = dict(quotient.factors)
+    rewritten = etaquot._frobenius(exponents, 3, 1)
+    assert rewritten == {6: -1, 18: -1, 24: -1, 36: 1, 72: -1, 108: 1}
+    assert _plan_blocks(rewritten)[1] and not _plan_blocks(exponents)[1]
+
+    def refuse(self):
+        raise AssertionError("Newton inverse called")
+
+    monkeypatch.setattr(QSeries, "inverse", refuse)
+    (got,) = expand_all(quotient, 2000, [residue_ring(3)])
+    ((group, modulus, plan),) = groups
+    assert (group, modulus, plan.blocks) == ([0], 3, _plan_blocks(exponents)[0])
+    assert got == QSeries(residue_ring(3), expand(quotient, 2000).coeffs)
+
+
+def test_frobenius_rewrite_steps():
+    # E(delta)^(ell^t a) becomes E(ell delta)^(ell^(t-1) a), for negative a
+    # too, until every |r_delta| < ell^t; the exponent sum is kept
+    assert etaquot._frobenius({1: 24}, 29, 1) is None
+    assert etaquot._frobenius({1: 24}, 23, 1) == {1: 1, 23: 1}
+    assert etaquot._frobenius({1: 24}, 2, 1) == {8: 1, 16: 1}
+    assert etaquot._frobenius({1: 24}, 2, 2) == {4: 2, 8: 2}
+    assert etaquot._frobenius({1: 24}, 2, 3) == {2: 4, 4: 4}
+    assert etaquot._frobenius({1: 24}, 3, 2) == {1: 6, 3: 6} and etaquot._frobenius({1: 24}, 3, 3) is None
+    assert etaquot._frobenius({2: -12, 4: 36, 8: -12}, 2, 1) == {8: 1, 16: 1}
+    assert etaquot._frobenius({1: -2, 2: 1}, 2, 1) == {}
+    for exponents in ({1: 24}, {1: 8, 2: 8}, {12: 12, 6: -4, 24: -4}, {1: -7, 5: 9}):
+        for ell, t in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)):
+            rewritten = etaquot._frobenius(exponents, ell, t)
+            if rewritten is not None:
+                assert sum(d * r for d, r in rewritten.items()) == sum(d * r for d, r in exponents.items())
+                assert all(abs(r) < ell**t for r in rewritten.values()), (exponents, ell, t)
+    # E(2) / E(1)^2 = 1 mod 2: the rewrite leaves no block at all
+    (got,) = expand_all(EtaQuotient.from_dict({1: -2, 2: 1}), 50, [residue_ring(2)])
+    assert got == QSeries(residue_ring(2), [1] + [0] * 50)
+
+
+def test_precision_past_the_limit_is_refused_before_any_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expansion started")
+
+    etaquot.check_precision(etaquot.PRECISION_LIMIT, "precision")
+    monkeypatch.setattr(etaquot, "_expand_rings", refuse)
+    for precisions in (10**6 + 1, [10, 10**30]):
+        with pytest.raises(ValueError, match="exceeds the limit of 1000000 coefficients"):
+            expand_all(lookup("delta").quotient, precisions, [ZZ, residue_ring(5)])
 
 
 def test_delta_is_sum_of_odd_squares_mod_2():
