@@ -3,15 +3,17 @@
 Every character we need factors as (the trivial character modulo M) times
 (the Kronecker symbol of a discriminant d), so a character is stored
 symbolically as that pair plus its effective modulus.  Evaluation is exact
-integer arithmetic throughout.
+integer arithmetic throughout.  `factor`, trial division refused past
+|n| = 10^12, is the engine's one factorizer: of discriminants, and of levels
+for `sturm`.  A product of characters factors nothing (see `__mul__`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, lcm
-from typing import List
+from math import gcd, lcm, log10
+from typing import Dict, List
 
 
 def kronecker(a: int, n: int) -> int:
@@ -43,31 +45,42 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# _squarefree_part factors by trial division up to sqrt|d|, which stays
-# within 10^6 steps for |d| up to this bound; a larger d is refused.
-_DISC_LIMIT = 10**12
+_FACTOR_LIMIT = 10**12  # trial division to sqrt|n| stays within 10^6 steps
+
+
+def _shown(n: int) -> str:
+    """n, or its digit count past 100 digits: str() refuses an int past 4300."""
+    k = int(log10(abs(n)))
+    p = 10**k  # one power of 10 settles the float's rounding either way
+    k += (abs(n) >= 10 * p) - (abs(n) < p)
+    return str(n) if k < 100 else f"of {k + 1} digits"
+
+
+def factor(n: int, what: str = "integer", symbol: str = "n") -> Dict[int, int]:
+    """{p: e} with |n| = prod p^e, by trial division.  Refuses (ValueError) 0
+    and |n| > 10^12, naming n as `what` and the limit on |`symbol`|."""
+    if n == 0:
+        raise ValueError(f"{what} 0 has no prime factorization")
+    if abs(n) > _FACTOR_LIMIT:
+        raise ValueError(f"{what} {_shown(n)} is beyond the limit |{symbol}| <= 10^12")
+    n, p, out = abs(n), 2, {}
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1  # what is left after every p <= sqrt(n) is prime
+    return out
 
 
 def _squarefree_part(d: int) -> tuple[int, int]:
     """Write d = e * c^2 with e squarefree (sign kept on e); returns (e, c)."""
-    if d == 0:
-        raise ValueError("discriminant 0 has no squarefree part")
-    if abs(d) > _DISC_LIMIT:
-        raise ValueError(f"discriminant {d} is beyond the limit |d| <= 10^12")
-    sign = -1 if d < 0 else 1
-    d = abs(d)
-    e, c = 1, 1
-    p = 2
-    while p * p <= d:
-        k = 0
-        while d % p == 0:
-            d //= p
-            k += 1
+    e = c = 1
+    for p, k in factor(d, "discriminant", "d").items():
+        e *= p ** (k % 2)
         c *= p ** (k // 2)
-        if k % 2:
-            e *= p
-        p += 1 if p == 2 else 2
-    return sign * e * d, c
+    return (-e if d < 0 else e), c
 
 
 def _conductor_of_disc(e: int) -> int:
@@ -110,12 +123,11 @@ class Character:
         return (period * (count // m + 1))[:count]
 
     def __mul__(self, other: "Character") -> "Character":
-        e, c = _squarefree_part(self.disc * other.disc)
-        m = lcm(self.trivial_part, other.trivial_part)
-        if c > 1:
-            # the square part survives only as a trivial-character factor
-            m = lcm(m, c)
-        return Character(m, e)
+        # squarefree d1 d2 = g^2 (d1/g)(d2/g), g = gcd(d1, d2), with no factoring:
+        # the square part survives only as a trivial-character factor
+        g = gcd(self.disc, other.disc)
+        m = lcm(self.trivial_part, other.trivial_part, g)
+        return Character(m, self.disc // g * (other.disc // g))
 
     def describe(self) -> str:
         parts = []
@@ -141,7 +153,7 @@ def trivial_mod(m: int) -> Character:
 def kronecker_character(d: int) -> Character:
     """The Kronecker symbol of d as a character (square part folded in)."""
     e, c = _squarefree_part(d)
-    return Character(c if c > 1 else 1, e)
+    return Character(c, e)
 
 
 def parse_character(text: str) -> Character:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,7 +47,6 @@ from .characters import Character, kronecker_character, parse_character, trivial
 from .claims import CongruenceClaim
 from .eisenstein import eisenstein_E2_level, eisenstein_G
 from .operators import FormMeta, common_space, theta, theta_mod_rule, twist_meta, u_operator
-from .oracles import primes_up_to
 from .qseries import QSeries, Ring, ZZ, powers_mod, residue_dtype, residue_ring
 from .sturm import agreement_bound
 
@@ -342,13 +342,17 @@ _sieve: Tuple[int, Tuple[int, ...]] = (1, ())  # (bound, the primes up to it)
 
 
 def _primes_to(bound: int) -> Tuple[int, ...]:
-    """The primes <= bound, cut from one sieve per process.  The sieve is
-    rerun only for a bound above every earlier one, and callers share its
-    immutable tuple."""
+    """The primes <= bound, cut from one numpy sieve of Eratosthenes per
+    process.  The sieve is rerun only for a bound above every earlier one,
+    and callers share its immutable tuple."""
     global _sieve
     sieved_to, primes = _sieve
     if bound > sieved_to:
-        primes = tuple(primes_up_to(bound))
+        flags = np.ones(bound + 1, dtype=bool)  # 0 and 1 stay set: [2:] drops them
+        for p in range(2, isqrt(bound) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        primes = tuple(np.flatnonzero(flags)[2:].tolist())
         _sieve = (bound, primes)
     return primes[: bisect_right(primes, bound)]
 
@@ -543,11 +547,7 @@ def verify_claim(
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> VerificationReport:
     _check_margin(margin)
-    try:
-        runner = _VERIFIERS[claim.kind]
-    except KeyError:
-        raise ValueError(f"no verifier for claim kind {claim.kind!r}") from None
-    return runner(claim, margin, prime_bound)
+    return _VERIFIERS[claim.kind](claim, margin, prime_bound)
 
 
 # What each kind's verifier reads, derived with no series built: the two

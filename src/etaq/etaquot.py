@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -331,16 +332,19 @@ class _Plan:
     """One set of exponents as blocks, read to q^reach: the blocks of
     `_plan_blocks`, one E(delta) per factor of a leftover denominator, each
     block's terms, and the stride g, the gcd of the deltas, in which the
-    whole Euler part is a series."""
-
-    __slots__ = ("stride", "blocks", "den_blocks", "terms", "_norms")
+    whole Euler part is a series.  The terms are built on first use, so a
+    plan that no run reads (a ring that rides on a shared run) builds none."""
 
     def __init__(self, exponents: Dict[int, int], reach: int) -> None:
         self.stride = gcd(*exponents) or 1
         self.blocks, leftover = _plan_blocks(exponents)
         self.den_blocks = [("E", d) for d, r in leftover.items() for _ in range(r)]
-        self.terms = {key: _block_terms(*key, reach) for key in set(self.blocks + self.den_blocks)}
+        self.reach = reach
         self._norms: Dict[int, Dict[Tuple[str, int], int]] = {}
+
+    @cached_property
+    def terms(self) -> _Terms:
+        return {key: _block_terms(*key, self.reach) for key in set(self.blocks + self.den_blocks)}
 
     def norms(self, reach: int) -> Dict[Tuple[str, int], int]:
         """Each block's l^1 norm 1 + sum |c| over its terms to q^reach: it

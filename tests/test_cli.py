@@ -382,13 +382,22 @@ BIG_PRIME = 100000000000000000039
          f"discriminant {BIG_PRIME} is beyond the limit |d| <= 10^12"),
         (["verify"], dict(RAW, lhs={"form": "delta", "twist": f"kron({BIG_PRIME})"}),
          f"discriminant {BIG_PRIME} is beyond the limit |d| <= 10^12"),
+        (["verify"], dict(RAW, ell=1000000007, lhs={"form": "delta", "twist": "1_1000000007"}),
+         "level 1000000014000000049 is beyond the limit |N| <= 10^12"),
+        (["verify"], dict(RAW, level=1000000000000000009, lhs={"form": "delta"}),
+         "level 1000000000000000009 is beyond the limit |N| <= 10^12"),
+        (["verify"], dict(RAW, ell=2, t=1000000, lhs={"form": "delta", "theta": 1},
+                          rhs={"form": "delta", "theta": 1}),
+         "level of 301030 digits is beyond the limit |N| <= 10^12"),
     ],
     ids=["expand-terms", "scan-ell-max", "scan-prime-bound", "verify-prime-bound",
-         "square-class-huge-ell", "square-class-ell-1e9", "huge-psi", "huge-twist"],
+         "square-class-huge-ell", "square-class-ell-1e9", "huge-psi", "huge-twist",
+         "twist-level", "declared-level", "theta-level-2^999999"],
 )
 def test_outsized_input_is_a_usage_error_at_once(tmp_path, capsys, argv, claim, message):
-    # a bound past 10^6 coefficients, or a discriminant past 10^12, exits 2
-    # naming its limit before any sieve, expansion or factoring starts
+    # a bound past 10^6 coefficients, or a discriminant or a comparison's
+    # level past 10^12, exits 2 naming its limit before any sieve, expansion
+    # or factoring starts; a level too long to print gives its digit count
     if claim is not None:
         path = tmp_path / "claims.json"
         path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))

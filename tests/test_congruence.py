@@ -11,7 +11,7 @@ import pytest
 
 from etaq import congruence, etaquot
 from etaq.characters import kronecker, kronecker_character, trivial_mod
-from etaq.claims import CongruenceClaim, builtin_claims
+from etaq.claims import KINDS, CongruenceClaim, builtin_claims
 from etaq.congruence import (
     VerificationReport,
     classify_square_class_prime,
@@ -635,14 +635,19 @@ def test_verify_claims_expands_each_form_once_in_any_order(monkeypatch):
 
 def test_scan_sieves_once(monkeypatch):
     # one sieve per process, rerun only for a bound above every earlier one
+    # (each sieve stores its bound and primes in _sieve, so a replaced
+    # _sieve is a sieve that ran)
     sieves = []
-    real = congruence.primes_up_to
+    real = congruence._primes_to
 
     def spy(bound):
-        sieves.append(bound)
-        return real(bound)
+        before = congruence._sieve
+        primes = real(bound)
+        if congruence._sieve is not before:
+            sieves.append(congruence._sieve[0])
+        return primes
 
-    monkeypatch.setattr(congruence, "primes_up_to", spy)
+    monkeypatch.setattr(congruence, "_primes_to", spy)
     monkeypatch.setattr(congruence, "_sieve", (1, ()))
     for ell_max, prime_bound in ((691, 500), (100, 10_000)):
         for kind in ("two-exponent", "square-class"):
@@ -651,8 +656,25 @@ def test_scan_sieves_once(monkeypatch):
     assert sieves == [691, 10_000]
     for bound in (10_000, 7919, 7918, 2, 1):
         primes = congruence._primes_to(bound)
-        assert isinstance(primes, tuple) and primes == tuple(real(bound)), bound
+        assert isinstance(primes, tuple) and primes == tuple(primes_up_to(bound)), bound
     assert sieves == [691, 10_000]
+
+
+def test_the_engine_sieve_matches_the_reference_sieve(monkeypatch):
+    # each bound sieved afresh, then cut from the largest sieve
+    bounds = (0, 1, 2, 3, 4, 30, 97, 7919, 65_536, 99_991, 100_000)
+    for bound in bounds:
+        monkeypatch.setattr(congruence, "_sieve", (1, ()))
+        assert congruence._primes_to(bound) == tuple(primes_up_to(bound)), bound
+    for bound in bounds:
+        assert congruence._primes_to(bound) == tuple(primes_up_to(bound)), bound
+
+
+def test_every_claim_kind_has_one_verifier_and_one_reading():
+    # CongruenceClaim refuses every other kind, so dispatch needs no fallback
+    sides, tables = set(congruence._SIDES), set(congruence._TABLES)
+    assert set(KINDS) == set(congruence._VERIFIERS) == sides | tables
+    assert not sides & tables
 
 
 def test_expansion_cache_can_be_cleared():

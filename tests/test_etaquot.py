@@ -584,6 +584,50 @@ def test_ring_groups_keep_a_run_in_int32_for_a_ring_that_reads_less():
     ]
 
 
+def test_a_plan_that_no_run_reads_builds_no_terms(monkeypatch):
+    # over the built-in verify plan and the scan sweep (types I and II of
+    # four forms, ell <= 100), every _block_terms call is a block of a plan
+    # some run reads, at that plan's reach.  Plans no run reads exist: delta's
+    # shared plan in the sweep (each of its rings mod 2, 3, 5 and 7 is
+    # rewritten) and eta1^8 eta2^8's rewritten plans mod 2, 3 and 5, riders
+    plans, ran, built = [], set(), []
+    real_init, real_product, real_terms = etaquot._Plan.__init__, etaquot._Plan.product, _block_terms
+
+    def init_spy(self, exponents, reach):
+        real_init(self, exponents, reach)
+        plans.append((dict(exponents), self))
+
+    def product_spy(self, blocks, modulus, reach):
+        ran.add(id(self))
+        return real_product(self, blocks, modulus, reach)
+
+    def terms_spy(name, delta, precision):
+        built.append((name, delta, precision))
+        return real_terms(name, delta, precision)
+
+    monkeypatch.setattr(etaquot._Plan, "__init__", init_spy)
+    monkeypatch.setattr(etaquot._Plan, "product", product_spy)
+    monkeypatch.setattr(etaquot, "_block_terms", terms_spy)
+    congruence.clear_expansion_cache()
+    congruence.verify_claims(builtin_claims())
+    congruence.clear_expansion_cache()
+    for form_id in ("delta", "eta1^8 eta2^8", "eta1^4 eta5^4", "eta1^2 eta11^2"):
+        for kind in ("two-exponent", "square-class"):
+            congruence.scan_exceptional(form_id, kind, ell_max=100)
+    congruence.clear_expansion_cache()
+    read = [plan for _, plan in plans if id(plan) in ran]
+    unread = [(exponents, plan) for exponents, plan in plans if id(plan) not in ran]
+    assert sorted(built) == sorted(
+        (*key, plan.reach) for plan in read for key in set(plan.blocks + plan.den_blocks)
+    )
+    assert all("terms" not in vars(plan) for _, plan in unread)
+    # the forms' Euler parts start at q^1, so 10^4 terms reach q^9999 of them
+    unread_keys = [sorted(exponents.items()) for exponents, plan in unread if plan.reach == 9_999]
+    assert [(1, 24)] in unread_keys
+    for ell in (2, 3, 5):
+        assert sorted(etaquot._frobenius({1: 8, 2: 8}, ell, 1).items()) in unread_keys, ell
+
+
 def test_expansion_in_residue_ring_matches_reduced_exact():
     for form_id in ("delta", "eta2^12", "eta12^12 / eta6^4 eta24^4"):
         e = lookup(form_id)
