@@ -50,7 +50,7 @@ _FACTOR_LIMIT = 10**12  # trial division to sqrt|n| stays within 10^6 steps
 
 def _shown(n: int) -> str:
     """n, or its digit count past 100 digits: str() refuses an int past 4300."""
-    k = int(log10(abs(n)))
+    k = int(log10(abs(n) or 1))
     p = 10**k  # one power of 10 settles the float's rounding either way
     k += (abs(n) >= 10 * p) - (abs(n) < p)
     return str(n) if k < 100 else f"of {k + 1} digits"

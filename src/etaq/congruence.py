@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import etaquot
-from .characters import Character, kronecker_character, parse_character, trivial_mod
+from .characters import Character, _shown, kronecker_character, parse_character, trivial_mod
 from .claims import CongruenceClaim
 from .eisenstein import eisenstein_E2_level, eisenstein_G
 from .operators import FormMeta, common_space, theta, theta_mod_rule, twist_meta, u_operator
@@ -235,8 +235,8 @@ def _comparison(
     level = space.level if claim.level is None else claim.level
     if weight < space.weight or level % space.level:
         raise ValueError(
-            f"{claim.claim_id}: declared weight {weight}, level {level} does not contain "
-            f"the derived weight {space.weight}, level {space.level}"
+            f"{claim.claim_id}: declared weight {_shown(weight)}, level {_shown(level)} does not "
+            f"contain the derived weight {_shown(space.weight)}, level {_shown(space.level)}"
         )
     bound = agreement_bound(weight, level, space.cuspidal) + margin
     etaquot.check_precision(bound, f"{claim.claim_id}: agreement bound")
@@ -680,13 +680,44 @@ def _candidate_psi(n_level: int) -> List[Character]:
     return out
 
 
-def _square_class_survivors(ell: int, primes: np.ndarray, small: np.ndarray) -> List[Tuple]:
-    """[(None, table)] for a(p) = 0 mod ell on the non-squares mod ell (u = 0,
-    so the exponents are immaterial) when it holds at every prime given, else
-    [] (and always [] for ell = 2, which has no non-squares)."""
-    squares = {x * x % ell for x in range(1, ell)}
-    table = (0, 0, ell, dict.fromkeys(set(range(1, ell)) - squares, (0, ell)))
-    return [(None, table)] if table[3] and _first_failure(small, primes, *table)[0] is None else []
+_PRESCAN_ROWS = 4096  # ell per prescan pass: its grid stays a few MB at any ell_max
+
+
+def _euler_criterion(x: np.ndarray, ells: np.ndarray) -> np.ndarray:
+    """x^((ell - 1)/2) mod ell for a column of odd primes ell broadcast
+    against x: 1 on the nonzero squares mod ell, ell - 1 on the non-squares,
+    0 where ell | x.  ell <= 10^6 (`check_precision`), so int64 holds every
+    product of two residues."""
+    half = (ells - 1) // 2
+    x = x % ells
+    result = np.ones_like(x)
+    while half.any():
+        result = np.where(half & 1, result * x % ells, result)
+        half = half >> 1
+        x = x * x % ells
+    return result
+
+
+def _odd_prescan(ells: Sequence[int], primes: Sequence[int], a: Sequence[int], k: Optional[int]) -> List[int]:
+    """The odd ell among `ells` that no p in `primes` refutes, in array passes
+    over a grid of ell (rows, _PRESCAN_ROWS at a time) by p, with a(p) = a[p].
+    Square-class (k None): p refutes ell when it is a non-square mod ell and
+    ell does not divide a(p).  Two-exponent (weight k): p refutes ell when
+    a(p)^2 - 4 p^(k-1) is a non-square mod ell.  A column p = ell refutes
+    nothing, since p = 0 mod ell."""
+    a_p = np.array([a[p] for p in primes], dtype=np.int64)  # |a(p)| <= 2 p^((k-1)/2) (Deligne)
+    primes = np.asarray(primes, dtype=np.int64)
+    odd = [ell for ell in ells if ell > 2]
+    kept: List[int] = []
+    for start in range(0, len(odd), _PRESCAN_ROWS):
+        ell = np.array(odd[start : start + _PRESCAN_ROWS], dtype=np.int64)[:, None]
+        a = a_p % ell
+        if k is None:
+            refuted = (_euler_criterion(primes, ell) == ell - 1) & (a != 0)
+        else:
+            refuted = _euler_criterion(a * a - 4 * powers_mod(primes, k - 1, ell), ell) == ell - 1
+        kept += ell[~refuted.any(axis=1), 0].tolist()
+    return kept
 
 
 def _two_exponent_survivors(
@@ -752,8 +783,17 @@ def scan_exceptional(
     rather than a genuine square-class property are flagged masked.
 
     Three phases.  First every ell <= ell_max is prescanned over the good
-    primes of the exact expansion to _PRESCAN_PRECISION, from tables of a(p),
-    psi(p) (computed once per scan) and p^j mod ell.  Then one
+    primes p <= _PRESCAN_PRECISION of the exact expansion (`_odd_prescan`).
+    Square-class: an odd ell survives when ell divides a(p) at every
+    non-square p mod ell (Euler's criterion); ell = 2 has no non-squares,
+    and only the survivors get a table of non-squares.  Two-exponent: at an
+    odd p not dividing N, p != ell, every candidate psi has conductor
+    dividing 4N, so psi(p) = +-1; with m + m' = k - 1 mod ell - 1,
+    x = p^m and y = p^m' are the roots of X^2 - psi(p) a(p) X + p^(k-1)
+    mod ell, so a(p)^2 - 4 p^(k-1) = (x - y)^2 is a square mod ell.  An odd
+    ell where it is not, at some such p, holds no candidate; the rest, and
+    ell = 2, go through the exact `_two_exponent_survivors`, which reads
+    a(p), psi(p) (tabled once per scan) and p^j mod ell.  Then one
     `cached_expansions` call gives the series mod every surviving ell: the
     ones not cached at prime_bound are expanded together, one product per
     int64 group of moduli, and cached under their (form, ell) keys.  Last,
@@ -773,20 +813,22 @@ def scan_exceptional(
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)
     primes = _primes_to(max(prime_bound, ell_max))
     prescan = [p for p in primes[: bisect_right(primes, small.precision)] if n_level % p]
-    psis = _candidate_psi(n_level)
-    periods = [psi.values(psi.modulus) for psi in psis]
+    ells = primes[: bisect_right(primes, ell_max)]
     a = small.coeffs
-    rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
-    prescan = np.array(prescan, dtype=np.int64)
 
     survivors: Dict[int, List[Tuple]] = {}
-    for ell in primes[: bisect_right(primes, ell_max)]:
-        if kind == "two-exponent":
+    if kind == "two-exponent":
+        psis = _candidate_psi(n_level)
+        periods = [psi.values(psi.modulus) for psi in psis]
+        rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
+        for ell in [2] + _odd_prescan(ells, [p for p in prescan if p % 2], a, k):
             found = _two_exponent_survivors(ell, k, psis, periods, rows)
-        else:
-            found = _square_class_survivors(ell, _good_primes(prescan, n_level, ell), small.residues())
-        if found:
-            survivors[ell] = found
+            if found:
+                survivors[ell] = found
+    else:
+        for ell in _odd_prescan(ells, prescan, a, None):
+            non_squares = set(range(1, ell)) - {x * x % ell for x in range(1, ell)}
+            survivors[ell] = [(None, (0, 0, ell, dict.fromkeys(non_squares, (0, ell))))]
 
     series = cached_expansions(entry, prime_bound, [residue_ring(ell) for ell in survivors])
     scan_primes = np.array(primes[: bisect_right(primes, prime_bound)], dtype=np.int64)

@@ -14,7 +14,11 @@ Theta Series Identities, 2011); eta(d) stands for eta(delta z):
 
 Each has O(sqrt(P)) terms up to q^P, so multiplying the running product by
 one block is a handful of shifted, scaled adds on numpy slices mod m, in
-int32 or int64 with m small enough that no pass overflows; an exact
+int32 or int64 with m small enough that no pass overflows.  The first
+block is placed as it is, and a pass reads each coefficient as its
+symmetric residue mod m: it drops the terms m divides and adds or
+subtracts where the residue is +-1, so mod 2 and 3 every pass is
+add-only and mod 2 a theta block costs nothing.  An exact
 product (over ZZ, or a modulus too large for int64 such as 2^70) joins a
 few such runs by CRT, as FLINT multiplies over ZZ.  The theta blocks absorb
 every denominator of the catalog, so no catalog form needs a division; a
@@ -29,8 +33,8 @@ the high-level forms.
 Modulo ell^t the exponents are first rewritten (Ono, The Web of
 Modularity, ch. 1): E(delta)^(ell^t a) = E(ell delta)^(ell^(t-1) a) mod ell^t,
 applied until every |r_delta| < ell^t (`_frobenius`), so that
-mod 23 Delta is E(1) E(23), two add-only passes, and mod 2 it is
-E(8) E(16).  The congruence holds because (1 - x)^ell = 1 - x^ell mod ell
+mod 23 Delta is E(1) E(23), E(23) placed and one add-only pass, and
+mod 2 it is E(8) E(16).  The congruence holds because (1 - x)^ell = 1 - x^ell mod ell
 (the binomials C(ell, i), 0 < i < ell, are divisible by ell); if
 A = B mod ell^j then A^ell = B^ell mod ell^(j+1), since
 A^ell - B^ell = (A - B) sum A^i B^(ell-1-i) and the sum = ell A^(ell-1) = 0
@@ -217,6 +221,19 @@ def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict
     return blocks, {d: -r for d, r in sorted(rest.items()) if r < 0}
 
 
+def _residue_terms(terms: List[Tuple[int, int]], precision: int, modulus: int) -> List[Tuple[int, int]]:
+    """(e, r) for the terms c q^e, e <= precision, with r the symmetric
+    residue of c mod `modulus` (so |r| <= |c|) and r != 0."""
+    out = []
+    for e, c in terms:
+        if e > precision:
+            break
+        r = c % modulus
+        if r:
+            out.append((e, r - modulus if 2 * r > modulus else r))
+    return out
+
+
 def _sparse_product(
     blocks: List[Tuple[str, int]], terms: _Terms, precision: int, modulus: int, stride: int
 ) -> np.ndarray:
@@ -227,37 +244,48 @@ def _sparse_product(
     The blocks run in descending delta.  The product so far is a series in
     q^s for the gcd s of the deltas run so far, kept on precision // s + 1
     slots and spread onto the finer grid only when a block needs it, so a
-    block pass costs its terms times P / s.  One pass per block adds c times
-    the running product shifted by e / s for each of the block's terms c q^e
-    with e <= precision (`terms[block]`, in increasing e, may reach further);
-    residues are reduced after every pass.  A pass moves each slot by at most
-    (1 + sum |c|) (modulus - 1) over those terms, which the caller keeps below
-    the int64 limit (numpy int64 wraps silently); the passes run in int32,
-    half the memory traffic, while the largest such weight of these blocks
-    keeps that below the int32 limit.
+    block pass costs its terms times P / s.  The first block is placed as it
+    is, its product with 1.  Each later one is a pass that adds r times the
+    running product shifted by e / s for each of its terms c q^e with
+    e <= precision (`terms[block]`, in increasing e, may reach further), r
+    the symmetric residue of c (`_residue_terms`): r = 0 is dropped and
+    r = +-1 is a plain add, so mod 3 every third Jacobi term vanishes and
+    the rest are +-1 adds; other r multiply into one scratch buffer.
+    Residues are reduced after every pass.  A pass moves each slot by at
+    most (1 + sum |c|) (modulus - 1), as |r| <= |c|, which the caller keeps
+    below the int64 limit (numpy int64 wraps silently); the passes run in
+    int32, half the memory traffic, while the largest such weight of these
+    blocks keeps that below the int32 limit.
     """
     weight = max(
         (1 + sum(abs(c) for e, c in terms[key] if e <= precision) for key in set(blocks)), default=1
     )
     dtype = np.int32 if weight * (modulus - 1) < _INT32_LIMIT else np.int64
-    step = max((delta for _, delta in blocks), default=stride)
+    reduced = {key: _residue_terms(terms[key], precision, modulus) for key in set(blocks)}
+    order = sorted(blocks, key=lambda key: -key[1])
+    step = order[0][1] if order else stride
     acc = np.zeros(precision // step + 1, dtype=dtype)
     acc[0] = 1
-    for key in sorted(blocks, key=lambda key: -key[1]):
+    for e, r in reduced[order[0]] if order else ():
+        acc[e // step] += r
+    acc %= modulus
+    scratch = np.empty(precision // stride + 1, dtype=dtype)  # r * src for |r| > 1
+    for key in order[1:]:
         if key[1] % step:
             acc, step = _spread(acc, step, gcd(step, key[1]), precision), gcd(step, key[1])
+        if not reduced[key]:
+            continue
         nxt, size = acc.copy(), len(acc)
-        for e, c in terms[key]:
-            if e > precision:
-                break
+        for e, r in reduced[key]:
             shift = e // step
             src = acc[: size - shift]
-            if c == 1:
+            if r == 1:
                 nxt[shift:] += src
-            elif c == -1:
+            elif r == -1:
                 nxt[shift:] -= src
             else:
-                nxt[shift:] += c * src
+                np.multiply(src, r, out=scratch[: size - shift])
+                nxt[shift:] += scratch[: size - shift]
         nxt %= modulus
         acc = nxt
     return _spread(acc, step, stride, precision)

@@ -389,10 +389,14 @@ BIG_PRIME = 100000000000000000039
         (["verify"], dict(RAW, ell=2, t=1000000, lhs={"form": "delta", "theta": 1},
                           rhs={"form": "delta", "theta": 1}),
          "level of 301030 digits is beyond the limit |N| <= 10^12"),
+        (["verify"], dict(RAW, ell=2, t=1000000, level=3, lhs={"form": "delta", "theta": 1},
+                          rhs={"form": "delta", "theta": 1}),
+         "declared weight of 301030 digits, level 3 does not contain the derived weight of 301030 "
+         "digits, level of 301030 digits"),
     ],
     ids=["expand-terms", "scan-ell-max", "scan-prime-bound", "verify-prime-bound",
          "square-class-huge-ell", "square-class-ell-1e9", "huge-psi", "huge-twist",
-         "twist-level", "declared-level", "theta-level-2^999999"],
+         "twist-level", "declared-level", "theta-level-2^999999", "declared-level-under-theta-2^999999"],
 )
 def test_outsized_input_is_a_usage_error_at_once(tmp_path, capsys, argv, claim, message):
     # a bound past 10^6 coefficients, or a discriminant or a comparison's

@@ -177,6 +177,10 @@ def test_declared_space_must_contain_the_derived_one():
     for weight, level in ((12, 1), (11, 5), (12, 3)):
         with pytest.raises(ValueError, match="does not contain the derived"):
             verify_claim(dataclasses.replace(claim, weight=weight, level=level))
+    # a weight of 0 is printed as such, not passed to a logarithm
+    weightless = dataclasses.replace(claim, lhs={"G": 0, "twist": "kron(-4)"}, rhs={"G": 0}, level=3)
+    with pytest.raises(ValueError, match="declared weight 0, level 3 does not contain the derived weight 0, "):
+        verify_claim(weightless)
 
 
 def test_theta_step_regime_sets_the_rigor():
@@ -497,6 +501,114 @@ def test_scan_findings_to_691_match_the_pinned_fixture():
         found = [f.to_json() for f in scan_exceptional(scan["form"], scan["kind"], ell_max=691)]
         assert found == scan["findings"], (scan["form"], scan["kind"])
     assert sum(len(s["findings"]) for s in pinned) == 77
+
+
+def reference_prescan(form_id, kind, ell_max, prime_bound=congruence.DEFAULT_PRIME_BOUND):
+    """The ell that survive the prescan of a scan, found one ell at a time as
+    the scan did before its array passes: square-class by `_first_failure`
+    over a table of every non-square class mod ell (ell = 2 has none),
+    two-exponent by `_two_exponent_survivors` on every ell."""
+    entry = lookup(form_id)
+    k, n_level = entry.weight, entry.level
+    small = entry.expand(min(congruence._PRESCAN_PRECISION, prime_bound))
+    prescan = [p for p in primes_up_to(small.precision) if n_level % p]
+    psis = congruence._candidate_psi(n_level)
+    periods = [psi.values(psi.modulus) for psi in psis]
+    rows = [(p, small[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
+    kept = set()
+    for ell in primes_up_to(ell_max):
+        if kind == "two-exponent":
+            if congruence._two_exponent_survivors(ell, k, psis, periods, rows):
+                kept.add(ell)
+            continue
+        squares = {x * x % ell for x in range(1, ell)}
+        table = (0, 0, ell, dict.fromkeys(set(range(1, ell)) - squares, (0, ell)))
+        good = np.array([p for p in prescan if p != ell], dtype=np.int64)
+        if table[3] and congruence._first_failure(small.residues(), good, *table)[0] is None:
+            kept.add(ell)
+    return kept
+
+
+def test_the_array_prescan_keeps_the_same_ell_as_the_per_ell_loops(monkeypatch):
+    # every catalog form, both kinds, ell <= 691: the ell whose series the
+    # scan expands for its full pass are the reference's survivors
+    expanded = []
+    real = congruence.cached_expansions
+
+    def spy(entry, precision, rings):
+        if precision == congruence.DEFAULT_PRIME_BOUND:
+            expanded.append({ring.ell for ring in rings})
+        return real(entry, precision, rings)
+
+    monkeypatch.setattr(congruence, "cached_expansions", spy)
+    for entry in catalog():
+        for kind in ("two-exponent", "square-class"):
+            expanded.clear()
+            scan_exceptional(entry.form_id, kind, ell_max=691)
+            assert expanded == [reference_prescan(entry.form_id, kind, 691)], (entry.form_id, kind)
+
+
+def test_euler_criterion_matches_pow():
+    rng = random.Random(11)
+    ells = np.array([3, 5, 7, 23, 691, 7919, 999983], dtype=np.int64)[:, None]
+    x = np.array([rng.randrange(-(10**12), 10**12) for _ in range(40)] + [0, 1, 2], dtype=np.int64)
+    got = congruence._euler_criterion(x, ells)
+    for row, ell in zip(got.tolist(), ells[:, 0].tolist()):
+        assert row == [pow(v, (ell - 1) // 2, ell) for v in x.tolist()], ell
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_discriminant_pass_keeps_planted_two_exponent_congruences(seed):
+    # a(p) = psi(p)(p^m + p^m') + ell r with m + m' = k - 1 mod ell - 1 at
+    # every good prescan prime: the discriminant pass keeps ell, and once
+    # one a(p) is changed by 1 the prescan (that pass, then the exact loop)
+    # refutes ell
+    rng = random.Random(seed)
+    odd_ells = primes_up_to(10_000)[1:]
+    prescan = primes_up_to(congruence._PRESCAN_PRECISION)
+    for _ in range(25):
+        ell, level, k = rng.choice(odd_ells), rng.choice([e.level for e in catalog()]), rng.randrange(2, 13)
+        psis = congruence._candidate_psi(level)
+        psi = rng.choice(psis)
+        m = rng.randrange(ell - 1)
+        mp = (k - 1 - m) % (ell - 1)
+        good = [p for p in prescan if level % p and p != ell]
+        a = {p: psi(p) * (pow(p, m, ell) + pow(p, mp, ell)) + ell * rng.randrange(-(10**6), 10**6) for p in good}
+        odd = [p for p in good if p % 2]
+        assert congruence._odd_prescan([ell], odd, a, k) == [ell], (seed, ell, k, m)
+        a[rng.choice(odd)] += 1
+        periods = [chi.values(chi.modulus) for chi in psis]
+        rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in good]
+        kept = congruence._odd_prescan([ell], odd, a, k)
+        assert not (kept and congruence._two_exponent_survivors(ell, k, psis, periods, rows)), (seed, ell)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_square_class_pass_keeps_exactly_the_planted_zeros(seed):
+    # a(p) = 0 mod ell at every prescan prime that is a non-square mod ell:
+    # the pass keeps ell, and refutes it once one of those a(p) moves by 1
+    rng = random.Random(seed)
+    odd_ells = primes_up_to(10_000)[1:]
+    for _ in range(25):
+        ell = rng.choice(odd_ells)
+        good = [p for p in primes_up_to(congruence._PRESCAN_PRECISION) if p != ell]
+        squares = {x * x % ell for x in range(1, ell)}
+        a = {p: ell * rng.randrange(-(10**6), 10**6) + (p % ell in squares) * rng.randrange(ell) for p in good}
+        assert congruence._odd_prescan([ell], good, a, None) == [ell], (seed, ell)
+        a[rng.choice([p for p in good if p % ell not in squares])] += 1
+        assert congruence._odd_prescan([ell], good, a, None) == [], (seed, ell)
+    # only odd ell are prescanned: ell = 2 has no non-squares
+    assert congruence._odd_prescan([2, 3], [5], {5: 0}, None) == [3]
+
+
+def test_swinnerton_dyer_table_for_delta_to_ell_100000():
+    # Swinnerton-Dyer (1973): Delta's exceptional primes of type I are 2, 3,
+    # 5, 7 and 691, and of type II 3, 7 and 23, where 3 and 7 are forced by
+    # their type I congruences
+    type_one = scan_exceptional("delta", "two-exponent", ell_max=10**5)
+    assert sorted({f.ell for f in type_one}) == [2, 3, 5, 7, 691]
+    type_two = scan_exceptional("delta", "square-class", ell_max=10**5)
+    assert [(f.ell, f.masked) for f in type_two] == [(3, True), (7, True), (23, False)]
 
 
 def test_scan_caches_match_fresh_expansions_and_verify_after(capsys, monkeypatch):

@@ -225,6 +225,36 @@ def test_each_block_matches_brute_oracle_of_its_eta_product():
             assert QSeries(ZZ, [0] * lead + list(powered.coeffs)) == expected, (name, delta)
 
 
+def test_sparse_product_matches_the_brute_oracle_mod_small_moduli():
+    # each catalog plan, and its Frobenius rewrite mod m where it runs one,
+    # run mod m from P = 0 up, against the brute-force oracle of the form
+    # reduced mod m.  Mod 2, 3, 4 and 9 every theta, psi or Jacobi block
+    # drops or shrinks terms, single-block runs place their one block
+    # directly (eta3^8, eta6^4 and eta12^12 / eta6^4 eta24^4 are E(24) mod
+    # 2), and delta mod 23 is E(1) E(23)
+    moduli = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2), 23: (23, 1), 243: (3, 5)}
+    single = 0
+    for e in catalog():
+        exponents = dict(e.quotient.factors)
+        lead = e.quotient.exponent_sum // 24
+        brute = brute_eta_expand(exponents, 600 + lead).coeffs[lead:]
+        for m, (ell, t) in moduli.items():
+            rewritten = etaquot._frobenius(exponents, ell, t)
+            # a rewrite that needs the Newton inverse is never run
+            runs = [exponents] + ([rewritten] if rewritten and not _plan_blocks(rewritten)[1] else [])
+            for plan_exponents in runs:
+                for precision in (0, 1, 7, 150, 600):
+                    plan = etaquot._Plan(plan_exponents, precision)
+                    assert not plan.den_blocks, (e.form_id, plan_exponents)
+                    acc = etaquot._sparse_product(plan.blocks, plan.terms, precision, m, plan.stride)
+                    expected = [c % m for c in brute[: precision + 1 : plan.stride]]
+                    assert acc.tolist() == expected, (e.form_id, plan_exponents, m, precision)
+                single += len(plan.blocks) == 1
+    assert etaquot._frobenius({1: 24}, 23, 1) == {1: 1, 23: 1}
+    assert _plan_blocks({1: 1, 23: 1}) == ([("E", 1), ("E", 23)], {})
+    assert single == 3
+
+
 def test_catalog_expands_without_the_newton_inverse(monkeypatch):
     def refuse(self):
         raise AssertionError("Newton inverse called")
