@@ -129,8 +129,8 @@ def brute_eta_expand(exponents: Dict[int, int], precision: int) -> QSeries:
     """Expand q^(s/24) prod_delta prod_n (1 - q^(delta n))^r_delta the slow way.
 
     Multiplies the factors (1 - q^(delta n)) in term by term, once per unit of
-    positive exponent; negative exponents are handled by long division at the
-    end.  Wants 24 | s for an integral leading power.
+    positive exponent; negative exponents are handled by `long_division` at
+    the end.  Wants 24 | s for an integral leading power.
     """
     s = sum(d * r for d, r in exponents.items())
     if s % 24 != 0:
@@ -151,16 +151,17 @@ def brute_eta_expand(exponents: Dict[int, int], precision: int) -> QSeries:
                 for i in range(work, step - 1, -1):
                     target[i] -= target[i - step]
                 n += 1
-    # divide num by den with schoolbook long division (den has constant 1)
-    quot = [0] * (work + 1)
-    rem = list(num)
-    for i in range(work + 1):
-        c = rem[i]
-        quot[i] = c
+    return QSeries(ZZ, [0] * lead + long_division(num, den), precision)
+
+
+def long_division(num: List[int], den: List[int]) -> List[int]:
+    """num / den to len(num) terms by schoolbook long division; den[0] = 1."""
+    quot = list(num)
+    for i, c in enumerate(quot):
         if c:
-            for j in range(i, work + 1):
-                rem[j] -= c * den[j - i]
-    return QSeries(ZZ, [0] * lead + quot, precision)
+            for j in range(i + 1, len(quot)):
+                quot[j] -= c * den[j - i]
+    return quot
 
 
 def primes_up_to(bound: int) -> List[int]:

@@ -285,33 +285,6 @@ class QSeries:
         product = _int_product(self._array[: p + 1].tolist(), other._array[: p + 1].tolist(), p)
         return QSeries._reduced(self.ring, np.array(product, dtype=object), p)
 
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse by Newton iteration; needs a unit constant term."""
-        c0 = self[0]
-        ring = self.ring
-        if ring.kind == "ZZ":
-            if c0 not in (1, -1):
-                raise ValueError(f"constant term {c0} is not a unit in ZZ")
-            inv0 = c0
-        else:
-            try:
-                inv0 = pow(c0, -1, ring.modulus)
-            except ValueError:
-                raise ValueError(
-                    f"constant term {c0} is not a unit mod {ring.ell}^{ring.t}"
-                ) from None
-        result = QSeries.constant(ring, inv0, 0)
-        cur = 0
-        two = QSeries.constant(ring, 2, self.precision)
-        while cur < self.precision:
-            cur = min(2 * cur + 1, self.precision)
-            a_cut = self.truncate(cur)
-            x = np.zeros(cur + 1, dtype=ring.dtype)
-            x[: result.precision + 1] = result._array
-            x = QSeries._canonical(ring, x, cur)
-            result = x * (two.truncate(cur) - a_cut * x)
-        return result
-
     # -- structural helpers ------------------------------------------------
 
     def truncate(self, precision: int) -> "QSeries":

@@ -1,5 +1,6 @@
 """The command-line interface: output formats, exit codes, claim files."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -31,6 +32,21 @@ def test_expand_level_11_mod_5(capsys):
     code, out, _ = run(capsys, "expand", "--eta", "1:2,11:2", "--mod", "5", "--terms", "3")
     assert code == 0
     assert out.strip() == "q + 3q^2 + 4q^3"
+
+
+def test_expand_of_a_leftover_quotient_keeps_its_pinned_output(capsys):
+    # eta(5z)^5 / eta(z) divides by E(1) with Euler's recurrence; its output
+    # at 10^4 terms is pinned by digest, the same over ZZ and mod 2^70 (every
+    # coefficient is positive and below 2^70)
+    pinned = {
+        (): "a84a547350c0c623076f0353e1ed1dc18215f345cef4a25678da947592a7071f",
+        ("--mod", "5^3"): "866f871ee78f2370f14fcf1529c2311ec25c5043cbce32578fb0bb9712561bd6",
+        ("--mod", "2^70"): "a84a547350c0c623076f0353e1ed1dc18215f345cef4a25678da947592a7071f",
+    }
+    for ring, digest in pinned.items():
+        code, out, _ = run(capsys, "expand", "--eta", "1:-1,5:5", "--terms", "10000", *ring)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, ring
 
 
 def test_expand_catalog_form_with_prime_power_modulus(capsys):

@@ -21,7 +21,7 @@ from etaq.etaquot import (
     expand_euler_part,
     lookup,
 )
-from etaq.oracles import brute_eta_expand, primes_up_to
+from etaq.oracles import brute_eta_expand, long_division, primes_up_to
 from etaq.qseries import QSeries, ZZ, residue_ring
 
 
@@ -81,10 +81,14 @@ def test_every_catalog_form_matches_brute_oracle():
 
 
 def dense_reference(quotient, precision, ring):
-    """The quotient from dense Euler factors: powers, products, one inverse, no dilation.
+    """The quotient from dense Euler factors: powers and products by the
+    Kronecker kernel, no dilation, then one long division by the brute
+    oracle's `long_division` (the denominator has constant term 1, so it
+    divides the canonical residues exactly).
 
-    It multiplies with the same Kronecker kernel as `expand`, so it checks
-    the sparse passes; `brute_eta_expand` is the check independent of the kernel.
+    Past `euler_factor`'s pentagonal terms it shares no code with the sparse
+    passes or their division; `brute_eta_expand` is the check independent
+    of the kernel.
     """
     lead = quotient.exponent_sum // 24
     work = precision - lead
@@ -96,7 +100,7 @@ def dense_reference(quotient, precision, ring):
                 num = num * piece
             else:
                 den = den * piece
-    return QSeries(ring, [0] * lead + list((num * den.inverse()).coeffs))
+    return QSeries(ring, [0] * lead + long_division(list(num.coeffs), list(den.coeffs)))
 
 
 def test_sparse_expansion_matches_dense_and_brute_for_every_form():
@@ -240,7 +244,7 @@ def test_sparse_product_matches_the_brute_oracle_mod_small_moduli():
         brute = brute_eta_expand(exponents, 600 + lead).coeffs[lead:]
         for m, (ell, t) in moduli.items():
             rewritten = etaquot._frobenius(exponents, ell, t)
-            # a rewrite that needs the Newton inverse is never run
+            # a rewrite that leaves a denominator is never taken
             runs = [exponents] + ([rewritten] if rewritten and not _plan_blocks(rewritten)[1] else [])
             for plan_exponents in runs:
                 for precision in (0, 1, 7, 150, 600):
@@ -255,17 +259,53 @@ def test_sparse_product_matches_the_brute_oracle_mod_small_moduli():
     assert single == 3
 
 
-def test_catalog_expands_without_the_newton_inverse(monkeypatch):
-    def refuse(self):
-        raise AssertionError("Newton inverse called")
-
-    monkeypatch.setattr(QSeries, "inverse", refuse)
+def test_no_catalog_plan_or_taken_rewrite_has_denominator_blocks(monkeypatch):
+    # the theta blocks cover every catalog denominator, and _expand_rings
+    # takes no Frobenius rewrite that leaves one: over a verify run of the
+    # built-in claims and every catalog form in the mixed rings, every ring
+    # group runs a plan without denominator blocks, and the five built-in
+    # rings whose rewrite would leave one run on the shared plan
     for e in catalog():
-        exact = e.expand(400)
-        assert e.expand(400, residue_ring(3, 5)) == QSeries(residue_ring(3, 5), exact.coeffs), e.form_id
+        assert not etaquot._Plan(dict(e.quotient.factors), 600).den_blocks, e.form_id
+    seen, current = [], []
+    real_rings, real_groups = etaquot._expand_rings, etaquot._ring_groups
+
+    def rings_spy(exponents, lead, precisions, rings):
+        current[:] = [exponents]
+        return real_rings(exponents, lead, precisions, rings)
+
+    def groups_spy(rings, reaches, plans, shared):
+        groups = real_groups(rings, reaches, plans, shared)
+        seen.append((current[0], rings, plans, shared, groups))
+        return groups
+
+    monkeypatch.setattr(etaquot, "_expand_rings", rings_spy)
+    monkeypatch.setattr(etaquot, "_ring_groups", groups_spy)
+    congruence.clear_expansion_cache()
+    congruence.verify_claims(builtin_claims())
+    congruence.clear_expansion_cache()
+    verified = len(seen)
+    for e in catalog():
+        expand_all(e.quotient, 300, _mixed_rings())
+    left = set()
+    for k, (exponents, rings, plans, shared, groups) in enumerate(seen):
+        assert all(not plan.den_blocks for _, _, plan in groups), exponents
+        for ring, plan in zip(rings, plans):
+            rewritten = etaquot._frobenius(exponents, ring.ell, ring.t) if ring.kind == "mod" else None
+            if rewritten is not None and _plan_blocks(rewritten)[1]:
+                assert plan is shared, (exponents, ring.describe())
+                if k < verified:
+                    left.add((EtaQuotient.from_dict(exponents).name(), ring.describe()))
+    assert left == {
+        ("eta4^9 eta12^9 / eta2^3 eta6^3 eta8^3 eta24^3", "Z/3"),
+        ("eta8^18 / eta4^6 eta16^6", "Z/3"),
+        ("eta12^12 / eta6^4 eta24^4", "Z/3"),
+        ("eta4^36 / eta2^12 eta8^12", "Z/3"),
+        ("eta4^36 / eta2^12 eta8^12", "Z/11"),
+    }
 
 
-def test_leftover_denominator_goes_through_the_newton_inverse():
+def test_leftover_denominator_is_divided_by_euler_recurrences(monkeypatch):
     # no block covers eta(z)^-1 alone: 1 / prod (1 - q^n) counts partitions
     assert _plan_blocks({1: -1}) == ([], {1: 1})
     partitions = [1] + [0] * 200
@@ -283,6 +323,66 @@ def test_leftover_denominator_goes_through_the_newton_inverse():
         for n in range(200, part - 1, -1):
             distinct[n] += distinct[n - part]
     assert list(expand_euler_part({1: -1, 2: 1}, 200, ZZ).coeffs) == distinct
+    # a leftover is split into denominator blocks as a numerator is, and
+    # each run is divided by them once: over ZZ, 2^70 and 3^40 (past the
+    # int64 guard) on the CRT-joined integers, mod 5^3 and 7 on the residues
+    # of one shared run.  eta(5z)^5 / eta(z) is the form behind
+    # p(5n + 4) = 0 mod 5; eta(2z)^-1 divides at stride 2
+    leftovers = [
+        ({1: -1, 5: 5}, [("E", 1)]),
+        ({2: -1, 10: 5}, [("E", 2)]),
+        ({3: -1, 1: 3}, [("E", 3)]),
+        ({1: -24, 24: 1}, [("C", 1)] * 8),
+    ]
+    rings = [ZZ, residue_ring(2, 70), residue_ring(3, 40), residue_ring(5, 3), residue_ring(7)]
+    runs, crt, groups = _record_runs(monkeypatch)
+    for exponents, den_blocks in leftovers:
+        assert etaquot._Plan(exponents, 150).den_blocks == den_blocks, exponents
+        runs.clear()
+        crt.clear()
+        series = expand_all(EtaQuotient.from_dict(exponents), 150, rings)
+        exact = brute_eta_expand(exponents, 150)
+        for ring, got in zip(rings, series):
+            assert got == QSeries(ring, exact.coeffs), (exponents, ring.describe())
+        assert [group[:2] for group in groups] == [[[0], None], [[1], None], [[2], None], [[3, 4], 875]]
+        assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 1), exponents
+    # over the mixed rings the leftover groups as a catalog form does, one
+    # run per group, each int32 exactly inside its guard
+    quotient = EtaQuotient.from_dict({1: -1, 5: 5})
+    rings = _mixed_rings() + [residue_ring(2, 2)]
+    runs.clear()
+    crt.clear()
+    series = expand_all(quotient, 300, rings)
+    assert sum(len(group) > 1 for group, _, _ in groups) >= 2
+    assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 1)
+    assert _int32_exactly_inside_its_guard(runs)
+    exact = brute_eta_expand({1: -1, 5: 5}, 300)
+    for ring, got in zip(rings, series):
+        assert got == expand(quotient, 300, ring) == QSeries(ring, exact.coeffs), ring.describe()
+
+
+def test_a_division_widens_an_int32_run_only_past_the_int32_guard():
+    # the numerator E(24) keeps a run mod 3^15 in int32, while each C(1)
+    # denominator block weighs 1 + sum |c| = 289 at 150 terms: the division
+    # widens the run to int64 once 289 (m - 1) reaches 2^31 - 1, and keeps
+    # int32 below that
+    plan = etaquot._Plan({1: -24, 24: 1}, 150)
+    exact = brute_eta_expand({1: -24, 24: 1}, 150).coeffs
+    assert max(plan.norms(150).values()) == 289
+    for m, dtype in ((3**12, np.int32), (3**15, np.int64)):
+        assert (289 * (m - 1) < 2**31 - 1) == (dtype == np.int32)
+        assert etaquot._sparse_product(plan.blocks, plan.terms, 150, m, 1).dtype == np.int32
+        acc = plan.product(m, 150)
+        assert acc.dtype == dtype and acc.tolist() == [c % m for c in exact], m
+
+
+def test_partition_numbers_keep_ramanujans_congruences():
+    # 1 / prod (1 - q^n) = sum p(n) q^n is one E(1) division: p(5n + 4),
+    # p(7n + 5) and p(11n + 6) vanish mod 5, 7 and 11, and no other class does
+    for ell, r in ((5, 4), (7, 5), (11, 6)):
+        p = expand_euler_part({1: -1}, 2000, residue_ring(ell)).coeffs
+        assert not any(p[r::ell]), ell
+        assert all(any(p[s::ell]) for s in range(ell) if s != r), ell
 
 
 def test_int64_guard_weights_each_pass_by_its_coefficients():
@@ -364,7 +464,7 @@ def _expected_moduli(groups, exact, products):
 
 def _rewritten_blocks(exponents, ring):
     # the blocks of the ring's Frobenius rewrite of the exponents, or None
-    # when no |r_delta| reaches ell^t or the rewrite needs the Newton inverse
+    # when no |r_delta| reaches ell^t or the rewrite leaves a denominator
     rewritten = etaquot._frobenius(exponents, ring.ell, ring.t) if ring.kind == "mod" else None
     if rewritten is None:
         return None
@@ -489,29 +589,6 @@ def test_expand_mod_primes_matches_the_brute_oracle():
             assert got == QSeries(ring, exact.coeffs), (e.form_id, ring.describe())
 
 
-def test_expand_mod_primes_falls_back_per_prime_on_a_leftover_denominator(monkeypatch):
-    # eta(z)^-1 eta(5z)^5: no block covers eta(z)^-1, so each ring of
-    # expand_all runs alone, with its own product for the numerator and the
-    # denominator and its own Newton inverse; the Frobenius rewrites mod 2,
-    # 4, 3 and 5 keep eta(z)^-1 and fall back to the shared plan
-    quotient = EtaQuotient.from_dict({1: -1, 5: 5})
-    assert _plan_blocks(dict(quotient.factors))[1] == {1: 1}
-    rings = _mixed_rings() + [residue_ring(2, 2)]
-    runs, crt, groups = _record_runs(monkeypatch)
-    series = expand_all(quotient, 300, rings)
-    assert [group for group, _, _ in groups] == [[i] for i in range(len(rings))]
-    assert len({id(plan) for _, _, plan in groups}) == 1
-    assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 2)
-    assert _int32_exactly_inside_its_guard(runs)
-    assert {dtype for _, dtype, _ in runs} == {np.dtype(np.int32), np.dtype(np.int64)}
-    assert len(crt) == 2 * 2
-    exact = brute_eta_expand({1: -1, 5: 5}, 300)
-    for ring, got in zip(rings, series):
-        where = ring.describe()
-        assert got == expand(quotient, 300, ring), where
-        assert got == QSeries(ring, exact.coeffs), where
-
-
 def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
     # one call with a precision per ring, ZZ and residue rings mixed:
     # each series equals the one-ring expansion at its own precision, and a
@@ -541,7 +618,6 @@ def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
         series = expand_all(quotient, precisions, rings)
         lead = quotient.exponent_sum // 24
         subs = [p - lead for p in precisions]
-        # the leftover runs every ring alone, numerator and denominator alike
         furthest = {max(subs[i] for i in group) for group, _, _ in groups}
         assert set(reaches) == furthest and len(furthest) > 2, quotient
         rewritten += _check_rewritten_groups(dict(quotient.factors), rings, subs, groups)
@@ -561,8 +637,8 @@ def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
     # delta's blocks at 600 terms weight each pass by w = 35^2.  3 joins
     # 3^5 without growing its modulus; ZZ and 2^70 (too large for the guard)
     # run alone on the exact product (None) and end a run; a ring that
-    # would push w (M - 1) past 2^63 opens a new run; with a leftover
-    # denominator every ring runs alone
+    # would push w (M - 1) past 2^63 opens a new run.  With a leftover
+    # denominator the rings share runs alike, weighted by its blocks too
     plan = etaquot._Plan({1: 24}, 600)
     w = max(plan.norms(600).values())
     assert w == 35**2
@@ -579,9 +655,10 @@ def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
     ]
     assert w * (2**40 * 3**20 - 1) >= 2**63 > w * (3**20 - 1)
     assert w * (2**70 - 1) >= 2**63
-    alone = etaquot._Plan({1: -1, 5: 5}, 600)
-    assert etaquot._ring_groups(rings, reaches, [alone] * len(rings), alone) == [
-        [[i], None if ring.kind != "mod" or i == 5 else ring.modulus, alone] for i, ring in enumerate(rings)
+    leftover = etaquot._Plan({1: -1, 5: 5}, 600)
+    assert leftover.den_blocks == [("E", 1)] and max(leftover.norms(600).values()) == 256
+    assert etaquot._ring_groups(rings, reaches, [leftover] * len(rings), leftover) == [
+        [group, modulus, leftover] for group, modulus, _ in etaquot._ring_groups(rings, reaches, [plan] * len(rings), plan)
     ]
 
 
@@ -627,9 +704,9 @@ def test_a_plan_that_no_run_reads_builds_no_terms(monkeypatch):
         real_init(self, exponents, reach)
         plans.append((dict(exponents), self))
 
-    def product_spy(self, blocks, modulus, reach):
+    def product_spy(self, modulus, reach):
         ran.add(id(self))
-        return real_product(self, blocks, modulus, reach)
+        return real_product(self, modulus, reach)
 
     def terms_spy(name, delta, precision):
         built.append((name, delta, precision))
@@ -691,7 +768,7 @@ def test_frobenius_rewrite_matches_the_exact_expansion_and_the_brute_oracle(monk
     # every catalog form in every ring ell^t with some |r_delta| >= ell^t,
     # for the primes up to 691 at t = 1 and every power of 2 and 3: each
     # such ring runs its rewrite alone, falls back to the shared plan when
-    # the rewrite needs the Newton inverse, or rides on a run of such
+    # the rewrite leaves a denominator, or rides on a run of such
     # fallbacks, and equals the exact expansion reduced mod ell^t to 2000
     # terms and the brute oracle to 200
     runs, _, groups = _record_runs(monkeypatch)
@@ -712,21 +789,16 @@ def test_frobenius_rewrite_matches_the_exact_expansion_and_the_brute_oracle(monk
         total += ran
     assert total == 58
     # mod 3 the rewrite of eta4^36 / eta2^12 eta8^12 leaves a denominator no
-    # block covers, so that ring falls back to the shared plan, which needs
-    # no Newton inverse
+    # block covers, so that ring falls back to the shared plan, which has
+    # none
     quotient = lookup("eta4^36 / eta2^12 eta8^12").quotient
     exponents = dict(quotient.factors)
     rewritten = etaquot._frobenius(exponents, 3, 1)
     assert rewritten == {6: -1, 18: -1, 24: -1, 36: 1, 72: -1, 108: 1}
     assert _plan_blocks(rewritten)[1] and not _plan_blocks(exponents)[1]
-
-    def refuse(self):
-        raise AssertionError("Newton inverse called")
-
-    monkeypatch.setattr(QSeries, "inverse", refuse)
     (got,) = expand_all(quotient, 2000, [residue_ring(3)])
     ((group, modulus, plan),) = groups
-    assert (group, modulus, plan.blocks) == ([0], 3, _plan_blocks(exponents)[0])
+    assert (group, modulus, plan.blocks, plan.den_blocks) == ([0], 3, _plan_blocks(exponents)[0], [])
     assert got == QSeries(residue_ring(3), expand(quotient, 2000).coeffs)
 
 

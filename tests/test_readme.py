@@ -23,4 +23,4 @@ def test_every_public_name_resolves():
     retired = {"QQ", "reduce_mod", "eisenstein_E2", "eisenstein_E", "first_mismatch", "dilate"}
     assert not retired & set(etaq.__all__)
     assert not hasattr(etaq.eisenstein, "eisenstein_E") and not hasattr(etaq.qseries, "first_mismatch")
-    assert not any(hasattr(etaq.QSeries, n) for n in ("dilate", "pow", "__pow__", "scale", "zero", "one"))
+    assert not any(hasattr(etaq.QSeries, n) for n in ("dilate", "pow", "__pow__", "scale", "zero", "one", "inverse"))
