@@ -346,12 +346,14 @@ def test_leftover_denominator_is_divided_by_euler_recurrences(monkeypatch):
             assert got == QSeries(ring, exact.coeffs), (exponents, ring.describe())
         assert [group[:2] for group in groups] == [[[0], None], [[1], None], [[2], None], [[3, 4], 875]]
         assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 1), exponents
+
+
+def test_expand_mod_primes_shares_runs_on_a_leftover_denominator(monkeypatch):
     # over the mixed rings the leftover groups as a catalog form does, one
     # run per group, each int32 exactly inside its guard
     quotient = EtaQuotient.from_dict({1: -1, 5: 5})
     rings = _mixed_rings() + [residue_ring(2, 2)]
-    runs.clear()
-    crt.clear()
+    runs, crt, groups = _record_runs(monkeypatch)
     series = expand_all(quotient, 300, rings)
     assert sum(len(group) > 1 for group, _, _ in groups) >= 2
     assert [ran_at for ran_at, _, _ in runs] == _expected_moduli(groups, crt, 1)
