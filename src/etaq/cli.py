@@ -88,7 +88,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("no claims selected", file=sys.stderr)
         return 2
 
-    reports = congruence.verify_claims(claims, margin=args.margin, prime_bound=args.prime_bound)
+    reports = congruence.verify_claims(claims, prime_bound=args.prime_bound)
     if args.format == "json":
         payload = {"reports": [r.to_json() for r in reports]}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -166,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         help="keep claims whose kind equals, or claim id contains, this text (repeatable)",
-    )
-    p_ver.add_argument(
-        "--margin",
-        type=_int_at_least(0, "the margin"),
-        default=0,
-        help="extra coefficients beyond each bound",
     )
     p_ver.add_argument(
         "--prime-bound",

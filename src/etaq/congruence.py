@@ -130,19 +130,12 @@ def _expand_misses(entry: etaquot.CatalogEntry, reads: Iterable[Tuple[Ring, int]
         _expansion_cache.update(zip(missing, fresh))
 
 
-def cached_expansions(
-    entry: etaquot.CatalogEntry, precision: int, rings: List[Ring]
-) -> List[QSeries]:
-    """Expansions of a catalog form in each ring, memoized per (form, ring) at
-    the largest precision seen; the misses are expanded together.  Each
-    series is a view of its cached array (`QSeries.residues`)."""
-    _expand_misses(entry, [(ring, precision) for ring in rings])
-    return [_expansion_cache[entry.form_id, ring].truncate(precision) for ring in rings]
-
-
 def cached_expansion(entry: etaquot.CatalogEntry, precision: int, ring: Ring) -> QSeries:
-    """Expansion of a catalog form in one ring, through `cached_expansions`."""
-    return cached_expansions(entry, precision, [ring])[0]
+    """Expansion of a catalog form in one ring, memoized per (form, ring) at
+    the largest precision seen (`_expand_misses`), as a view of its cached
+    array (`QSeries.residues`)."""
+    _expand_misses(entry, [(ring, precision)])
+    return _expansion_cache[entry.form_id, ring].truncate(precision)
 
 
 def clear_expansion_cache() -> None:
@@ -214,14 +207,12 @@ def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> np.ndarray:
     return theta(series, side.theta, side.twist).residues()
 
 
-def _comparison(
-    claim: CongruenceClaim, margin: int, lhs: Side, rhs: Side
-) -> Tuple[int, int, int, bool]:
+def _comparison(claim: CongruenceClaim, lhs: Side, rhs: Side) -> Tuple[int, int, int, bool]:
     """(bound, weight, level, conservative) of comparing two sides mod ell^t:
-    the agreement bound (plus the margin) of their common space, and whether
-    a theta step of either side is conservative.  A weight or level the claim
-    declares must contain the derived space, and the comparison then runs
-    there."""
+    the agreement bound of their common space, always the derived one, and
+    whether a theta step of either side is conservative.  A weight or level
+    the claim declares must contain the derived space, and the comparison
+    then runs there."""
     ell, t = claim.ell, claim.t
     lhs_meta, lhs_regime = _side_space(lhs, ell, t)
     rhs_meta, rhs_regime = _side_space(rhs, ell, t)
@@ -238,33 +229,33 @@ def _comparison(
             f"{claim.claim_id}: declared weight {_shown(weight)}, level {_shown(level)} does not "
             f"contain the derived weight {_shown(space.weight)}, level {_shown(space.level)}"
         )
-    bound = agreement_bound(weight, level, space.cuspidal) + margin
+    bound = agreement_bound(weight, level, space.cuspidal)
     etaquot.check_precision(bound, f"{claim.claim_id}: agreement bound")
     return bound, weight, level, "conservative" in (lhs_regime, rhs_regime)
 
 
 # The derivation of each series claim the running `verify_claims` planned,
-# by (id(claim), margin).  An entry holds its claim, so no id is reused
-# while it lasts, and the run empties this when it ends.
-_derivations: Dict[Tuple[int, int], Tuple[CongruenceClaim, Tuple]] = {}
+# by id(claim).  An entry holds its claim, so no id is reused while it
+# lasts, and the run empties this when it ends.
+_derivations: Dict[int, Tuple[CongruenceClaim, Tuple]] = {}
 
 
-def _derive(claim: CongruenceClaim, margin: int) -> Tuple[Side, Side, str, Tuple[int, int, int, bool]]:
+def _derive(claim: CongruenceClaim) -> Tuple[Side, Side, str, Tuple[int, int, int, bool]]:
     """(lhs, rhs, detail, `_comparison`) of a series claim: as the running
     `verify_claims` planned it, or derived here."""
-    planned = _derivations.get((id(claim), margin))
+    planned = _derivations.get(id(claim))
     if planned is not None:
         return planned[1]
     lhs, rhs, detail = _SIDES[claim.kind](claim)
-    return lhs, rhs, detail, _comparison(claim, margin, lhs, rhs)
+    return lhs, rhs, detail, _comparison(claim, lhs, rhs)
 
 
-def _compare(claim: CongruenceClaim, margin: int) -> VerificationReport:
+def _compare(claim: CongruenceClaim) -> VerificationReport:
     """Compare a series claim's two sides mod ell^t up to the bound
     `_comparison` derives; agreement is evidence, not proof, when a theta
     step of either side is conservative."""
     started = time.perf_counter()
-    lhs, rhs, detail, (bound, weight, level, conservative) = _derive(claim, margin)
+    lhs, rhs, detail, (bound, weight, level, conservative) = _derive(claim)
     lhs_coeffs, rhs_coeffs = (_side_coeffs(side, claim.ell, claim.t, bound) for side in (lhs, rhs))
     differ = np.flatnonzero(lhs_coeffs != rhs_coeffs)
     mismatch = int(differ[0]) if len(differ) else None
@@ -314,10 +305,10 @@ def _two_exponent_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return lhs, rhs, f"kernel {kernel_name}, theta^{m + 1}"
 
 
-def verify_two_exponent(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
+def verify_two_exponent(claim: CongruenceClaim) -> VerificationReport:
     """Check theta(f x 1_N) against theta^(m+1) of a weight-(m'-m+1) Eisenstein
     series twisted by psi, modulo ell, across an enclosing space."""
-    return _compare(claim, margin)
+    return _compare(claim)
 
 
 # -- square-class congruences: theta^((ell+1)/2) f = theta f mod ell --------
@@ -331,8 +322,8 @@ def _square_class_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return lhs, Side("form", claim.form, one_n, theta=1), ""
 
 
-def verify_square_class(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    return _compare(claim, margin)
+def verify_square_class(claim: CongruenceClaim) -> VerificationReport:
+    return _compare(claim)
 
 
 # -- prime-power congruences on progressions of primes ----------------------
@@ -485,8 +476,8 @@ def _twist_power_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return lhs, rhs, f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}"
 
 
-def verify_twist_power(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    return _compare(claim, margin)
+def verify_twist_power(claim: CongruenceClaim) -> VerificationReport:
+    return _compare(claim)
 
 
 # -- raw two-pipeline identities --------------------------------------------
@@ -517,8 +508,8 @@ def _raw_identity_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return _recipe_side(claim.lhs), _recipe_side(claim.rhs), ""
 
 
-def verify_raw_identity(claim: CongruenceClaim, margin: int = 0) -> VerificationReport:
-    return _compare(claim, margin)
+def verify_raw_identity(claim: CongruenceClaim) -> VerificationReport:
+    return _compare(claim)
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -526,28 +517,17 @@ def verify_raw_identity(claim: CongruenceClaim, margin: int = 0) -> Verification
 # Lambdas look the verify_* functions up when called, so a caller that
 # replaces a module attribute (a tracer, a test) sees every dispatched claim.
 _VERIFIERS = {
-    "two-exponent": lambda c, margin, pb: verify_two_exponent(c, margin),
-    "square-class": lambda c, margin, pb: verify_square_class(c, margin),
-    "prime-power": lambda c, margin, pb: verify_prime_power(c, pb),
-    "unit-factor": lambda c, margin, pb: verify_unit_factor(c, pb),
-    "twist-power": lambda c, margin, pb: verify_twist_power(c, margin),
-    "raw-identity": lambda c, margin, pb: verify_raw_identity(c, margin),
+    "two-exponent": lambda c, pb: verify_two_exponent(c),
+    "square-class": lambda c, pb: verify_square_class(c),
+    "prime-power": lambda c, pb: verify_prime_power(c, pb),
+    "unit-factor": lambda c, pb: verify_unit_factor(c, pb),
+    "twist-power": lambda c, pb: verify_twist_power(c),
+    "raw-identity": lambda c, pb: verify_raw_identity(c),
 }
 
 
-def _check_margin(margin: int) -> None:
-    # a negative margin would compare below the Sturm bound yet still say proved
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-
-
-def verify_claim(
-    claim: CongruenceClaim,
-    margin: int = 0,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> VerificationReport:
-    _check_margin(margin)
-    return _VERIFIERS[claim.kind](claim, margin, prime_bound)
+def verify_claim(claim: CongruenceClaim, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> VerificationReport:
+    return _VERIFIERS[claim.kind](claim, prime_bound)
 
 
 # What each kind's verifier reads, derived with no series built: the two
@@ -561,9 +541,7 @@ _SIDES = {
 _TABLES = {"prime-power": _prime_power_table, "unit-factor": _unit_factor_table}
 
 
-def _reads(
-    claim: CongruenceClaim, margin: int, prime_bound: int
-) -> List[Tuple[etaquot.CatalogEntry, Ring, int]]:
+def _reads(claim: CongruenceClaim, prime_bound: int) -> List[Tuple[etaquot.CatalogEntry, Ring, int]]:
     """(form, ring, precision) of each expansion the claim's verifier reads:
     the form sides of its comparison at the bound `_comparison` derives, or
     the scanned form at the prime bound, all mod ell^t.  A series claim's
@@ -573,12 +551,12 @@ def _reads(
         _TABLES[claim.kind](claim)  # raises where the verifier would, before the scan
         _check_prime_bound(prime_bound)
         return [(etaquot.lookup(claim.form), ring, prime_bound)]
-    lhs, rhs, _, (bound, *_) = derived = _derive(claim, margin)
-    _derivations[id(claim), margin] = (claim, derived)
+    lhs, rhs, _, (bound, *_) = derived = _derive(claim)
+    _derivations[id(claim)] = (claim, derived)
     return [(etaquot.lookup(side.arg), ring, bound) for side in (lhs, rhs) if side.base == "form"]
 
 
-def _expand_ahead(claims: List[CongruenceClaim], margin: int, prime_bound: int) -> None:
+def _expand_ahead(claims: List[CongruenceClaim], prime_bound: int) -> None:
     """Cache every expansion the claims read before any claim runs: one
     `expand_all` call per catalog form, over all of its rings, each at the
     largest precision read there (rings in (ell, t) order, so the int64
@@ -588,7 +566,7 @@ def _expand_ahead(claims: List[CongruenceClaim], margin: int, prime_bound: int) 
     plan: Dict[str, Tuple[etaquot.CatalogEntry, List[Tuple[Ring, int]]]] = {}
     for claim in claims:
         try:
-            reads = _reads(claim, margin, prime_bound)
+            reads = _reads(claim, prime_bound)
         except (ValueError, KeyError):  # raised again, in claim order, by its verifier
             continue
         for entry, ring, precision in reads:
@@ -597,19 +575,14 @@ def _expand_ahead(claims: List[CongruenceClaim], margin: int, prime_bound: int) 
         _expand_misses(entry, sorted(reads, key=lambda read: (read[0].ell, read[0].t)))
 
 
-def verify_claims(
-    claims,
-    margin: int = 0,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> List[VerificationReport]:
+def verify_claims(claims, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> List[VerificationReport]:
     """Verify claims one after another, every expansion they read made up
     front and every series comparison derived once (`_expand_ahead`);
     reports sorted by claim id."""
-    _check_margin(margin)
     claims = list(claims)
     try:
-        _expand_ahead(claims, margin, prime_bound)
-        reports = [verify_claim(c, margin, prime_bound) for c in claims]
+        _expand_ahead(claims, prime_bound)
+        reports = [verify_claim(c, prime_bound=prime_bound) for c in claims]
     finally:
         _derivations.clear()
     return sorted(reports, key=lambda r: r.claim.claim_id)
@@ -794,12 +767,12 @@ def scan_exceptional(
     ell where it is not, at some such p, holds no candidate; the rest, and
     ell = 2, go through the exact `_two_exponent_survivors`, which reads
     a(p), psi(p) (tabled once per scan) and p^j mod ell.  Then one
-    `cached_expansions` call gives the series mod every surviving ell: the
+    `_expand_misses` call caches the series mod every surviving ell: the
     ones not cached at prime_bound are expanded together, one product per
-    int64 group of moduli, and cached under their (form, ell) keys.  Last,
-    every survivor's table is checked at all good primes of the expansion
-    mod its ell at once; a finding fails at no prime and judges at least
-    one.  The primes come from `_primes_to(max(prime_bound, ell_max))`,
+    int64 group of moduli, under their (form, ell) keys.  Last, each
+    survivor reads its series through `cached_expansion`, and its table is
+    checked at all good primes of the expansion mod its ell at once; a
+    finding fails at no prime and judges at least one.  The primes come from `_primes_to(max(prime_bound, ell_max))`,
     which sieves at most once.
     """
     if kind not in ("two-exponent", "square-class"):
@@ -830,10 +803,11 @@ def scan_exceptional(
             non_squares = set(range(1, ell)) - {x * x % ell for x in range(1, ell)}
             survivors[ell] = [(None, (0, 0, ell, dict.fromkeys(non_squares, (0, ell))))]
 
-    series = cached_expansions(entry, prime_bound, [residue_ring(ell) for ell in survivors])
+    _expand_misses(entry, [(residue_ring(ell), prime_bound) for ell in survivors])
     scan_primes = np.array(primes[: bisect_right(primes, prime_bound)], dtype=np.int64)
     findings: List[ScanFinding] = []
-    for (ell, candidates), f_res in zip(survivors.items(), series):
+    for ell, candidates in survivors.items():
+        f_res = cached_expansion(entry, prime_bound, residue_ring(ell))
         good = _good_primes(scan_primes, n_level, ell)
         qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
         masked = kind == "square-class" and not qualified

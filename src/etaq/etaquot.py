@@ -70,7 +70,8 @@ from .characters import Character, parse_character, trivial_mod
 from .qseries import QSeries, Ring, ZZ
 
 # A sparse pass moves a slot by at most (1 + sum |c|) (modulus - 1) over the
-# block's terms c q^e, so it runs in int64 while that stays below this limit.
+# block's terms c q^e, so `_Plan.width` runs it in int32 or int64 while that
+# stays below these limits.
 _INT64_LIMIT = 2**63 - 1
 _INT32_LIMIT = 2**31 - 1
 # The most coefficients any outside input may ask for: a precision, an
@@ -236,11 +237,11 @@ def _residue_terms(terms: List[Tuple[int, int]], precision: int, modulus: int) -
 
 
 def _sparse_product(
-    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, modulus: int, stride: int
+    blocks: List[Tuple[str, int]], terms: _Terms, precision: int, modulus: int, stride: int, dtype: type
 ) -> np.ndarray:
     """Coefficients mod `modulus` of the product of the blocks (name, delta) up
     to q^precision, as a series in q^stride (`stride` divides every delta):
-    slot n holds the coefficient of q^(stride n).
+    slot n holds the coefficient of q^(stride n), in an array of `dtype`.
 
     The blocks run in descending delta.  The product so far is a series in
     q^s for the gcd s of the deltas run so far, kept on precision // s + 1
@@ -254,14 +255,8 @@ def _sparse_product(
     the rest are +-1 adds; other r multiply into one scratch buffer.
     Residues are reduced after every pass.  A pass moves each slot by at
     most (1 + sum |c|) (modulus - 1), as |r| <= |c|, which the caller keeps
-    below the int64 limit (numpy int64 wraps silently); the passes run in
-    int32, half the memory traffic, while the largest such weight of these
-    blocks keeps that below the int32 limit.
+    inside `dtype` (numpy wraps silently); `_Plan.width` picks it.
     """
-    weight = max(
-        (1 + sum(abs(c) for e, c in terms[key] if e <= precision) for key in set(blocks)), default=1
-    )
-    dtype = np.int32 if weight * (modulus - 1) < _INT32_LIMIT else np.int64
     reduced = {key: _residue_terms(terms[key], precision, modulus) for key in set(blocks)}
     order = sorted(blocks, key=lambda key: -key[1])
     step = order[0][1] if order else stride
@@ -310,7 +305,8 @@ def _divide(acc: np.ndarray | List[int], terms: List[Tuple[int, int]], stride: i
     and the recurrence only subtracts integer multiples, so it holds over ZZ
     and mod any m.  Mod m it takes the symmetric residues r of the c, so a
     slot moves by at most (1 + sum |r|)(m - 1) <= (1 + sum |c|)(m - 1), the
-    block's weight in the int64 guard; past the int32 limit it widens to int64.
+    block's norm, which `_Plan.width` counts when it picks the run's dtype:
+    the division keeps that dtype.
     """
     size = len(acc)
     if modulus is None:
@@ -318,8 +314,6 @@ def _divide(acc: np.ndarray | List[int], terms: List[Tuple[int, int]], stride: i
         terms = [(e, c) for e, c in terms if e // stride < size]
     else:
         terms = _residue_terms(terms, (size - 1) * stride, modulus)
-        if (1 + sum(abs(r) for _, r in terms)) * (modulus - 1) >= _INT32_LIMIT:
-            acc = acc.astype(np.int64, copy=False)
     back = [e // stride for e, _ in terms]
     coeffs = np.array([c for _, c in terms], dtype=acc.dtype)
     # from slot back[k - 1] to the next term's, the first k terms reach back,
@@ -353,11 +347,11 @@ def _exact_product(
     q^stride, from its int64 runs modulo the `moduli`, joined by CRT (Garner)
     and lifted to the symmetric range: exact when the moduli come from
     `_crt_moduli` for a bound on the coefficients' absolute values."""
-    values = _sparse_product(blocks, terms, precision, moduli[0], stride).tolist()
+    values = _sparse_product(blocks, terms, precision, moduli[0], stride, np.int64).tolist()
     joined = moduli[0]
     for m in moduli[1:]:
         inverse = pow(joined, -1, m)
-        residues = _sparse_product(blocks, terms, precision, m, stride).tolist()
+        residues = _sparse_product(blocks, terms, precision, m, stride, np.int64).tolist()
         values = [x + joined * ((r - x) * inverse % m) for x, r in zip(values, residues)]
         joined *= m
     half = joined // 2
@@ -411,7 +405,9 @@ class _Plan:
         return self._norms[reach]
 
     def width(self, modulus: int, reach: int) -> int:
-        """What a run mod `modulus` to q^reach needs: 0 int32, 1 int64, 2 the exact product."""
+        """What a run mod `modulus` to q^reach needs: 0 int32, 1 int64, 2 the
+        exact product.  The one place a run's dtype is decided: the norms of
+        all its blocks, denominators included, bound every pass and division."""
         spread = max(self.norms(reach).values(), default=1) * (modulus - 1)
         return (spread >= _INT32_LIMIT) + (spread >= _INT64_LIMIT)
 
@@ -424,7 +420,8 @@ class _Plan:
             moduli = _crt_moduli(max(norm.values()), prod(norm[key] for key in self.blocks))
             acc = _exact_product(self.blocks, self.terms, reach, moduli, self.stride)
         else:
-            acc = _sparse_product(self.blocks, self.terms, reach, modulus, self.stride)
+            dtype = (np.int32, np.int64)[self.width(modulus, reach)]
+            acc = _sparse_product(self.blocks, self.terms, reach, modulus, self.stride, dtype)
         for key in self.den_blocks:
             acc = _divide(acc, self.terms[key], self.stride, modulus)
         return acc

@@ -23,6 +23,7 @@ from etaq.congruence import (
 from etaq.cli import main
 from etaq.oracles import primes_up_to
 from etaq.qseries import QSeries, ZZ, residue_ring
+from etaq.sturm import agreement_bound
 from etaq.etaquot import catalog, lookup
 
 
@@ -204,24 +205,20 @@ def test_theta_step_regime_sets_the_rigor():
     assert (exact.weight, exact.level) == (32, 81)
 
 
-def test_margin_extends_the_agreement_check():
-    claim = claim_by_id("square-class:delta:l23")
-    wider = verify_claim(claim, margin=50)
-    assert wider.bound == 25 + 50
-    assert wider.verdict == "proved"
-    deep = verify_claim(claim_by_id("two-exponent:delta:l691"), margin=50)
-    assert deep.verdict == "proved"
-
-
-def test_negative_margin_is_rejected():
-    # a negative margin would stop the comparison below the Sturm bound
+def test_every_series_bound_is_the_derived_agreement_bound():
+    # no input moves a bound: the prime bound is keyword-only, so an old
+    # positional margin is an error rather than a prime bound, and each
+    # series comparison runs to the agreement bound of its space
     claim = claim_by_id("two-exponent:delta:l691")
-    with pytest.raises(ValueError, match="margin"):
-        verify_claim(claim, margin=-50)
-    with pytest.raises(ValueError, match="margin"):
-        verify_claims([claim, claim_by_id("square-class:delta:l23")], margin=-1)
-    with pytest.raises(ValueError, match="margin"):
-        verify_claims([], margin=-1)
+    with pytest.raises(TypeError):
+        verify_claim(claim, 50)
+    with pytest.raises(TypeError):
+        verify_claims([claim], 50)
+    series = [r for r in verify_claims(builtin_claims()) if r.claim.kind in congruence._SIDES]
+    assert len(series) > 50
+    for r in series:
+        derived = {agreement_bound(r.weight, r.level, cuspidal) for cuspidal in (True, False)}
+        assert r.bound in derived, r.claim.claim_id
 
 
 def test_corrupted_claim_is_caught():
@@ -270,7 +267,7 @@ def test_verify_claim_dispatches_through_the_module_attribute(monkeypatch):
     # tracers wrap verify_* by replacing module attributes; dispatch must see them
     claim = claim_by_id("square-class:delta:l23")
     seen = []
-    monkeypatch.setattr(congruence, "verify_square_class", lambda c, margin: seen.append(c) or "x")
+    monkeypatch.setattr(congruence, "verify_square_class", lambda c: seen.append(c) or "x")
     assert verify_claim(claim) == "x"
     assert seen == [claim]
 
@@ -531,21 +528,25 @@ def reference_prescan(form_id, kind, ell_max, prime_bound=congruence.DEFAULT_PRI
 
 def test_the_array_prescan_keeps_the_same_ell_as_the_per_ell_loops(monkeypatch):
     # every catalog form, both kinds, ell <= 691: the ell whose series the
-    # scan expands for its full pass are the reference's survivors
+    # scan expands for its full pass are the reference's survivors, all in
+    # one `_expand_misses` call; it then reads each through
+    # `cached_expansion`, in increasing ell
     expanded = []
-    real = congruence.cached_expansions
+    real = congruence._expand_misses
 
-    def spy(entry, precision, rings):
-        if precision == congruence.DEFAULT_PRIME_BOUND:
-            expanded.append({ring.ell for ring in rings})
-        return real(entry, precision, rings)
+    def spy(entry, reads):
+        reads = list(reads)
+        if all(precision == congruence.DEFAULT_PRIME_BOUND for _, precision in reads):
+            expanded.append({ring.ell for ring, _ in reads})
+        return real(entry, reads)
 
-    monkeypatch.setattr(congruence, "cached_expansions", spy)
+    monkeypatch.setattr(congruence, "_expand_misses", spy)
     for entry in catalog():
         for kind in ("two-exponent", "square-class"):
             expanded.clear()
             scan_exceptional(entry.form_id, kind, ell_max=691)
-            assert expanded == [reference_prescan(entry.form_id, kind, 691)], (entry.form_id, kind)
+            kept = reference_prescan(entry.form_id, kind, 691)
+            assert expanded == [kept] + [{ell} for ell in sorted(kept)], (entry.form_id, kind)
 
 
 def test_euler_criterion_matches_pow():
@@ -689,17 +690,19 @@ def _count_expansions(monkeypatch):
     return calls
 
 
-def test_cached_expansions_expand_each_miss_once_and_together(monkeypatch):
+def test_expand_misses_expands_each_miss_once_and_together(monkeypatch):
     clear_expansion_cache()
     entry = lookup("eta1^4 eta5^4")
     rings = [residue_ring(3), ZZ, residue_ring(7, 2), residue_ring(3), residue_ring(11)]
     fresh = {ring: entry.expand(400, ring) for ring in rings}
     calls = _count_expansions(monkeypatch)
-    first = congruence.cached_expansions(entry, 200, rings[:4])
+    congruence._expand_misses(entry, [(ring, 200) for ring in rings[:4]])
+    first = [congruence.cached_expansion(entry, 200, ring) for ring in rings[:4]]
     assert calls == [["Z/3", "ZZ", "Z/7^2"]]
     assert first == [fresh[ring].truncate(200) for ring in rings[:4]]
     # a hit at a lower precision is a truncation of the cached series
-    lower = congruence.cached_expansions(entry, 120, rings)
+    congruence._expand_misses(entry, [(ring, 120) for ring in rings])
+    lower = [congruence.cached_expansion(entry, 120, ring) for ring in rings]
     assert calls == [["Z/3", "ZZ", "Z/7^2"], ["Z/11"]]
     assert lower == [fresh[ring].truncate(120) for ring in rings]
     assert congruence.cached_expansion(entry, 200, ZZ) is first[1]

@@ -250,7 +250,8 @@ def test_sparse_product_matches_the_brute_oracle_mod_small_moduli():
                 for precision in (0, 1, 7, 150, 600):
                     plan = etaquot._Plan(plan_exponents, precision)
                     assert not plan.den_blocks, (e.form_id, plan_exponents)
-                    acc = etaquot._sparse_product(plan.blocks, plan.terms, precision, m, plan.stride)
+                    dtype = (np.int32, np.int64)[plan.width(m, precision)]
+                    acc = etaquot._sparse_product(plan.blocks, plan.terms, precision, m, plan.stride, dtype)
                     expected = [c % m for c in brute[: precision + 1 : plan.stride]]
                     assert acc.tolist() == expected, (e.form_id, plan_exponents, m, precision)
                 single += len(plan.blocks) == 1
@@ -363,17 +364,16 @@ def test_expand_mod_primes_shares_runs_on_a_leftover_denominator(monkeypatch):
         assert got == expand(quotient, 300, ring) == QSeries(ring, exact.coeffs), ring.describe()
 
 
-def test_a_division_widens_an_int32_run_only_past_the_int32_guard():
-    # the numerator E(24) keeps a run mod 3^15 in int32, while each C(1)
-    # denominator block weighs 1 + sum |c| = 289 at 150 terms: the division
-    # widens the run to int64 once 289 (m - 1) reaches 2^31 - 1, and keeps
-    # int32 below that
+def test_a_runs_dtype_is_the_plan_width_over_all_its_blocks_denominators_included():
+    # the numerator E(24) alone would keep a run mod 3^15 in int32, but each
+    # C(1) denominator block weighs 1 + sum |c| = 289 at 150 terms, and
+    # `_Plan.width` counts it, so the whole run, product and divisions
+    # alike, is int64 once 289 (m - 1) reaches 2^31 - 1, and int32 below that
     plan = etaquot._Plan({1: -24, 24: 1}, 150)
     exact = brute_eta_expand({1: -24, 24: 1}, 150).coeffs
     assert max(plan.norms(150).values()) == 289
     for m, dtype in ((3**12, np.int32), (3**15, np.int64)):
         assert (289 * (m - 1) < 2**31 - 1) == (dtype == np.int32)
-        assert etaquot._sparse_product(plan.blocks, plan.terms, 150, m, 1).dtype == np.int32
         acc = plan.product(m, 150)
         assert acc.dtype == dtype and acc.tolist() == [c % m for c in exact], m
 
@@ -414,10 +414,11 @@ def _mixed_rings():
     return rings + [residue_ring(ell) for ell in primes_up_to(691)]
 
 
-def _pass_weight(blocks, terms, precision):
-    # the largest 1 + sum |c| over the terms up to q^precision of the blocks
-    # of one sparse product: the terms its passes add
-    return max(1 + sum(abs(c) for e, c in terms[key] if e <= precision) for key in blocks)
+def _pass_weight(terms, precision):
+    # the largest 1 + sum |c| over the terms up to q^precision of every block
+    # of the run's plan, denominators included: what its passes and
+    # divisions add
+    return max(1 + sum(abs(c) for e, c in block if e <= precision) for block in terms.values())
 
 
 def _int32_exactly_inside_its_guard(runs):
@@ -436,9 +437,9 @@ def _record_runs(monkeypatch):
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
     real_moduli = etaquot._crt_moduli
 
-    def product_spy(blocks, terms, precision, modulus, stride):
-        acc = real_product(blocks, terms, precision, modulus, stride)
-        runs.append((modulus, acc.dtype, _pass_weight(blocks, terms, precision)))
+    def product_spy(blocks, terms, precision, modulus, stride, dtype):
+        acc = real_product(blocks, terms, precision, modulus, stride, dtype)
+        runs.append((modulus, acc.dtype, _pass_weight(terms, precision)))
         return acc
 
     def moduli_spy(*args):
@@ -558,8 +559,8 @@ def test_int32_runs_of_the_builtin_plan_match_int64_and_the_brute_oracle(monkeyp
         current[:] = [(exponents, lead)]
         return real_rings(exponents, lead, precisions, rings)
 
-    def product_spy(blocks, terms, precision, modulus, stride):
-        acc = real_product(blocks, terms, precision, modulus, stride)
+    def product_spy(blocks, terms, precision, modulus, stride, dtype):
+        acc = real_product(blocks, terms, precision, modulus, stride, dtype)
         runs.append((*current, blocks, terms, precision, modulus, stride, acc))
         return acc
 
@@ -571,10 +572,9 @@ def test_int32_runs_of_the_builtin_plan_match_int64_and_the_brute_oracle(monkeyp
     assert len({tuple(sorted(exponents.items())) for (exponents, _), *_ in runs}) == len(catalog())
     assert np.dtype(np.int32) in {acc.dtype for *_, acc in runs}
     assert any(blocks != _plan_blocks(exponents)[0] for (exponents, _), blocks, *_ in runs)
-    monkeypatch.setattr(etaquot, "_INT32_LIMIT", 0)  # every run in int64
     oracle = {}
     for (exponents, lead), blocks, terms, precision, modulus, stride, acc in runs:
-        wide = real_product(blocks, terms, precision, modulus, stride)
+        wide = real_product(blocks, terms, precision, modulus, stride, np.int64)
         assert wide.dtype == np.int64 and np.array_equal(acc, wide), (exponents, modulus)
         key = tuple(sorted(exponents.items()))
         if key not in oracle:
@@ -603,9 +603,9 @@ def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
     reaches, groups = [], []
     real_product, real_groups = etaquot._sparse_product, etaquot._ring_groups
 
-    def product_spy(blocks, terms, precision, modulus, stride):
+    def product_spy(blocks, terms, precision, modulus, stride, dtype):
         reaches.append(precision)
-        return real_product(blocks, terms, precision, modulus, stride)
+        return real_product(blocks, terms, precision, modulus, stride, dtype)
 
     def groups_spy(*args):
         groups[:] = real_groups(*args)
