@@ -4,9 +4,9 @@ verification engine for their coefficient congruences.
 The pieces fit together like this: `qseries` is the truncated-series
 substrate, `etaquot` expands eta quotients and carries the catalog of
 newforms, `eisenstein` builds the Eisenstein side of each comparison,
-`operators` applies theta/U/twist/Hecke maps, `sturm` says how many
-coefficients decide a congruence, and `congruence` runs the claims from
-`claims` and writes reports.  `oracles` holds independent slow reference
+`operators` applies theta (twists included), U and Hecke maps, `sturm`
+says how many coefficients decide a congruence, and `congruence` runs the
+claims from `claims` and writes reports.  `oracles` holds independent slow reference
 computations used only to cross-check the rest.
 """
 
@@ -22,7 +22,7 @@ from .congruence import (
 )
 from .eisenstein import eisenstein_G
 from .etaquot import CatalogEntry, EtaQuotient, catalog, expand, lookup
-from .operators import FormMeta, hecke_tn, theta, twist, u_operator
+from .operators import FormMeta, hecke_tn, theta, u_operator
 from .qseries import QSeries, Ring, ZZ, residue_ring
 from .sturm import agreement_bound, group_index
 
@@ -55,7 +55,6 @@ __all__ = [
     "scan_exceptional",
     "theta",
     "trivial_mod",
-    "twist",
     "u_operator",
     "verify_claim",
     "verify_claims",

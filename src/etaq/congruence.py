@@ -16,10 +16,11 @@ raises its weight and changes no coefficient: a pad is bookkeeping in
 `_side_space` and is never built.  For ell >= 5 the weights must differ by
 a multiple of phi(ell^t) (E_4 and weight-2 level-d series serve mod 3 and
 2).  Prime-power and unit-factor claims are scanned over many primes
-instead ("numerical-evidence").  Their congruences and the
-exceptional-prime scan's are all one shape, a table of residue classes c
-with a(p) = u_c (p^m + p^m') mod ell^(t_c), and `_first_failure` is the
-one place that checks such a table, at every prime at once.
+instead ("numerical-evidence").  Their congruences and the exceptional-prime
+scan's two-exponent candidates are one shape, a table of residue classes c
+with a(p) = u_c (p^m + p^m') mod ell^(t_c), which `_first_failure` checks
+at every prime at once; the scan's square-class pass picks the non-squares
+by Euler's criterion (`_euler_criterion`), as its prescan does.
 
 `verify_claims` plans a run before it runs a claim: it derives, with no
 series built, which (form, ell^t, precision) each claim will read
@@ -43,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import etaquot
-from .characters import Character, _shown, kronecker_character, parse_character, trivial_mod
+from .characters import Character, _shown, _squarefree_part, kronecker_character, parse_character, trivial_mod
 from .claims import CongruenceClaim
 from .eisenstein import eisenstein_E2_level, eisenstein_G
 from .operators import FormMeta, common_space, theta, theta_mod_rule, twist_meta, u_operator
@@ -638,17 +639,21 @@ class ScanFinding:
 
 
 def _candidate_psi(n_level: int) -> List[Character]:
-    """Real characters whose modulus stays within the level: 1_N and
-    quadratic symbols of conductor dividing 4N, folded with 1_N."""
+    """Real characters whose modulus stays within the level: 1_N, then
+    kron(D) 1_N for each fundamental discriminant D != 1 with |D| dividing
+    4N, in increasing |D| with -D before D.  D = e c^2, e squarefree, is
+    fundamental when c = 1, e = 1 mod 4 or c = 2, e = 2, 3 mod 4."""
     base = trivial_mod(n_level)
     out = [base]
-    seen = {(base.trivial_part, base.disc)}
-    for d in (-3, -4, 5, -7, -8, 8, -11, 13, -15, 12):
-        chi = kronecker_character(d) * base
-        if chi.modulus % n_level == 0 and (4 * n_level) % chi.modulus == 0:
-            key = (chi.trivial_part, chi.disc)
-            if key not in seen:
-                seen.add(key)
+    for size in range(3, 4 * n_level + 1):
+        if (4 * n_level) % size:
+            continue
+        for d in (-size, size):
+            e, c = _squarefree_part(d)
+            if c != (1 if e % 4 == 1 else 2):
+                continue
+            chi = Character(c, e) * base  # kron(d) folded with 1_N
+            if chi.modulus % n_level == 0 and (4 * n_level) % chi.modulus == 0:
                 out.append(chi)
     return out
 
@@ -758,10 +763,9 @@ def scan_exceptional(
     Three phases.  First every ell <= ell_max is prescanned over the good
     primes p <= _PRESCAN_PRECISION of the exact expansion (`_odd_prescan`).
     Square-class: an odd ell survives when ell divides a(p) at every
-    non-square p mod ell (Euler's criterion); ell = 2 has no non-squares,
-    and only the survivors get a table of non-squares.  Two-exponent: at an
-    odd p not dividing N, p != ell, every candidate psi has conductor
-    dividing 4N, so psi(p) = +-1; with m + m' = k - 1 mod ell - 1,
+    non-square p mod ell (Euler's criterion); ell = 2 has no non-squares.
+    Two-exponent: at an odd p not dividing N, p != ell, every candidate psi
+    has conductor dividing 4N, so psi(p) = +-1; with m + m' = k - 1 mod ell - 1,
     x = p^m and y = p^m' are the roots of X^2 - psi(p) a(p) X + p^(k-1)
     mod ell, so a(p)^2 - 4 p^(k-1) = (x - y)^2 is a square mod ell.  An odd
     ell where it is not, at some such p, holds no candidate; the rest, and
@@ -770,9 +774,12 @@ def scan_exceptional(
     `_expand_misses` call caches the series mod every surviving ell: the
     ones not cached at prime_bound are expanded together, one product per
     int64 group of moduli, under their (form, ell) keys.  Last, each
-    survivor reads its series through `cached_expansion`, and its table is
-    checked at all good primes of the expansion mod its ell at once; a
-    finding fails at no prime and judges at least one.  The primes come from `_primes_to(max(prime_bound, ell_max))`,
+    survivor reads its series through `cached_expansion` and is checked at
+    all good primes p <= prime_bound at once: square-class at the
+    non-squares mod ell, picked by Euler's criterion again, and each
+    two-exponent candidate as a `_first_failure` table.  A finding fails at
+    no prime and judges at least one; its primes_checked counts the primes
+    it judged.  The primes come from `_primes_to(max(prime_bound, ell_max))`,
     which sieves at most once.
     """
     if kind not in ("two-exponent", "square-class"):
@@ -789,7 +796,7 @@ def scan_exceptional(
     ells = primes[: bisect_right(primes, ell_max)]
     a = small.coeffs
 
-    survivors: Dict[int, List[Tuple]] = {}
+    survivors: Dict[int, Sequence[Tuple]] = {}  # ell -> its two-exponent (psi, table)s
     if kind == "two-exponent":
         psis = _candidate_psi(n_level)
         periods = [psi.values(psi.modulus) for psi in psis]
@@ -799,21 +806,21 @@ def scan_exceptional(
             if found:
                 survivors[ell] = found
     else:
-        for ell in _odd_prescan(ells, prescan, a, None):
-            non_squares = set(range(1, ell)) - {x * x % ell for x in range(1, ell)}
-            survivors[ell] = [(None, (0, 0, ell, dict.fromkeys(non_squares, (0, ell))))]
+        survivors = dict.fromkeys(_odd_prescan(ells, prescan, a, None), ())
 
     _expand_misses(entry, [(residue_ring(ell), prime_bound) for ell in survivors])
     scan_primes = np.array(primes[: bisect_right(primes, prime_bound)], dtype=np.int64)
     findings: List[ScanFinding] = []
     for ell, candidates in survivors.items():
-        f_res = cached_expansion(entry, prime_bound, residue_ring(ell))
+        f_res = cached_expansion(entry, prime_bound, residue_ring(ell)).residues()
         good = _good_primes(scan_primes, n_level, ell)
-        qualified = n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1)
-        masked = kind == "square-class" and not qualified
+        if kind == "square-class":
+            judged = good[_euler_criterion(good, np.array([ell])) == ell - 1]
+            if len(judged) and not f_res[judged].any():
+                masked = not (n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1))
+                findings.append(ScanFinding(ell, kind, masked, primes_checked=len(judged)))
         for psi, table in candidates:
-            witness, checked = _first_failure(f_res.residues(), good, *table)
+            witness, checked = _first_failure(f_res, good, *table)
             if witness is None and checked:
-                m, mp, psi_text = (None, None, None) if psi is None else (*table[:2], psi.describe())
-                findings.append(ScanFinding(ell, kind, masked, m, mp, psi_text, checked))
+                findings.append(ScanFinding(ell, kind, False, *table[:2], psi.describe(), checked))
     return findings

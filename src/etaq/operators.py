@@ -1,11 +1,12 @@
 """Coefficient operators on q-expansions and their weight/level bookkeeping.
 
-The series-level maps (theta, U_m, twisting, Hecke) act coefficient by
-coefficient.  Alongside them, `FormMeta` tracks the space a form lives in:
-`twist_meta` follows a twist, `theta_mod_rule` says where a theta image
-lives modulo ell^t (distinguishing the regimes where the filtration step is
-exactly understood from the conservative fallback), and `common_space`
-joins two sides into the space where they are compared.
+The series-level maps (theta, U_m, Hecke) act coefficient by coefficient;
+a twist by chi is `theta(f, 0, chi)`, and theta^j of a twist is the one
+call `theta(f, j, chi)`.  Alongside them, `FormMeta` tracks the space a
+form lives in: `twist_meta` follows a twist, `theta_mod_rule` says where a
+theta image lives modulo ell^t (distinguishing the regimes where the
+filtration step is exactly understood from the conservative fallback), and
+`common_space` joins two sides into the space where they are compared.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ def u_operator(series: QSeries, m: int) -> QSeries:
         raise ValueError("U_m needs m >= 1")
     p = series.precision // m
     return QSeries._canonical(series.ring, series.residues()[: m * p + 1 : m], p)
-
-
-def twist(series: QSeries, chi: Character) -> QSeries:
-    """Coefficient twist a(n) -> chi(n) a(n)."""
-    return theta(series, 0, chi)
 
 
 def twist_theta_factors(chi: Optional[Character], times: int, modulus: int, count: int) -> np.ndarray:

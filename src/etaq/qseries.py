@@ -4,11 +4,14 @@ A series stores trusted coefficients a(0..P) for an explicit precision P and
 an explicit coefficient ring, as one read-only numpy array of dtype
 `Ring.dtype`: Python ints (object) over ZZ, residues in [0, ell^t) over
 Z/ell^t (int64 while a product of two fits, else object).  Values are
-immutable; every operation returns a fresh series and never fabricates
-coefficients beyond what both operands warrant (the min-precision rule).
-Residues are kept fully reduced, so equality compares the arrays.
+immutable, and residues are kept fully reduced, so equality compares the
+arrays.  The engine reads a series only as that array (`residues`): sums,
+differences and scalings are numpy on it, and a constant c is
+`QSeries(ring, [c], P)`.
 
-Every product, over both rings, is one exact Kronecker substitution
+The one ring operation is the product, which keeps the smaller precision
+and so never fabricates coefficients beyond what both operands warrant (the
+min-precision rule).  Over both rings it is one exact Kronecker substitution
 (Harvey, J. Symbolic Comput. 44, 2009): each operand is packed into a single
 Python int with slots wide enough for every output coefficient, the two ints
 are multiplied once by CPython's Karatsuba, and the low precision+1 slots are
@@ -232,10 +235,6 @@ class QSeries:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QSeries values are immutable")
 
-    @staticmethod
-    def constant(ring: Ring, value: int, precision: int) -> "QSeries":
-        return QSeries._canonical(ring, [ring.normalize(value)] + [0] * precision, precision)
-
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -263,20 +262,7 @@ class QSeries:
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring.describe()} vs {other.ring.describe()}")
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._check_ring(other)
-        p = min(self.precision, other.precision)
-        return QSeries._reduced(self.ring, self._array[: p + 1] + other._array[: p + 1], p)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        self._check_ring(other)
-        p = min(self.precision, other.precision)
-        return QSeries._reduced(self.ring, self._array[: p + 1] - other._array[: p + 1], p)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries._reduced(self.ring, -self._array, self.precision)
+    # -- the one ring operation --------------------------------------------
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Truncated Cauchy product at the smaller precision, by one exact integer product."""

@@ -500,6 +500,52 @@ def test_scan_findings_to_691_match_the_pinned_fixture():
     assert sum(len(s["findings"]) for s in pinned) == 77
 
 
+def test_pinned_square_class_findings_judge_every_good_non_square_prime():
+    # a type II finding judges each prime p <= the prime bound with p not
+    # dividing N ell and p a non-square mod ell, counted here with pow
+    pinned = json.loads(PINNED_SCANS_691.read_text())["scans"]
+    primes = primes_up_to(congruence.DEFAULT_PRIME_BOUND)
+    findings = [(s["form"], f) for s in pinned if s["kind"] == "square-class" for f in s["findings"]]
+    assert len(findings) > 10
+    for form_id, finding in findings:
+        ell, n_level = finding["ell"], lookup(form_id).level
+        judged = [p for p in primes if (n_level * ell) % p and pow(p, (ell - 1) // 2, ell) == ell - 1]
+        assert finding["primes_checked"] == len(judged), (form_id, ell)
+
+
+def _is_fundamental(d):
+    """d is a fundamental discriminant other than 1, by plain loops."""
+    if d % 4 == 0:
+        m = d // 4
+        if m % 4 not in (2, 3):
+            return False
+    elif d % 4 == 1:
+        m = d
+    else:
+        return False
+    return d != 1 and all(m % (p * p) for p in range(2, abs(m) + 1))
+
+
+# the discriminants the scan tried before it derived them from the level
+_LISTED_DISCRIMINANTS = (-3, -4, 5, -7, -8, 8, -11, 13, -15, 12)
+
+
+def test_candidate_characters_are_every_fundamental_discriminant_dividing_4n():
+    for n_level in sorted({entry.level for entry in catalog()}):
+        base = trivial_mod(n_level)
+        divisors = [d for d in range(-4 * n_level, 4 * n_level + 1) if d and (4 * n_level) % d == 0]
+        fundamental = sorted(filter(_is_fundamental, divisors), key=lambda d: (abs(d), d))
+        want = [base] + [kronecker_character(d) * base for d in fundamental]
+        got = congruence._candidate_psi(n_level)
+        assert got == want, n_level
+        assert all((4 * n_level) % chi.modulus == 0 and chi.modulus % n_level == 0 for chi in got), n_level
+        listed = {kronecker_character(d) * base for d in _LISTED_DISCRIMINANTS}
+        assert {chi for chi in listed if (4 * n_level) % chi.modulus == 0} <= set(got), n_level
+    # kron(-20) folded with 1_5 is new at level 5, and 4 is no fundamental discriminant
+    assert kronecker_character(-20) * trivial_mod(5) in congruence._candidate_psi(5)
+    assert trivial_mod(2) not in congruence._candidate_psi(1)
+
+
 def reference_prescan(form_id, kind, ell_max, prime_bound=congruence.DEFAULT_PRIME_BOUND):
     """The ell that survive the prescan of a scan, found one ell at a time as
     the scan did before its array passes: square-class by `_first_failure`

@@ -162,10 +162,10 @@ def test_weight_two_paddings_for_even_levels():
     # and 12 they are exactly 1, so only q^1 onwards is built and checked)
     e22 = eisenstein_E2_level(2, 80, residue_ring(2, 3), constant=False)
     p2 = QSeries(e22.ring, [24 * a for a in e22.coeffs])
-    assert p2 == QSeries.constant(p2.ring, 0, 80)
+    assert p2 == QSeries(p2.ring, [0], 80)
     e23 = eisenstein_E2_level(3, 80, residue_ring(3), constant=False)
     p3 = QSeries(e23.ring, [12 * a for a in e23.coeffs])
-    assert p3 == QSeries.constant(p3.ring, 0, 80)
+    assert p3 == QSeries(p3.ring, [0], 80)
 
 
 def test_parse_character_strings_used_by_claims():

@@ -92,7 +92,7 @@ def dense_reference(quotient, precision, ring):
     """
     lead = quotient.exponent_sum // 24
     work = precision - lead
-    num = den = QSeries.constant(ring, 1, work)
+    num = den = QSeries(ring, [1], work)
     for delta, r in quotient.factors:
         piece = euler_factor(delta, work, ring)
         for _ in range(abs(r)):

@@ -59,27 +59,6 @@ def test_normalize_accepts_integers_only(ring):
         QSeries(ring, [1.5, 2.7])
 
 
-@pytest.mark.parametrize("ring", [ZZ, residue_ring(3, 3), residue_ring(2, 70)])
-def test_constants_equal_the_normalizing_build(ring):
-    for precision in (0, 1, 40):
-        for value in (-1, 0, 1, 2, 26, 27, 30, -2**75, 2**80):
-            got = QSeries.constant(ring, value, precision)
-            want = QSeries(ring, [value] + [0] * precision, precision)
-            assert got == want and got.precision == precision
-            assert [type(c) for c in got.coeffs] == [int] * (precision + 1)
-    assert QSeries.constant(residue_ring(3, 3), 30, 2).coeffs == (3, 0, 0)
-    assert QSeries.constant(residue_ring(3, 3), -1, 2).coeffs == (26, 0, 0)
-
-
-def test_addition_and_negation_roundtrip():
-    rng = random.Random(7)
-    for _ in range(25):
-        coeffs = [rng.randrange(-50, 50) for _ in range(12)]
-        f = QSeries(ZZ, coeffs)
-        assert (f + (-f)).is_zero()
-        assert f - f == QSeries.constant(ZZ, 0, f.precision)
-
-
 def test_multiplication_matches_slow_convolution():
     rng = random.Random(11)
     for _ in range(20):
@@ -117,7 +96,7 @@ def test_kernel_edge_operands():
     assert list((negative * QSeries(ZZ, [-2, -7])).coeffs) == slow_convolve(
         negative.coeffs, [-2, -7], 1
     )
-    zero = QSeries.constant(ZZ, 0, 5)
+    zero = QSeries(ZZ, [0], 5)
     assert negative * zero == zero and zero * negative == zero
     assert QSeries(ZZ, [-7], 0) * QSeries(ZZ, [6], 0) == QSeries(ZZ, [-42], 0)
     for ring in (ZZ, residue_ring(2), residue_ring(691)):
@@ -157,14 +136,13 @@ def test_residue_multiplication_matches_exact_reduction():
 
 
 def test_min_precision_rule():
-    f = QSeries.constant(ZZ, 1, 10)
-    g = QSeries.constant(ZZ, 1, 4)
+    f = QSeries(ZZ, [1], 10)
+    g = QSeries(ZZ, [1], 4)
     assert (f * g).precision == 4
-    assert (f + g).precision == 4
 
 
 def test_immutability():
-    f = QSeries.constant(ZZ, 1, 3)
+    f = QSeries(ZZ, [1], 3)
     with pytest.raises(AttributeError):
         f.precision = 7
     with pytest.raises(TypeError):
@@ -182,6 +160,10 @@ def test_coefficients_canonicalized_in_residue_rings():
     ring = residue_ring(7)
     f = QSeries(ring, [-1, 8, 13])
     assert list(f.coeffs) == [6, 1, 6]
+    # a constant is a one-coefficient build, padded with zeros to its precision
+    assert QSeries(residue_ring(3, 3), [30], 2).coeffs == (3, 0, 0)
+    assert QSeries(residue_ring(3, 3), [-1], 2).coeffs == (26, 0, 0)
+    assert QSeries(residue_ring(2, 70), [-(2**75)], 40) == QSeries(residue_ring(2, 70), [0] * 41)
 
 
 def test_distributivity_random():
@@ -191,21 +173,22 @@ def test_distributivity_random():
         f = QSeries(ring, [rng.randrange(49) for _ in range(10)])
         g = QSeries(ring, [rng.randrange(49) for _ in range(10)])
         h = QSeries(ring, [rng.randrange(49) for _ in range(10)])
-        assert f * (g + h) == f * g + f * h
+        # sums are numpy on the residues, reduced by the normalizing build
+        g_plus_h = QSeries(ring, g.residues() + h.residues())
+        assert f * g_plus_h == QSeries(ring, (f * g).residues() + (f * h).residues())
         assert (f * g) * h == f * (g * h)
         assert f * g == g * f
 
 
 def test_structural_helpers_and_products_stay_canonical():
-    # truncate, sums, differences, negation, scaling and
-    # products skip Ring.normalize (or reduce in bulk); their
-    # coefficients must still equal (value and type) the normalized ones
+    # truncate and products skip Ring.normalize (or reduce in bulk); their
+    # coefficients, and a scaling's, must still equal (value and type) the
+    # normalized ones
     rng = random.Random(29)
     for ring in (ZZ, residue_ring(5, 2), residue_ring(2, 70)):
         f = QSeries(ring, [rng.randrange(-99, 99) for _ in range(12)])
         g = QSeries(ring, [rng.randrange(-99, 99) for _ in range(12)])
-        derived = (f + g, f - g, -f, QSeries(f.ring, [-3 * a for a in f.coeffs]))
-        for series in (f * g, f.truncate(5)) + derived:
+        for series in (f * g, f.truncate(5), QSeries(f.ring, [-3 * a for a in f.coeffs])):
             renormalized = QSeries(ring, series.coeffs, series.precision)
             assert series == renormalized
             assert [type(c) for c in series.coeffs] == [type(c) for c in renormalized.coeffs]
@@ -252,7 +235,7 @@ def test_a_series_made_from_an_array_keeps_it_and_reads_it_as_python_numbers():
         g = expand(lookup("delta").quotient, 11, ring)
         made = [f, g, *expand_all(leftover, [11, 7], [ring, ring])]
         made += [theta(g, 3), theta(g, 1, chi), u_operator(g, 2), g.truncate(4)]
-        made += [f + g, f - g, -f, f * g]
+        made.append(f * g)
         if ring != ZZ:
             made.append(eisenstein_G(12, 11, ring, constant=False))
         for series in made:

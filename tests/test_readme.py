@@ -24,3 +24,6 @@ def test_every_public_name_resolves():
     assert not retired & set(etaq.__all__)
     assert not hasattr(etaq.eisenstein, "eisenstein_E") and not hasattr(etaq.qseries, "first_mismatch")
     assert not any(hasattr(etaq.QSeries, n) for n in ("dilate", "pow", "__pow__", "scale", "zero", "one", "inverse"))
+    # a twist is theta(f, 0, chi), a sum is numpy on `residues()`, a constant is QSeries(ring, [c], P)
+    assert "twist" not in etaq.__all__ and not hasattr(etaq.operators, "twist")
+    assert not any(hasattr(etaq.QSeries, n) for n in ("__add__", "__sub__", "__neg__", "constant"))
