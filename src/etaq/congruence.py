@@ -36,7 +36,6 @@ field order.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -330,13 +329,14 @@ def verify_square_class(claim: CongruenceClaim) -> VerificationReport:
 # -- prime-power congruences on progressions of primes ----------------------
 
 
-_sieve: Tuple[int, Tuple[int, ...]] = (1, ())  # (bound, the primes up to it)
+_sieve: Tuple[int, Optional[np.ndarray]] = (-1, None)  # (bound, the primes up to it)
 
 
-def _primes_to(bound: int) -> Tuple[int, ...]:
-    """The primes <= bound, cut from one numpy sieve of Eratosthenes per
-    process.  The sieve is rerun only for a bound above every earlier one,
-    and callers share its immutable tuple."""
+def _primes_to(bound: int) -> np.ndarray:
+    """The primes <= bound as a read-only int64 array, cut with
+    `np.searchsorted` from one numpy sieve of Eratosthenes per process.
+    The sieve is rerun only for a bound above every earlier one, and
+    callers share views of its array."""
     global _sieve
     sieved_to, primes = _sieve
     if bound > sieved_to:
@@ -344,9 +344,10 @@ def _primes_to(bound: int) -> Tuple[int, ...]:
         for p in range(2, isqrt(bound) + 1):
             if flags[p]:
                 flags[p * p :: p] = False
-        primes = tuple(np.flatnonzero(flags)[2:].tolist())
+        primes = np.flatnonzero(flags)[2:].astype(np.int64)
+        primes.flags.writeable = False
         _sieve = (bound, primes)
-    return primes[: bisect_right(primes, bound)]
+    return primes[: np.searchsorted(primes, bound, side="right")]
 
 
 def _check_prime_bound(prime_bound: int) -> None:
@@ -355,14 +356,13 @@ def _check_prime_bound(prime_bound: int) -> None:
     etaquot.check_precision(prime_bound, "prime bound")
 
 
-def _good_primes(primes: Sequence[int], level: int, ell: int) -> np.ndarray:
-    primes = np.asarray(primes, dtype=np.int64)
+def _good_primes(primes: np.ndarray, level: int, ell: int) -> np.ndarray:
     return primes[(level % primes != 0) & (primes != ell)]
 
 
 def _first_failure(
     coeffs: np.ndarray,
-    primes: Sequence[int],
+    primes: np.ndarray,
     m: int,
     mp: int,
     period: int,
@@ -382,7 +382,6 @@ def _first_failure(
     if not keys:
         return None, 0
     dtype = residue_dtype(max(q for _, q in classes.values()))
-    primes = np.asarray(primes, dtype=np.int64)
     c, table = primes % min(period, 2**62), np.array(keys)
     slot = np.minimum(np.searchsorted(table, c), len(keys) - 1)
     judged = table[slot] == c
@@ -652,9 +651,7 @@ def _candidate_psi(n_level: int) -> List[Character]:
             e, c = _squarefree_part(d)
             if c != (1 if e % 4 == 1 else 2):
                 continue
-            chi = Character(c, e) * base  # kron(d) folded with 1_N
-            if chi.modulus % n_level == 0 and (4 * n_level) % chi.modulus == 0:
-                out.append(chi)
+            out.append(Character(c, e) * base)  # kron(d) 1_N: modulus lcm(N, |d|) divides 4N
     return out
 
 
@@ -676,19 +673,18 @@ def _euler_criterion(x: np.ndarray, ells: np.ndarray) -> np.ndarray:
     return result
 
 
-def _odd_prescan(ells: Sequence[int], primes: Sequence[int], a: Sequence[int], k: Optional[int]) -> List[int]:
+def _odd_prescan(ells: np.ndarray, primes: np.ndarray, a: np.ndarray, k: Optional[int]) -> List[int]:
     """The odd ell among `ells` that no p in `primes` refutes, in array passes
     over a grid of ell (rows, _PRESCAN_ROWS at a time) by p, with a(p) = a[p].
     Square-class (k None): p refutes ell when it is a non-square mod ell and
     ell does not divide a(p).  Two-exponent (weight k): p refutes ell when
     a(p)^2 - 4 p^(k-1) is a non-square mod ell.  A column p = ell refutes
     nothing, since p = 0 mod ell."""
-    a_p = np.array([a[p] for p in primes], dtype=np.int64)  # |a(p)| <= 2 p^((k-1)/2) (Deligne)
-    primes = np.asarray(primes, dtype=np.int64)
-    odd = [ell for ell in ells if ell > 2]
+    a_p = a[primes].astype(np.int64)  # |a(p)| <= 2 p^((k-1)/2) (Deligne)
+    odd = ells[ells > 2]
     kept: List[int] = []
     for start in range(0, len(odd), _PRESCAN_ROWS):
-        ell = np.array(odd[start : start + _PRESCAN_ROWS], dtype=np.int64)[:, None]
+        ell = odd[start : start + _PRESCAN_ROWS, None]
         a = a_p % ell
         if k is None:
             refuted = (_euler_criterion(primes, ell) == ell - 1) & (a != 0)
@@ -779,7 +775,7 @@ def scan_exceptional(
     non-squares mod ell, picked by Euler's criterion again, and each
     two-exponent candidate as a `_first_failure` table.  A finding fails at
     no prime and judges at least one; its primes_checked counts the primes
-    it judged.  The primes come from `_primes_to(max(prime_bound, ell_max))`,
+    it judged.  The primes are cuts of `_primes_to(max(prime_bound, ell_max))`,
     which sieves at most once.
     """
     if kind not in ("two-exponent", "square-class"):
@@ -791,17 +787,16 @@ def scan_exceptional(
     entry = etaquot.lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = cached_expansion(entry, min(_PRESCAN_PRECISION, prime_bound), ZZ)
-    primes = _primes_to(max(prime_bound, ell_max))
-    prescan = [p for p in primes[: bisect_right(primes, small.precision)] if n_level % p]
-    ells = primes[: bisect_right(primes, ell_max)]
-    a = small.coeffs
+    _primes_to(max(prime_bound, ell_max))  # the one sieve; each cut below reads it
+    prescan, ells, a = _primes_to(small.precision), _primes_to(ell_max), small.residues()
+    prescan = prescan[n_level % prescan != 0]
 
     survivors: Dict[int, Sequence[Tuple]] = {}  # ell -> its two-exponent (psi, table)s
     if kind == "two-exponent":
         psis = _candidate_psi(n_level)
         periods = [psi.values(psi.modulus) for psi in psis]
-        rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
-        for ell in [2] + _odd_prescan(ells, [p for p in prescan if p % 2], a, k):
+        rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in prescan.tolist()]
+        for ell in [2] + _odd_prescan(ells, prescan[prescan % 2 == 1], a, k):
             found = _two_exponent_survivors(ell, k, psis, periods, rows)
             if found:
                 survivors[ell] = found
@@ -809,7 +804,7 @@ def scan_exceptional(
         survivors = dict.fromkeys(_odd_prescan(ells, prescan, a, None), ())
 
     _expand_misses(entry, [(residue_ring(ell), prime_bound) for ell in survivors])
-    scan_primes = np.array(primes[: bisect_right(primes, prime_bound)], dtype=np.int64)
+    scan_primes = _primes_to(prime_bound)
     findings: List[ScanFinding] = []
     for ell, candidates in survivors.items():
         f_res = cached_expansion(entry, prime_bound, residue_ring(ell)).residues()

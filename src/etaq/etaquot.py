@@ -20,10 +20,12 @@ symmetric residue mod m: it drops the terms m divides and adds or
 subtracts where the residue is +-1, so mod 2 and 3 every pass is
 add-only and mod 2 a theta block costs nothing.  An exact
 product (over ZZ, or a modulus too large for int64 such as 2^70) joins a
-few such runs by CRT, as FLINT multiplies over ZZ.  The theta blocks absorb
-every denominator of the catalog; a denominator no block covers is split
-into blocks as a numerator is, and the run is divided by each with Euler's
-recurrence (`_divide`), on its residues or over ZZ on the joined integers.
+few such runs by CRT, as FLINT multiplies over ZZ, in an object array of
+Python ints; every run, residues or integers, is one numpy array.  The
+theta blocks absorb every denominator of the catalog; a denominator no
+block covers is split into blocks as a numerator is, and the run is
+divided by each with Euler's recurrence (`_divide`), on its residues or
+over ZZ on the joined integers.
 The blocks run in descending delta, each at the stride s = gcd(deltas so far):
 the product so far is a series in q^s, kept on P/s + 1 slots, so a block
 in q^delta costs about its terms times P/delta while s = delta.  When every
@@ -223,16 +225,17 @@ def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict
     return blocks, {d: -r for d, r in sorted(rest.items()) if r < 0}
 
 
-def _residue_terms(terms: List[Tuple[int, int]], precision: int, modulus: int) -> List[Tuple[int, int]]:
+def _residue_terms(terms: List[Tuple[int, int]], precision: int, modulus: Optional[int]) -> List[Tuple[int, int]]:
     """(e, r) for the terms c q^e, e <= precision, with r the symmetric
-    residue of c mod `modulus` (so |r| <= |c|) and r != 0."""
+    residue of c mod `modulus` (so |r| <= |c|) and r != 0; over ZZ (None)
+    r is c itself."""
     out = []
     for e, c in terms:
         if e > precision:
             break
-        r = c % modulus
+        r = c % modulus if modulus else c
         if r:
-            out.append((e, r - modulus if 2 * r > modulus else r))
+            out.append((e, r - modulus if modulus and 2 * r > modulus else r))
     return out
 
 
@@ -296,9 +299,9 @@ def _spread(acc: np.ndarray, step: int, stride: int, precision: int) -> np.ndarr
     return out
 
 
-def _divide(acc: np.ndarray | List[int], terms: List[Tuple[int, int]], stride: int, modulus: Optional[int]):
-    """A run in q^stride, residues mod `modulus` or integers (None, worked
-    on in an object array), divided in place by one block 1 + sum c q^e.
+def _divide(acc: np.ndarray, terms: List[Tuple[int, int]], stride: int, modulus: Optional[int]) -> np.ndarray:
+    """A run in q^stride, residues mod `modulus` or integers (None, an object
+    array), divided in place by one block 1 + sum c q^e.
 
     Euler's recurrence a(n) = b(n) - sum c a(n - e / stride), n going up:
     the block has constant term 1, so a is the one series with block a = b,
@@ -309,11 +312,7 @@ def _divide(acc: np.ndarray | List[int], terms: List[Tuple[int, int]], stride: i
     the division keeps that dtype.
     """
     size = len(acc)
-    if modulus is None:
-        acc = np.asarray(acc, dtype=object)
-        terms = [(e, c) for e, c in terms if e // stride < size]
-    else:
-        terms = _residue_terms(terms, (size - 1) * stride, modulus)
+    terms = _residue_terms(terms, (size - 1) * stride, modulus)
     back = [e // stride for e, _ in terms]
     coeffs = np.array([c for _, c in terms], dtype=acc.dtype)
     # from slot back[k - 1] to the next term's, the first k terms reach back,
@@ -342,20 +341,25 @@ def _crt_moduli(weight: int, bound: int) -> List[int]:
 
 def _exact_product(
     blocks: List[Tuple[str, int]], terms: _Terms, precision: int, moduli: List[int], stride: int
-) -> List[int]:
+) -> np.ndarray:
     """Coefficients over ZZ of the product of the blocks up to q^precision, in
-    q^stride, from its int64 runs modulo the `moduli`, joined by CRT (Garner)
-    and lifted to the symmetric range: exact when the moduli come from
-    `_crt_moduli` for a bound on the coefficients' absolute values."""
-    values = _sparse_product(blocks, terms, precision, moduli[0], stride, np.int64).tolist()
-    joined = moduli[0]
+    q^stride, as an object array of Python ints: its int64 runs modulo the
+    `moduli` (exact when `_crt_moduli` sized them for a bound on |c|), joined
+    by CRT (Garner) and lifted to the symmetric range in place, freeing each
+    int replaced.  The join is on objects, as joined * digit passes int64; one
+    run is lifted in int64: x + shift < 3 m / 2, m <= 2^62 unless it is 1."""
+    values, joined = _sparse_product(blocks, terms, precision, moduli[0], stride, np.int64), moduli[0]
     for m in moduli[1:]:
-        inverse = pow(joined, -1, m)
-        residues = _sparse_product(blocks, terms, precision, m, stride, np.int64).tolist()
-        values = [x + joined * ((r - x) * inverse % m) for x, r in zip(values, residues)]
-        joined *= m
-    half = joined // 2
-    return [x - joined if x > half else x for x in values]
+        digits = _sparse_product(blocks, terms, precision, m, stride, np.int64).astype(object)
+        values = values.astype(object, copy=False)
+        for step, x in ((np.subtract, values), (np.multiply, pow(joined, -1, m)), (np.remainder, m),
+                        (np.multiply, joined), (np.add, values)):
+            step(digits, x, out=digits)
+        values, joined = digits, joined * m
+    shift = (joined - 1) // 2  # x > joined // 2 exactly when x + shift >= joined
+    for step, x in ((np.add, shift), (np.remainder, joined), (np.subtract, shift)):
+        step(values, x, out=values)
+    return values.astype(object, copy=False)
 
 
 def _frobenius(exponents: Dict[int, int], ell: int, t: int) -> Optional[Dict[int, int]]:
@@ -411,13 +415,14 @@ class _Plan:
         spread = max(self.norms(reach).values(), default=1) * (modulus - 1)
         return (spread >= _INT32_LIMIT) + (spread >= _INT64_LIMIT)
 
-    def product(self, modulus: Optional[int], reach: int):
+    def product(self, modulus: Optional[int], reach: int) -> np.ndarray:
         """The Euler part to q^reach in q^stride, once per run: the blocks'
         product divided by each denominator block (`_divide`), residues mod
-        `modulus` in an integer array, or integers (None) in a list or array."""
+        `modulus` in an int32 or int64 array (`width`), or integers (None) in
+        an object array.  A plan with no blocks is the constant 1."""
         if modulus is None:
             norm = self.norms(reach)
-            moduli = _crt_moduli(max(norm.values()), prod(norm[key] for key in self.blocks))
+            moduli = _crt_moduli(max(norm.values(), default=1), prod(norm[key] for key in self.blocks))
             acc = _exact_product(self.blocks, self.terms, reach, moduli, self.stride)
         else:
             dtype = (np.int32, np.int64)[self.width(modulus, reach)]
@@ -508,10 +513,9 @@ def _expand_rings(
         acc = plan.product(modulus, max(reaches[i] for i in group))
         for i in group:
             ring = rings[i]
-            m = ring.modulus if ring.kind == "mod" else None
             values = acc[: reaches[i] // plan.stride + 1]
-            if m != modulus:  # a run mod `modulus` or over ZZ (None), read mod m
-                values = [c % m for c in values] if modulus is None else values % m
+            if ring.kind == "mod" and ring.modulus != modulus:  # a run mod a multiple or over ZZ (None)
+                values = values % ring.modulus
             coeffs = np.zeros(precisions[i] + 1, dtype=ring.dtype)
             coeffs[lead :: plan.stride] = values
             out[i] = QSeries._canonical(ring, coeffs, precisions[i])

@@ -49,6 +49,17 @@ def test_expand_of_a_leftover_quotient_keeps_its_pinned_output(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, ring
 
 
+def test_expand_of_the_empty_quotient_is_one(capsys):
+    # exponents that cancel leave no eta factor: 1 over ZZ, mod 5 and past
+    # the int64 guard (2^70); a quotient with no factor at all is refused
+    for eta in ("1:0", "1:24,1:-24"):
+        for ring in ((), ("--mod", "5"), ("--mod", "2^70")):
+            code, out, err = run(capsys, "expand", "--eta", eta, "--terms", "4", *ring)
+            assert (code, out, err) == (0, "1\n", ""), (eta, ring)
+    code, out, err = run(capsys, "expand", "--eta", ",", "--terms", "4")
+    assert code == 2 and out == "" and "empty eta quotient" in err
+
+
 def test_expand_catalog_form_with_prime_power_modulus(capsys):
     code, out, _ = run(capsys, "expand", "--form", "eta2^12", "--mod", "3^2", "--terms", "7")
     assert code == 0

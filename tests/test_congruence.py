@@ -331,7 +331,7 @@ def test_first_failure_checks_each_class_against_its_rule(
 ):
     coeffs = [a(n) if n in RULE_PRIMES else 0 for n in range(61)]
     series = QSeries(residue_ring(*ring), coeffs)
-    got = congruence._first_failure(series.residues(), RULE_PRIMES, m, mp, period, classes)
+    got = congruence._first_failure(series.residues(), np.array(RULE_PRIMES), m, mp, period, classes)
     assert got == (witness, checked)
     assert _first_failure_reference(series.coeffs, RULE_PRIMES, m, mp, period, classes) == got
 
@@ -377,7 +377,7 @@ def test_first_failure_matches_the_per_prime_reference_on_random_tables(plant):
         planted = {"first": judged[:1], "last": judged[-1:]}.get(plant, [])
         for p in planted:
             coeffs[p] = (coeffs[p] + 1) % modulus
-        got = congruence._first_failure(np.array(coeffs), primes, m, mp, period, classes)
+        got = congruence._first_failure(np.array(coeffs), np.array(primes), m, mp, period, classes)
         assert got == _first_failure_reference(coeffs, primes, m, mp, period, classes)
         if plant == "none":
             assert got == (None, len(judged))
@@ -397,7 +397,7 @@ def test_first_failure_reads_a_period_beyond_int64_like_the_reference():
         (2**64, {2**63 + 5: (1, 9)}),
         (2**62 + 1, {2: (1, 9), 199: (1, 3)}),
     ):
-        got = congruence._first_failure(np.array(coeffs), primes, 0, 4, period, classes)
+        got = congruence._first_failure(np.array(coeffs), np.array(primes), 0, 4, period, classes)
         assert got == _first_failure_reference(coeffs, primes, 0, 4, period, classes), period
     claim = dataclasses.replace(
         claim_by_id("prime-power:eta2^12:l3^2"), residues=(2,), residue_modulus=2**64
@@ -620,13 +620,15 @@ def test_the_discriminant_pass_keeps_planted_two_exponent_congruences(seed):
         m = rng.randrange(ell - 1)
         mp = (k - 1 - m) % (ell - 1)
         good = [p for p in prescan if level % p and p != ell]
-        a = {p: psi(p) * (pow(p, m, ell) + pow(p, mp, ell)) + ell * rng.randrange(-(10**6), 10**6) for p in good}
-        odd = [p for p in good if p % 2]
-        assert congruence._odd_prescan([ell], odd, a, k) == [ell], (seed, ell, k, m)
+        a = np.zeros(prescan[-1] + 1, dtype=np.int64)
+        for p in good:
+            a[p] = psi(p) * (pow(p, m, ell) + pow(p, mp, ell)) + ell * rng.randrange(-(10**6), 10**6)
+        odd = np.array([p for p in good if p % 2])
+        assert congruence._odd_prescan(np.array([ell]), odd, a, k) == [ell], (seed, ell, k, m)
         a[rng.choice(odd)] += 1
         periods = [chi.values(chi.modulus) for chi in psis]
-        rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in good]
-        kept = congruence._odd_prescan([ell], odd, a, k)
+        rows = [(p, int(a[p]), tuple(v[p % len(v)] for v in periods)) for p in good]
+        kept = congruence._odd_prescan(np.array([ell]), odd, a, k)
         assert not (kept and congruence._two_exponent_survivors(ell, k, psis, periods, rows)), (seed, ell)
 
 
@@ -638,14 +640,16 @@ def test_the_square_class_pass_keeps_exactly_the_planted_zeros(seed):
     odd_ells = primes_up_to(10_000)[1:]
     for _ in range(25):
         ell = rng.choice(odd_ells)
-        good = [p for p in primes_up_to(congruence._PRESCAN_PRECISION) if p != ell]
+        good = np.array([p for p in primes_up_to(congruence._PRESCAN_PRECISION) if p != ell])
         squares = {x * x % ell for x in range(1, ell)}
-        a = {p: ell * rng.randrange(-(10**6), 10**6) + (p % ell in squares) * rng.randrange(ell) for p in good}
-        assert congruence._odd_prescan([ell], good, a, None) == [ell], (seed, ell)
-        a[rng.choice([p for p in good if p % ell not in squares])] += 1
-        assert congruence._odd_prescan([ell], good, a, None) == [], (seed, ell)
+        a = np.zeros(good[-1] + 1, dtype=np.int64)
+        for p in good.tolist():
+            a[p] = ell * rng.randrange(-(10**6), 10**6) + (p % ell in squares) * rng.randrange(ell)
+        assert congruence._odd_prescan(np.array([ell]), good, a, None) == [ell], (seed, ell)
+        a[rng.choice([p for p in good.tolist() if p % ell not in squares])] += 1
+        assert congruence._odd_prescan(np.array([ell]), good, a, None) == [], (seed, ell)
     # only odd ell are prescanned: ell = 2 has no non-squares
-    assert congruence._odd_prescan([2, 3], [5], {5: 0}, None) == [3]
+    assert congruence._odd_prescan(np.array([2, 3]), np.array([5]), np.zeros(6, dtype=np.int64), None) == [3]
 
 
 def test_swinnerton_dyer_table_for_delta_to_ell_100000():
@@ -794,6 +798,16 @@ def test_verify_claims_expands_each_form_once_in_any_order(monkeypatch):
     clear_expansion_cache()
 
 
+def _is_sieve_of(primes, bound):
+    """The engine's prime list: a read-only int64 array of the primes <= bound."""
+    return (
+        isinstance(primes, np.ndarray)
+        and primes.dtype == np.int64
+        and not primes.flags.writeable
+        and primes.tolist() == primes_up_to(bound)
+    )
+
+
 def test_scan_sieves_once(monkeypatch):
     # one sieve per process, rerun only for a bound above every earlier one
     # (each sieve stores its bound and primes in _sieve, so a replaced
@@ -809,26 +823,28 @@ def test_scan_sieves_once(monkeypatch):
         return primes
 
     monkeypatch.setattr(congruence, "_primes_to", spy)
-    monkeypatch.setattr(congruence, "_sieve", (1, ()))
+    monkeypatch.setattr(congruence, "_sieve", (-1, None))
     for ell_max, prime_bound in ((691, 500), (100, 10_000)):
         for kind in ("two-exponent", "square-class"):
             scan_exceptional("delta", kind, ell_max=ell_max, prime_bound=prime_bound)
     verify_claim(claim_by_id("prime-power:eta2^12:l3^2"))
     assert sieves == [691, 10_000]
     for bound in (10_000, 7919, 7918, 2, 1):
-        primes = congruence._primes_to(bound)
-        assert isinstance(primes, tuple) and primes == tuple(primes_up_to(bound)), bound
+        assert _is_sieve_of(congruence._primes_to(bound), bound), bound
     assert sieves == [691, 10_000]
 
 
 def test_the_engine_sieve_matches_the_reference_sieve(monkeypatch):
-    # each bound sieved afresh, then cut from the largest sieve
+    # each bound sieved afresh, then cut from the largest sieve; a caller
+    # cannot write into the shared sieve through its cut
     bounds = (0, 1, 2, 3, 4, 30, 97, 7919, 65_536, 99_991, 100_000)
     for bound in bounds:
-        monkeypatch.setattr(congruence, "_sieve", (1, ()))
-        assert congruence._primes_to(bound) == tuple(primes_up_to(bound)), bound
+        monkeypatch.setattr(congruence, "_sieve", (-1, None))
+        assert _is_sieve_of(congruence._primes_to(bound), bound), bound
     for bound in bounds:
-        assert congruence._primes_to(bound) == tuple(primes_up_to(bound)), bound
+        assert _is_sieve_of(congruence._primes_to(bound), bound), bound
+    with pytest.raises(ValueError, match="read-only"):
+        congruence._primes_to(100)[0] = 4
 
 
 def test_every_claim_kind_has_one_verifier_and_one_reading():

@@ -193,8 +193,41 @@ def test_crt_join_lifts_negative_coefficients_to_the_symmetric_range():
             break
         moduli.append(p)
     assert len(moduli) >= 3
-    assert etaquot._exact_product(blocks, terms, precision, moduli, 1) == tau
-    assert etaquot._exact_product(blocks, terms, precision, moduli[:-1], 1) != tau
+    joined = etaquot._exact_product(blocks, terms, precision, moduli, 1)
+    assert joined.dtype == object and joined.tolist() == tau
+    assert etaquot._exact_product(blocks, terms, precision, moduli[:-1], 1).tolist() != tau
+
+
+def test_an_exact_run_is_an_object_array_of_python_ints():
+    # eta1^2 eta11^2 at 150 terms fits one int64 run (lifted in int64), delta
+    # takes two (joined on object arrays): either way the Euler part over ZZ
+    # is an object array of Python ints, the brute series from q^1 on
+    for exponents, runs in (({1: 2, 11: 2}, 1), ({1: 24}, 2)):
+        assert len(_crt_case(exponents, 150)[2]) == runs, exponents
+        acc = etaquot._Plan(exponents, 150).product(None, 150)
+        assert isinstance(acc, np.ndarray) and acc.dtype == object, exponents
+        assert {type(c) for c in acc} == {int}, exponents
+        assert acc.tolist() == list(brute_eta_expand(exponents, 151).coeffs[1:]), exponents
+
+
+def test_a_three_run_exact_product_agrees_with_its_residue_runs():
+    # delta at 10^4 terms has a 115-bit bound: three int64 runs joined by
+    # CRT, read mod m, equal the plan's own run mod m
+    plan = etaquot._Plan({1: 24}, 10_000)
+    assert len(_crt_case({1: 24}, 10_000)[2]) == 3
+    exact = plan.product(None, 10_000)
+    assert exact.dtype == object and max(exact) > 2**64
+    for m in (2**8, 3**5, 691):
+        assert (exact % m).tolist() == plan.product(m, 10_000).tolist(), m
+
+
+def test_the_empty_quotient_is_one_in_every_ring():
+    # no block at all: over ZZ and past the int64 guard (2^70) the exact
+    # path joins one run of the constant 1, as mod 5 its one residue run is
+    for ring in (ZZ, residue_ring(5), residue_ring(2, 70)):
+        assert etaquot._expand_rings({}, 0, [4], [ring]) == [QSeries(ring, [1], 4)], ring.describe()
+    with pytest.raises(ValueError, match="empty eta quotient"):
+        EtaQuotient.parse(",")
 
 
 def test_quotients_with_a_denominator_match_brute_oracle_over_zz():
