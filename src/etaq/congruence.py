@@ -6,21 +6,25 @@ weight, level, cusp flag and theta regime are derived from the `operators`
 bookkeeping (`_comparison`); both sides are read to the agreement bound of
 the space that holds them and compared, a proof ("sturm-proved") unless a
 theta step was conservative.  Every side is computed in Z/ell^t from its
-base on (the form's cached expansion, or G_k or the weight-2 series from
-`eisenstein` in that ring), as a numpy array of residues, int64 while a
-product of two fits and Python ints beyond (`residue_dtype`): twist and
-theta are one `theta` call, a multiply by a table of chi(n) n^j, and the
-first mismatch is found by one array comparison.
+base on (the form's cached expansion, or G_k from `eisenstein` in that
+ring, G_2 only twisted by a character with chi(0) = 0), as a numpy array
+of residues, int64 while a product of two fits and Python ints beyond
+(`residue_dtype`): twist and theta are one `theta` call, a multiply by a
+table of chi(n) n^j, and the first mismatch is found by one array
+comparison.
 The lower-weight side is padded by a form congruent to 1 mod ell^t, which
 raises its weight and changes no coefficient: a pad is bookkeeping in
-`_side_space` and is never built.  For ell >= 5 the weights must differ by
-a multiple of phi(ell^t) (E_4 and weight-2 level-d series serve mod 3 and
-2).  Prime-power and unit-factor claims are scanned over many primes
-instead ("numerical-evidence").  Their congruences and the exceptional-prime
-scan's two-exponent candidates are one shape, a table of residue classes c
-with a(p) = u_c (p^m + p^m') mod ell^(t_c), which `_first_failure` checks
-at every prime at once; the scan's square-class pass picks the non-squares
-by Euler's criterion (`_euler_criterion`), as its prescan does.
+`_side_space` and is never built.  `_side_space` admits only a pad E_w with
+even w >= 4 and phi(ell^t) | w, and `_comparison` checks that the weights
+differ by a multiple of phi(ell^t) only for ell >= 5: mod 2 and 3 nothing
+yet ties a weight gap to a pad (ROADMAP item 1; the FOUND line on
+`_compare` in CHANGES.md).  Prime-power and unit-factor claims are scanned
+over many primes instead ("numerical-evidence").  Their congruences and
+the exceptional-prime scan's two-exponent candidates are one shape, a
+table of residue classes c with a(p) = u_c (p^m + p^m') mod ell^(t_c),
+which `_first_failure` checks at every prime at once; the scan's
+square-class pass picks the non-squares by Euler's criterion, `powers_mod`
+to the power (ell - 1)/2, as its prescan does.
 
 `verify_claims` plans a run before it runs a claim: it derives, with no
 series built, which (form, ell^t, precision) each claim will read
@@ -45,7 +49,7 @@ import numpy as np
 from . import etaquot
 from .characters import Character, _shown, _squarefree_part, kronecker_character, parse_character, trivial_mod
 from .claims import CongruenceClaim
-from .eisenstein import eisenstein_E2_level, eisenstein_G
+from .eisenstein import eisenstein_G
 from .operators import FormMeta, common_space, theta, theta_mod_rule, twist_meta, u_operator
 from .qseries import QSeries, Ring, ZZ, powers_mod, residue_dtype, residue_ring
 from .sturm import agreement_bound
@@ -152,12 +156,12 @@ def _timed(started: float) -> float:
 @dataclass(frozen=True)
 class Side:
     """One side of a series comparison, built in this order: a base (a
-    catalog form, G_k, or the weight-2 level-N series), an optional twist,
-    then theta applied `theta` times.  An optional pad E_w^e = 1 mod ell^t
-    raises the side's weight by w e and leaves its coefficients as they are."""
+    catalog form or G_k), an optional twist, then theta applied `theta`
+    times.  An optional pad E_w^e = 1 mod ell^t raises the side's weight by
+    w e and leaves its coefficients as they are."""
 
-    base: str  # "form" | "G" | "level"
-    arg: Union[str, int]  # form id | weight k of G_k | level N
+    base: str  # "form" | "G"
+    arg: Union[str, int]  # form id | weight k of G_k
     twist: Optional[Character] = None
     theta: int = 0
     pad: Optional[Tuple[int, int]] = None  # (w, e) for E_w^e
@@ -165,18 +169,27 @@ class Side:
 
 def _side_space(side: Side, ell: int, t: int) -> Tuple[FormMeta, str]:
     """The space of a side mod ell^t and the regime of its theta step ("exact"
-    without one).  A theta image is cuspidal, a G or weight-2 base is not,
-    and a pad E_w^e adds w e to the weight.  A pad must be E_w = 1 mod ell^t
-    term by term, so only even w >= 4 with phi(ell^t) | w is admitted:
-    then (ell - 1) | w, so ell exactly divides the denominator of B_w (von
+    without one).  A theta image is cuspidal, a G base is not, and a pad
+    E_w^e adds w e to the weight.  A pad must be E_w = 1 mod ell^t term by
+    term, so only even w >= 4 with phi(ell^t) | w is admitted: then
+    (ell - 1) | w, so ell exactly divides the denominator of B_w (von
     Staudt-Clausen), and E_w - 1 = -(2w/B_w) sum sigma_(w-1)(n) q^n has
-    v_ell(2w/B_w) = v_ell(2w) + 1 >= t, since ell^(t-1) | w."""
+    v_ell(2w/B_w) = v_ell(2w) + 1 >= t, since ell^(t-1) | w.
+
+    G_2 = -E_2/24 is admitted only twisted by a character chi with
+    chi(0) = 0, and then lies in the space `twist_meta` derives,
+    M_2(Gamma_0(M^2), chi^2) for chi of modulus M: E_2* = E_2 - 3/(pi y)
+    is invariant of weight 2 on SL_2(Z).  f x chi is a combination of the
+    translates f(z + a/M) whose weights sum to chi(0) = 0, and y is
+    translation-invariant, so the 3/(pi y) term cancels and E_2 x chi is
+    the twist of the weight-2 invariant E_2*."""
     if side.base == "form":
         entry = etaquot.lookup(side.arg)
         meta = FormMeta(entry.weight, entry.level, entry.nebentypus)  # a newform: cuspidal
     else:
-        weight, level = (side.arg, 1) if side.base == "G" else (2, side.arg)
-        meta = FormMeta(weight, level, trivial_mod(1), cuspidal=False)
+        if side.arg == 2 and (side.twist is None or side.twist(0) != 0):
+            raise ValueError("G_2 is not modular: a G_2 side needs a twist by a character with chi(0) = 0")
+        meta = FormMeta(side.arg, 1, trivial_mod(1), cuspidal=False)
     if side.twist is not None:
         meta = twist_meta(meta, side.twist)
     regime = "exact"
@@ -202,8 +215,7 @@ def _side_coeffs(side: Side, ell: int, t: int, precision: int) -> np.ndarray:
         series = cached_expansion(etaquot.lookup(side.arg), precision, ring)
     else:
         constant = not side.theta and (side.twist is None or side.twist(0) != 0)
-        build = eisenstein_G if side.base == "G" else eisenstein_E2_level
-        series = build(side.arg, precision, ring, constant)
+        series = eisenstein_G(side.arg, precision, ring, constant)
     return theta(series, side.theta, side.twist).residues()
 
 
@@ -288,20 +300,22 @@ def _two_exponent_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     w = mp - m + 1
 
     # Kernel weight w is forced by the two-exponent shape a(p) = psi(p)(p^m + p^m'):
-    # theta^(m+1) contributes p^(m+1) and sigma_(w-1) the factor 1 + p^(w-1).  Weight 2
-    # has no G-series, so use the level-N weight-2 series, or G_(ell+1) at level 1
-    # (sigma_ell = sigma_1 mod ell).  For w = ell - 1 the constant of G_(ell-1) is not
-    # ell-integral, but theta kills it, so the side never builds it.
+    # theta^(m+1) contributes p^(m+1) and sigma_(w-1) the factor 1 + p^(w-1).  At level
+    # N >= 2 the weight-2 kernel is G_2 twisted by psi 1_N (modular: `_side_space`).  Its
+    # detail names the level-N series, since G_2 = -E_2/24 masked by psi 1_N has its
+    # coefficients: in sigma_1(n) - N sigma_1(n/N) the second term vanishes off (n, N) = 1.
+    # Level 1 uses G_(ell+1) (sigma_ell = sigma_1 mod ell).  For w = ell - 1 the constant
+    # of G_(ell-1) is not ell-integral, but theta kills it, so the side never builds it.
     if w == 2 and n_level >= 2:
-        base, arg, kernel_name = "level", n_level, f"weight-2 level-{n_level} series"
+        k_w, kernel_name = 2, f"weight-2 level-{n_level} series"
     elif w == 2:
-        base, arg, kernel_name = "G", ell + 1, f"G_{ell + 1}"
+        k_w, kernel_name = ell + 1, f"G_{ell + 1}"
     elif 3 <= w <= ell - 1:
-        base, arg, kernel_name = "G", w, f"G_{w}"
+        k_w, kernel_name = w, f"G_{w}"
     else:
         raise ValueError(f"{claim.claim_id}: no Eisenstein kernel for width {w}")
     lhs = Side("form", claim.form, one_n, theta=1)
-    rhs = Side(base, arg, psi * one_n, theta=m + 1)
+    rhs = Side("G", k_w, psi * one_n, theta=m + 1)
     return lhs, rhs, f"kernel {kernel_name}, theta^{m + 1}"
 
 
@@ -656,21 +670,7 @@ def _candidate_psi(n_level: int) -> List[Character]:
 
 
 _PRESCAN_ROWS = 4096  # ell per prescan pass: its grid stays a few MB at any ell_max
-
-
-def _euler_criterion(x: np.ndarray, ells: np.ndarray) -> np.ndarray:
-    """x^((ell - 1)/2) mod ell for a column of odd primes ell broadcast
-    against x: 1 on the nonzero squares mod ell, ell - 1 on the non-squares,
-    0 where ell | x.  ell <= 10^6 (`check_precision`), so int64 holds every
-    product of two residues."""
-    half = (ells - 1) // 2
-    x = x % ells
-    result = np.ones_like(x)
-    while half.any():
-        result = np.where(half & 1, result * x % ells, result)
-        half = half >> 1
-        x = x * x % ells
-    return result
+_FILTER_CELLS = 2**16  # (psi, m, p) cells of an exact-filter pass after its first prime
 
 
 def _odd_prescan(ells: np.ndarray, primes: np.ndarray, a: np.ndarray, k: Optional[int]) -> List[int]:
@@ -687,59 +687,47 @@ def _odd_prescan(ells: np.ndarray, primes: np.ndarray, a: np.ndarray, k: Optiona
         ell = odd[start : start + _PRESCAN_ROWS, None]
         a = a_p % ell
         if k is None:
-            refuted = (_euler_criterion(primes, ell) == ell - 1) & (a != 0)
+            refuted = (powers_mod(primes, (ell - 1) // 2, ell) == ell - 1) & (a != 0)
         else:
-            refuted = _euler_criterion(a * a - 4 * powers_mod(primes, k - 1, ell), ell) == ell - 1
+            discriminant = a * a - 4 * powers_mod(primes, k - 1, ell)
+            refuted = powers_mod(discriminant, (ell - 1) // 2, ell) == ell - 1
         kept += ell[~refuted.any(axis=1), 0].tolist()
     return kept
 
 
 def _two_exponent_survivors(
-    ell: int,
-    k: int,
-    psis: List[Character],
-    periods: List[List[int]],
-    rows: List[Tuple[int, int, Tuple[int, ...]]],
-) -> List[Tuple]:
-    """The two-exponent congruences mod ell that hold at every prescan prime,
-    each as (psi, table) for the full pass: the table has psi's period for
-    modulus and u_c = psi(c) on every class c, the psi(c) = 0 ones included.
+    ell: int, k: int, primes: np.ndarray, psi_p: np.ndarray, a_p: np.ndarray
+) -> List[Tuple[int, int, int]]:
+    """The two-exponent congruences mod ell that hold at every prime of
+    `primes` but ell, as (row of psi, m, m') in that order.
 
     A candidate is a(p) = psi(p)(p^m + p^m') with m + m' = k - 1 mod ell - 1.
     Exponents only matter mod ell - 1 (Fermat), so each unordered pair
     {m, k - 1 - m} is tried once, at its smaller member; mod 2 every real
-    character looks trivial, so only 1_N = psis[0] is tried.  `periods`
-    holds each psi over one period and `rows` holds (p, a(p), psi(p) for
-    every psi) for the good prescan primes.  A prime needs only a(p), psi(p)
-    and its table of p^j mod ell, j < ell - 1: the first splits the pairs by
-    the value of psi(p), and each later one drops the (psi, m) it refutes.
-    """
+    character looks trivial, so only 1_N, row 0, is tried.  `psi_p` holds
+    psi(p) by candidate (rows) and prime (columns), `a_p` the int64 a(p).
+    Array passes over the grid of (psi, m) power p^m and p^m' mod ell for
+    the m still alive and drop each (psi, m) a prime refutes.  The first
+    prime meets every pair alone, and the few that survive meet as many
+    primes per pass as _FILTER_CELLS allows: memory stays O(#psi ell)."""
     span = max(ell - 1, 1)
-    pairs = tuple(m for m in range(span) if (k - 1 - m) % span >= m)
-    alive = dict.fromkeys(range(len(psis) if ell > 2 else 1), pairs)  # psi index -> its m
-    for p, a_p, psi_p in rows:
-        if p == ell:
-            continue
-        power = [1] * span
-        for j in range(1, span):
-            power[j] = power[j - 1] * p % ell
-        kept = {}  # (psi(p), m alive) -> the m that p keeps; psis that agree at p share it
-        for i, ms in alive.items():
-            e = psi_p[i]
-            if (e, ms) not in kept:
-                kept[e, ms] = tuple(
-                    m for m in ms if (e * (power[m] + power[(k - 1 - m) % span]) - a_p) % ell == 0
-                )
-        alive = {i: kept[psi_p[i], ms] for i, ms in alive.items() if kept[psi_p[i], ms]}
-        if not alive:
-            return []
-    survivors = []
-    for i, ms in alive.items():
-        classes = {c: (v, ell) for c, v in enumerate(periods[i])}
-        for m in ms:
-            mp = m + ((k - 1 - 2 * m) % span or span)
-            survivors.append((psis[i], (m, mp, len(periods[i]), classes)))
-    return survivors
+    m = np.arange(span)
+    m = m[(k - 1 - m) % span >= m]
+    psi_p = psi_p[: len(psi_p) if ell > 2 else 1]
+    alive = np.ones((len(psi_p), len(m)), dtype=bool)
+    cols, width = np.flatnonzero(primes != ell), 1
+    while len(cols) and len(m):
+        step, cols = np.split(cols, [width])
+        p, mp = primes[step], ((k - 1 - m) % span)[:, None]
+        both = powers_mod(p, m[:, None], ell) + powers_mod(p, mp, ell)  # (m, p)
+        alive &= ((psi_p[:, None, step] * both - a_p[step]) % ell == 0).all(axis=2)
+        kept = alive.any(axis=0)
+        m, alive = m[kept], alive[:, kept]
+        width = max(1, _FILTER_CELLS // max(alive.size, 1))
+    rows, cols = np.nonzero(alive)
+    m = m[cols]
+    gap = (k - 1 - 2 * m) % span  # m' - m mod ell - 1, taken in [1, ell - 1]
+    return list(zip(rows.tolist(), m.tolist(), (m + np.where(gap, gap, span)).tolist()))
 
 
 def scan_exceptional(
@@ -765,8 +753,8 @@ def scan_exceptional(
     x = p^m and y = p^m' are the roots of X^2 - psi(p) a(p) X + p^(k-1)
     mod ell, so a(p)^2 - 4 p^(k-1) = (x - y)^2 is a square mod ell.  An odd
     ell where it is not, at some such p, holds no candidate; the rest, and
-    ell = 2, go through the exact `_two_exponent_survivors`, which reads
-    a(p), psi(p) (tabled once per scan) and p^j mod ell.  Then one
+    ell = 2, go through the exact `_two_exponent_survivors`, array passes
+    over a(p) and a table of psi(p), both read once per scan.  Then one
     `_expand_misses` call caches the series mod every surviving ell: the
     ones not cached at prime_bound are expanded together, one product per
     int64 group of moduli, under their (form, ell) keys.  Last, each
@@ -794,12 +782,13 @@ def scan_exceptional(
     survivors: Dict[int, Sequence[Tuple]] = {}  # ell -> its two-exponent (psi, table)s
     if kind == "two-exponent":
         psis = _candidate_psi(n_level)
-        periods = [psi.values(psi.modulus) for psi in psis]
-        rows = [(p, a[p], tuple(v[p % len(v)] for v in periods)) for p in prescan.tolist()]
+        psi_p = np.array([np.take(psi.values(psi.modulus), prescan % psi.modulus) for psi in psis])
+        a_p = a[prescan].astype(np.int64)
         for ell in [2] + _odd_prescan(ells, prescan[prescan % 2 == 1], a, k):
-            found = _two_exponent_survivors(ell, k, psis, periods, rows)
-            if found:
-                survivors[ell] = found
+            for i, m, mp in _two_exponent_survivors(ell, k, prescan, psi_p, a_p):
+                psi = psis[i]  # its table: psi's period for modulus, u_c = psi(c) on every class
+                classes = {c: (v, ell) for c, v in enumerate(psi.values(psi.modulus))}
+                survivors.setdefault(ell, []).append((psi, (m, mp, psi.modulus, classes)))
     else:
         survivors = dict.fromkeys(_odd_prescan(ells, prescan, a, None), ())
 
@@ -810,7 +799,7 @@ def scan_exceptional(
         f_res = cached_expansion(entry, prime_bound, residue_ring(ell)).residues()
         good = _good_primes(scan_primes, n_level, ell)
         if kind == "square-class":
-            judged = good[_euler_criterion(good, np.array([ell])) == ell - 1]
+            judged = good[powers_mod(good, (ell - 1) // 2, ell) == ell - 1]
             if len(judged) and not f_res[judged].any():
                 masked = not (n_level % ell == 0 or ell in (2 * k - 3, 2 * k - 1))
                 findings.append(ScanFinding(ell, kind, masked, primes_checked=len(judged)))

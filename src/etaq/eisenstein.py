@@ -1,16 +1,18 @@
-"""Eisenstein series in Z/ell^t: classical G_k and the level-raising weight-2 series.
+"""Eisenstein series in Z/ell^t: the classical G_k for every even k >= 2.
 
-Each constructor takes the residue ring it builds in.  Divisor sums are
+`eisenstein_G` takes the residue ring it builds in.  Divisor sums are
 filled in by one sieve over divisor pairs rather than by factoring, so the
 oracle module's trial-division sums stay independent; the sieve adds d^nu
 mod ell^t, every power taken at once in a numpy array.  The only
-non-integral numbers are the constants -B_k/2k of G_k and (N - 1)/24 of
-the weight-2 level-N series.  Each is mapped into the ring once, and one
-that is not ell-integral has no image mod ell^t: that is an error.  A
-caller that applies theta, which kills a(0), passes constant=False and
-never needs it.  The verification engine builds every Eisenstein side this
-way, directly in the residue ring Z/ell^t where it compares them; a pad
-E_w = 1 mod ell^t is never built (`congruence._side_space`).
+non-integral number is the constant -B_k/2k.  It is mapped into the ring
+once, and one that is not ell-integral has no image mod ell^t: that is an
+error.  Theta, and a twist by a character with chi(0) = 0, kill a(0), so
+a caller that applies one passes constant=False and never needs it.  G_2 =
+-E_2/24 is not modular, but such a twist of it is, and the engine builds
+it only twisted so (`congruence._side_space`): G_2 twisted by psi 1_N is
+the weight-2 kernel of a level-N two-exponent claim.  The engine builds
+every Eisenstein side here, in the ring Z/ell^t where it compares; a pad
+E_w = 1 mod ell^t is never built.
 """
 
 from __future__ import annotations
@@ -60,24 +62,12 @@ def _divisor_power_sums(precision: int, nu: int, ring: Ring) -> np.ndarray:
 
 
 def eisenstein_G(k: int, precision: int, ring: Ring, constant: bool = True) -> QSeries:
-    """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n for even k >= 4; constant=False
+    """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n for even k >= 2; constant=False
     leaves a(0) = 0."""
-    if k < 4 or k % 2:
-        raise ValueError("G_k needs even weight k >= 4; for weight 2 use eisenstein_E2_level")
+    if k < 2 or k % 2:
+        raise ValueError("G_k needs even weight k >= 2")
     coeffs = _divisor_power_sums(precision, k - 1, ring)
     if constant:
         coeffs[0] = reduce_coefficient(-bernoulli(k) / (2 * k), ring)
     return QSeries._canonical(ring, coeffs % ring.modulus, precision)
 
-
-def eisenstein_E2_level(n_level: int, precision: int, ring: Ring, constant: bool = True) -> QSeries:
-    """The weight-2 level-N form (N E_2(Nz) - E_2(z)) / 24 for N >= 2;
-    constant=False leaves a(0) = 0."""
-    if n_level < 2:
-        raise ValueError("the level-raised weight-2 series needs N >= 2")
-    sig = _divisor_power_sums(precision, 1, ring)
-    coeffs = sig.copy()
-    coeffs[n_level::n_level] -= n_level * sig[1 : precision // n_level + 1]
-    if constant:
-        coeffs[0] = reduce_coefficient(Fraction(n_level - 1, 24), ring)
-    return QSeries._canonical(ring, coeffs % ring.modulus, precision)

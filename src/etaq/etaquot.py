@@ -185,15 +185,6 @@ def _block_terms(name: str, delta: int, precision: int) -> List[Tuple[int, int]]
     return [(delta * n * n, 2 * sign if n % 2 else 2) for n in range(1, isqrt(top) + 1)]
 
 
-def euler_factor(delta: int, precision: int, ring: Ring) -> QSeries:
-    """prod_n (1 - q^(delta n)) as a dense series: the reference for the sparse passes."""
-    coeffs = [0] * (precision + 1)
-    coeffs[0] = 1
-    for e, sign in _block_terms("E", delta, precision):
-        coeffs[e] = sign
-    return QSeries(ring, coeffs, precision)
-
-
 def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict[int, int]]:
     """Write prod_delta eta(delta z)^(r_delta) as blocks (name, delta) times a leftover.
 
@@ -521,11 +512,6 @@ def _expand_rings(
             out[i] = QSeries._canonical(ring, coeffs, precisions[i])
         del acc, values, coeffs
     return out
-
-
-def expand_euler_part(exponents: Dict[int, int], precision: int, ring: Ring) -> QSeries:
-    """prod_delta prod_n (1 - q^(delta n))^(r_delta), without the q^(s/24) prefactor."""
-    return _expand_rings(exponents, 0, [precision], [ring])[0]
 
 
 def check_precision(value: int, what: str) -> None:

@@ -125,6 +125,19 @@ def colored_partition_series(precision: int) -> QSeries:
     return QSeries(ZZ, coeffs, precision)
 
 
+def euler_factor(delta: int, precision: int, ring: Ring) -> QSeries:
+    """prod_n (1 - q^(delta n)) as a dense series by Euler's pentagonal number
+    theorem: (-1)^k at q^(delta k(3k -+ 1)/2) for k >= 1, and 1 at q^0."""
+    coeffs = [1] + [0] * precision
+    k = 1
+    while delta * k * (3 * k - 1) // 2 <= precision:
+        for e in (delta * k * (3 * k - 1) // 2, delta * k * (3 * k + 1) // 2):
+            if e <= precision:
+                coeffs[e] = (-1) ** k
+        k += 1
+    return QSeries(ring, coeffs, precision)
+
+
 def brute_eta_expand(exponents: Dict[int, int], precision: int) -> QSeries:
     """Expand q^(s/24) prod_delta prod_n (1 - q^(delta n))^r_delta the slow way.
 

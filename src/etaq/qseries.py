@@ -122,18 +122,18 @@ def residue_dtype(modulus: int):
     return np.int64 if (modulus - 1) ** 2 < 2**63 else object
 
 
-def powers_mod(base: np.ndarray, e: int, modulus) -> np.ndarray:
-    """base^e mod modulus elementwise by square and multiply, for e >= 0 and
-    a modulus that is one number or an array like base; every step is
-    reduced, so residues of a `residue_dtype` array never overflow."""
+def powers_mod(base, e, modulus) -> np.ndarray:
+    """base^e mod modulus elementwise by square and multiply, for an
+    exponent e >= 0 and a modulus that are each one number or an array
+    broadcast against base (Euler's criterion is x^((ell - 1)/2) mod ell
+    for a column of ell); every step is reduced, so residues of a
+    `residue_dtype` array never overflow."""
     base = base % modulus
     result = np.ones_like(base) % modulus
-    while e:
-        if e & 1:
-            result = result * base % modulus
-        e >>= 1
-        if e:
-            base = base * base % modulus
+    e = np.asarray(e)
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        base = base * base % modulus if bit else base
+        result = np.where(e >> bit & 1, result * base % modulus, result)
     return result
 
 

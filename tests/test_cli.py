@@ -473,6 +473,27 @@ def test_raw_identity_reads_the_constant_of_G_only_where_it_reduces(tmp_path, ca
             assert "PASS" in out and "proved" in out
 
 
+def test_a_G2_recipe_needs_a_twist_that_vanishes_at_0(tmp_path, capsys):
+    # E_2 is not modular, but its twist by a character with chi(0) = 0 is:
+    # G_2 alone or twisted by 1_1 is refused, twisted by 1_3 it is compared
+    # (sigma_1 = sigma_3 mod 3; theta mod 3 at level 9 is conservative)
+    path = tmp_path / "claims.json"
+    twisted = {"twist": "1_3", "theta": 1}
+    for lhs, rhs, code in (
+        ({"G": 2}, {"G": 4}, 2),
+        ({"G": 2, "twist": "1_1"}, {"G": 4, "twist": "1_1"}, 2),
+        (dict(twisted, G=2), dict(twisted, G=4), 0),
+    ):
+        path.write_text(json.dumps({"claims": [dict(RAW, claim_id="x", ell=3, lhs=lhs, rhs=rhs)]}))
+        got, out, err = run(capsys, "verify", str(path), "--format", "json")
+        assert got == code, (lhs, err)
+        if code:
+            assert err == "error: G_2 is not modular: a G_2 side needs a twist by a character with chi(0) = 0\n"
+        else:
+            (report,) = json.loads(out)["reports"]
+            assert (report["verdict"], report["weight"], report["level"]) == ("evidence", 8, 9)
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -546,22 +546,59 @@ def test_candidate_characters_are_every_fundamental_discriminant_dividing_4n():
     assert trivial_mod(2) not in congruence._candidate_psi(1)
 
 
+def reference_survivors(ell, k, psis, rows):
+    """The two-exponent congruences mod ell that hold at every prime of `rows`
+    but ell, each as (index of psi, m, m'), found one prime at a time as the
+    scan did before its array passes.  `rows` holds (p, a(p), psi(p) for
+    every psi).  Exponents only matter mod ell - 1, so each unordered pair
+    {m, k - 1 - m} is tried at its smaller member, and mod 2 only 1_N =
+    psis[0].  A prime reads a(p), psi(p) and its table of p^j mod ell,
+    j < ell - 1, and drops the (psi, m) it refutes."""
+    span = max(ell - 1, 1)
+    pairs = tuple(m for m in range(span) if (k - 1 - m) % span >= m)
+    alive = dict.fromkeys(range(len(psis) if ell > 2 else 1), pairs)  # psi index -> its m
+    for p, a_p, psi_p in rows:
+        if p == ell:
+            continue
+        power = [1] * span
+        for j in range(1, span):
+            power[j] = power[j - 1] * p % ell
+        alive = {
+            i: tuple(m for m in ms if (psi_p[i] * (power[m] + power[(k - 1 - m) % span]) - a_p) % ell == 0)
+            for i, ms in alive.items()
+        }
+        alive = {i: ms for i, ms in alive.items() if ms}
+        if not alive:
+            return []
+    return [(i, m, m + ((k - 1 - 2 * m) % span or span)) for i, ms in alive.items() for m in ms]
+
+
+def _survivor_inputs(primes, a, psis):
+    """The arguments of `reference_survivors` (rows) and of the scan's
+    `_two_exponent_survivors` (primes, psi(p) table, a(p)) for the same data."""
+    rows = [(p, int(a[p]), tuple(psi(p) for psi in psis)) for p in primes]
+    table = np.array([[psi(p) for p in primes] for psi in psis], dtype=np.int64)
+    return rows, (np.array(primes, dtype=np.int64), table, np.array([a[p] for p in primes], dtype=np.int64))
+
+
 def reference_prescan(form_id, kind, ell_max, prime_bound=congruence.DEFAULT_PRIME_BOUND):
     """The ell that survive the prescan of a scan, found one ell at a time as
     the scan did before its array passes: square-class by `_first_failure`
     over a table of every non-square class mod ell (ell = 2 has none),
-    two-exponent by `_two_exponent_survivors` on every ell."""
+    two-exponent by `reference_survivors` on every ell, which the array
+    filter `_two_exponent_survivors` matches exactly."""
     entry = lookup(form_id)
     k, n_level = entry.weight, entry.level
     small = entry.expand(min(congruence._PRESCAN_PRECISION, prime_bound))
     prescan = [p for p in primes_up_to(small.precision) if n_level % p]
     psis = congruence._candidate_psi(n_level)
-    periods = [psi.values(psi.modulus) for psi in psis]
-    rows = [(p, small[p], tuple(v[p % len(v)] for v in periods)) for p in prescan]
+    rows, arrays = _survivor_inputs(prescan, small.coeffs, psis)
     kept = set()
     for ell in primes_up_to(ell_max):
         if kind == "two-exponent":
-            if congruence._two_exponent_survivors(ell, k, psis, periods, rows):
+            found = reference_survivors(ell, k, psis, rows)
+            assert congruence._two_exponent_survivors(ell, k, *arrays) == found, (form_id, ell)
+            if found:
                 kept.add(ell)
             continue
         squares = {x * x % ell for x in range(1, ell)}
@@ -595,21 +632,13 @@ def test_the_array_prescan_keeps_the_same_ell_as_the_per_ell_loops(monkeypatch):
             assert expanded == [kept] + [{ell} for ell in sorted(kept)], (entry.form_id, kind)
 
 
-def test_euler_criterion_matches_pow():
-    rng = random.Random(11)
-    ells = np.array([3, 5, 7, 23, 691, 7919, 999983], dtype=np.int64)[:, None]
-    x = np.array([rng.randrange(-(10**12), 10**12) for _ in range(40)] + [0, 1, 2], dtype=np.int64)
-    got = congruence._euler_criterion(x, ells)
-    for row, ell in zip(got.tolist(), ells[:, 0].tolist()):
-        assert row == [pow(v, (ell - 1) // 2, ell) for v in x.tolist()], ell
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_the_discriminant_pass_keeps_planted_two_exponent_congruences(seed):
+def test_the_discriminant_pass_keeps_planted_two_exponent_congruences(seed, monkeypatch):
     # a(p) = psi(p)(p^m + p^m') + ell r with m + m' = k - 1 mod ell - 1 at
-    # every good prescan prime: the discriminant pass keeps ell, and once
-    # one a(p) is changed by 1 the prescan (that pass, then the exact loop)
-    # refutes ell
+    # every good prescan prime: the discriminant pass keeps ell and the exact
+    # filter keeps (psi, m), and once one a(p) is changed by 1 the prescan
+    # (that pass, then the exact filter) refutes ell; the filter matches the
+    # per-prime reference either way, also when each pass takes one prime
     rng = random.Random(seed)
     odd_ells = primes_up_to(10_000)[1:]
     prescan = primes_up_to(congruence._PRESCAN_PRECISION)
@@ -625,11 +654,19 @@ def test_the_discriminant_pass_keeps_planted_two_exponent_congruences(seed):
             a[p] = psi(p) * (pow(p, m, ell) + pow(p, mp, ell)) + ell * rng.randrange(-(10**6), 10**6)
         odd = np.array([p for p in good if p % 2])
         assert congruence._odd_prescan(np.array([ell]), odd, a, k) == [ell], (seed, ell, k, m)
+        rows, arrays = _survivor_inputs(good, a, psis)
+        found = congruence._two_exponent_survivors(ell, k, *arrays)
+        assert found == reference_survivors(ell, k, psis, rows), (seed, ell)
+        assert (psis.index(psi), min(m, mp)) in [row[:2] for row in found], (seed, ell, k, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(congruence, "_FILTER_CELLS", 1)
+            assert congruence._two_exponent_survivors(ell, k, *arrays) == found, (seed, ell)
         a[rng.choice(odd)] += 1
-        periods = [chi.values(chi.modulus) for chi in psis]
-        rows = [(p, int(a[p]), tuple(v[p % len(v)] for v in periods)) for p in good]
+        rows, arrays = _survivor_inputs(good, a, psis)
         kept = congruence._odd_prescan(np.array([ell]), odd, a, k)
-        assert not (kept and congruence._two_exponent_survivors(ell, k, psis, periods, rows)), (seed, ell)
+        found = congruence._two_exponent_survivors(ell, k, *arrays)
+        assert found == reference_survivors(ell, k, psis, rows), (seed, ell)
+        assert not (kept and found), (seed, ell)
 
 
 @pytest.mark.parametrize("seed", range(4))

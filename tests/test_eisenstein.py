@@ -1,14 +1,17 @@
 """Bernoulli numbers and the Eisenstein-series constructors."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from etaq import congruence
-from etaq.characters import parse_character
+from etaq.characters import parse_character, trivial_mod
 from etaq.claims import builtin_claims
 from etaq.congruence import Side, _side_space
-from etaq.eisenstein import bernoulli, eisenstein_E2_level, eisenstein_G
+from etaq.eisenstein import bernoulli, eisenstein_G
+from etaq.etaquot import lookup
+from etaq.operators import theta
 from etaq.oracles import e2_replacement, eisenstein_E2, primes_up_to, sigma
 from etaq.qseries import QSeries, ZZ, residue_ring
 
@@ -57,7 +60,7 @@ def test_G4_and_E4():
 
 def test_G_rejects_bad_weights():
     with pytest.raises(ValueError):
-        eisenstein_G(2, 10, residue_ring(7))
+        eisenstein_G(0, 10, residue_ring(7))
     with pytest.raises(ValueError):
         eisenstein_G(5, 10, residue_ring(7))
     # every Eisenstein series is built in a residue ring
@@ -69,27 +72,61 @@ def test_E2():
     ring = residue_ring(5, 3)
     e2 = eisenstein_E2(60, ring)
     assert [e2[n] for n in range(4)] == [1, -24 % 125, -72 % 125, -96 % 125]
-    # 24 E_{2,N} = N E_2(Nz) - E_2(z): the sieved level series against the
-    # oracle's trial-division E_2, constants included (24 is a unit mod 5)
+    # -24 G_2 = E_2: the sieved series against the oracle's trial-division
+    # E_2, constant included (24 is a unit mod 5); masked by 1_N, 24 G_2 is
+    # N E_2(Nz) - E_2(z), whose N E_2(Nz) vanishes off (n, N) = 1
+    g2 = eisenstein_G(2, 60, ring)
+    assert QSeries(ring, [-24 * a for a in g2.coeffs]) == e2
     for level in (2, 3, 4, 5, 6):
-        e2_level = eisenstein_E2_level(level, 60, ring)
-        lhs = QSeries(ring, [24 * a for a in e2_level.coeffs])
-        rhs = QSeries(ring, [(level * e2[n // level] if n % level == 0 else 0) - e2[n] for n in range(61)])
+        lhs = QSeries(ring, [24 * a for a in theta(g2, 0, trivial_mod(level)).coeffs])
+        level_series = [(level * e2[n // level] if n % level == 0 else 0) - e2[n] for n in range(61)]
+        rhs = QSeries(ring, [c if gcd(n, level) == 1 else 0 for n, c in enumerate(level_series)])
         assert lhs == rhs, level
 
 
 def test_E2_level_series():
+    # the weight-2 level-N series sigma_1(n) - N sigma_1(n/N), masked by 1_N,
+    # is G_2 twisted by 1_N, and that side has the level series' space,
+    # M_2(Gamma_0(N^2)); untwisted, or twisted by 1_1, G_2 is refused
     ring = residue_ring(5, 4)
+    g2 = eisenstein_G(2, 40, ring)
+    assert g2[0] * 24 % 625 == 624  # -1/24
     for level in (2, 3, 4, 6):
-        s = eisenstein_E2_level(level, 40, ring)
-        assert s[0] * 24 % 625 == level - 1
+        s = theta(g2, 0, trivial_mod(level))
+        assert s[0] == 0
         for n in range(1, 41):
             expected = sigma(n, 1)
             if n % level == 0:
                 expected -= level * sigma(n // level, 1)
-            assert s[n] == expected % 625
-    with pytest.raises(ValueError):
-        eisenstein_E2_level(1, 10, ring)
+            assert s[n] == (expected if gcd(n, level) == 1 else 0) % 625
+        meta, _ = _side_space(Side("G", 2, trivial_mod(level)), 5, 4)
+        assert (meta.weight, meta.level, meta.cuspidal) == (2, level**2, False)
+    for twist in (None, trivial_mod(1)):
+        with pytest.raises(ValueError, match="G_2 is not modular"):
+            _side_space(Side("G", 2, twist), 5, 4)
+
+
+def test_the_weight_two_kernel_is_the_masked_level_series():
+    # every built-in two-exponent row of width 2 at level N >= 2 compares
+    # against theta^(m+1) of G_2 twisted by psi 1_N: at every n up to its
+    # bound, psi 1_N(n) n^(m+1) (sigma_1(n) - N sigma_1(n/N)) mod ell^t
+    rows = 0
+    for claim in builtin_claims():
+        if claim.kind != "two-exponent":
+            continue
+        _, rhs, detail, (bound, *_) = congruence._derive(claim)
+        n_level = lookup(claim.form).level
+        if rhs.arg != 2:
+            assert "level" not in detail, claim.claim_id
+            continue
+        assert rhs.base == "G" and n_level >= 2 and detail.startswith(f"kernel weight-2 level-{n_level} series")
+        chi, modulus = parse_character(claim.psi) * trivial_mod(n_level), claim.ell**claim.t
+        got = congruence._side_coeffs(rhs, claim.ell, claim.t, bound).tolist()
+        for n in range(1, bound + 1):
+            level_series = sigma(n, 1) - (n_level * sigma(n // n_level, 1) if n % n_level == 0 else 0)
+            assert got[n] == chi(n) * n ** rhs.theta * level_series % modulus, (claim.claim_id, n)
+        rows += 1
+    assert rows > 0
 
 
 def test_e2_replacement_small_values():
@@ -155,19 +192,6 @@ def test_eisenstein_reduction_mod_small_primes():
     assert admitted > 500
 
 
-def test_weight_two_paddings_for_even_levels():
-    # 24 E_{2,2} = 1 mod 8, 12 E_{2,3} = 1 mod 3: both are used to pad
-    # weight gaps at even and 3-divisible levels
-    # (their constants 1/24 and 1/12 have no image mod 2 or 3; scaled by 24
-    # and 12 they are exactly 1, so only q^1 onwards is built and checked)
-    e22 = eisenstein_E2_level(2, 80, residue_ring(2, 3), constant=False)
-    p2 = QSeries(e22.ring, [24 * a for a in e22.coeffs])
-    assert p2 == QSeries(p2.ring, [0], 80)
-    e23 = eisenstein_E2_level(3, 80, residue_ring(3), constant=False)
-    p3 = QSeries(e23.ring, [12 * a for a in e23.coeffs])
-    assert p3 == QSeries(p3.ring, [0], 80)
-
-
 def test_parse_character_strings_used_by_claims():
     # every psi string in the builtin claims must parse
     for claim in builtin_claims():
@@ -176,51 +200,43 @@ def test_parse_character_strings_used_by_claims():
 
 
 def _builtin_eisenstein_builds(monkeypatch):
-    """(constructor, its arguments) for every Eisenstein series that verifying
-    the built-in series claims builds."""
+    """The arguments of every Eisenstein series that verifying the built-in
+    series claims builds."""
     builds = []
-    for name in ("eisenstein_G", "eisenstein_E2_level"):
-        real = getattr(congruence, name)
 
-        def record(*args, real=real):
-            builds.append((real, args))
-            return real(*args)
+    def record(*args):
+        builds.append(args)
+        return eisenstein_G(*args)
 
-        monkeypatch.setattr(congruence, name, record)
+    monkeypatch.setattr(congruence, "eisenstein_G", record)
     congruence.verify_claims(c for c in builtin_claims() if c.kind not in ("prime-power", "unit-factor"))
     return builds
 
 
-def _oracle_coefficient(build, arg, n, m):
+def _oracle_coefficient(arg, n, m):
     """Coefficient n of a built-in Eisenstein series mod m, from the oracle's
     trial-division sigma and the Bernoulli numbers alone."""
-    if build is eisenstein_G:
-        value = sigma(n, arg - 1) if n else -bernoulli(arg) / (2 * arg)
-    elif n:
-        value = sigma(n, 1) - (arg * sigma(n // arg, 1) if n % arg == 0 else 0)
-    else:
-        value = Fraction(arg - 1, 24)
-    value = Fraction(value)
+    value = Fraction(sigma(n, arg - 1) if n else -bernoulli(arg) / (2 * arg))
     return value.numerator * pow(value.denominator, -1, m) % m
 
 
 def test_residue_ring_series_match_the_rational_ones(monkeypatch):
-    # the rational coefficients -B_k/2k, sigma_(k-1)(n) and (N - 1)/24,
-    # sigma_1(n) - N sigma_1(n/N), each reduced mod ell^t; a pad is never built
+    # the rational coefficients -B_k/2k and sigma_(k-1)(n), each reduced
+    # mod ell^t, G_2 among them; a pad is never built
     builds = _builtin_eisenstein_builds(monkeypatch)
-    assert {build for build, _ in builds} == {eisenstein_G, eisenstein_E2_level}
-    for build, args in builds:
+    assert 2 in {args[0] for args in builds}
+    for args in builds:
         arg, precision, ring = args[:3]
-        got = build(*args)
+        got = eisenstein_G(*args)
         assert got.ring == ring and got.precision == precision
         m = ring.modulus
         if args[3:] == (False,):  # built without its constant: a(0) = 0
             assert got[0] == 0
         else:
-            assert got[0] == _oracle_coefficient(build, arg, 0, m), (build.__name__, args)
+            assert got[0] == _oracle_coefficient(arg, 0, m), args
         sampled = {1, 2, 6, 12, precision // 2, precision} & set(range(1, precision + 1))
         for n in sorted(set(range(1, min(precision, 600) + 1)) | sampled):
-            assert got[n] == _oracle_coefficient(build, arg, n, m), (build.__name__, args, n)
+            assert got[n] == _oracle_coefficient(arg, n, m), (args, n)
 
 
 def test_residue_ring_constants_reduce_or_are_refused():
@@ -229,7 +245,7 @@ def test_residue_ring_constants_reduce_or_are_refused():
     with pytest.raises(ValueError, match="not 5-integral"):
         eisenstein_G(12, 4, residue_ring(5))
     assert eisenstein_G(12, 4, residue_ring(5), constant=False)[0] == 0
-    # (N - 1)/24 for N = 5 is 1/6: a 5-adic unit, no 2-adic image
-    assert eisenstein_E2_level(5, 4, residue_ring(5, 2))[0] * 6 % 25 == 1
+    # G_2 has constant -1/24: a 5-adic unit, no 2-adic image
+    assert eisenstein_G(2, 4, residue_ring(5, 2))[0] * 24 % 25 == 24
     with pytest.raises(ValueError, match="not 2-integral"):
-        eisenstein_E2_level(5, 4, residue_ring(2))
+        eisenstein_G(2, 4, residue_ring(2))

@@ -15,13 +15,11 @@ from etaq.etaquot import (
     _block_terms,
     _plan_blocks,
     catalog,
-    euler_factor,
     expand,
     expand_all,
-    expand_euler_part,
     lookup,
 )
-from etaq.oracles import brute_eta_expand, long_division, primes_up_to
+from etaq.oracles import brute_eta_expand, euler_factor, long_division, primes_up_to
 from etaq.qseries import QSeries, ZZ, residue_ring
 
 
@@ -86,9 +84,9 @@ def dense_reference(quotient, precision, ring):
     oracle's `long_division` (the denominator has constant term 1, so it
     divides the canonical residues exactly).
 
-    Past `euler_factor`'s pentagonal terms it shares no code with the sparse
-    passes or their division; `brute_eta_expand` is the check independent
-    of the kernel.
+    The oracle's `euler_factor` writes its own pentagonal terms, so it
+    shares no code with the sparse passes or their division;
+    `brute_eta_expand` is the check independent of the kernel.
     """
     lead = quotient.exponent_sum // 24
     work = precision - lead
@@ -346,17 +344,18 @@ def test_leftover_denominator_is_divided_by_euler_recurrences(monkeypatch):
     for part in range(1, 201):
         for n in range(part, 201):
             partitions[n] += partitions[n - part]
-    series = expand_euler_part({1: -1}, 200, ZZ)
+    series = etaquot._expand_rings({1: -1}, 0, [200], [ZZ])[0]
     assert list(series.coeffs) == partitions
     assert series[200] == 3972999029388
-    assert expand_euler_part({1: -1}, 200, residue_ring(3, 5)) == QSeries(residue_ring(3, 5), series.coeffs)
+    ring = residue_ring(3, 5)
+    assert etaquot._expand_rings({1: -1}, 0, [200], [ring])[0] == QSeries(ring, series.coeffs)
     # (q^2; q^2) / (q; q) counts partitions into distinct parts
     assert _plan_blocks({1: -1, 2: 1}) == ([("E", 2)], {1: 1})
     distinct = [1] + [0] * 200
     for part in range(1, 201):
         for n in range(200, part - 1, -1):
             distinct[n] += distinct[n - part]
-    assert list(expand_euler_part({1: -1, 2: 1}, 200, ZZ).coeffs) == distinct
+    assert list(etaquot._expand_rings({1: -1, 2: 1}, 0, [200], [ZZ])[0].coeffs) == distinct
     # a leftover is split into denominator blocks as a numerator is, and
     # each run is divided by them once: over ZZ, 2^70 and 3^40 (past the
     # int64 guard) on the CRT-joined integers, mod 5^3 and 7 on the residues
@@ -415,7 +414,7 @@ def test_partition_numbers_keep_ramanujans_congruences():
     # 1 / prod (1 - q^n) = sum p(n) q^n is one E(1) division: p(5n + 4),
     # p(7n + 5) and p(11n + 6) vanish mod 5, 7 and 11, and no other class does
     for ell, r in ((5, 4), (7, 5), (11, 6)):
-        p = expand_euler_part({1: -1}, 2000, residue_ring(ell)).coeffs
+        p = etaquot._expand_rings({1: -1}, 0, [2000], [residue_ring(ell)])[0].coeffs
         assert not any(p[r::ell]), ell
         assert all(any(p[s::ell]) for s in range(ell) if s != r), ell
 
@@ -437,9 +436,10 @@ def test_int64_guard_weights_each_pass_by_its_coefficients():
     for t in range(below, by_count + 1):
         run = 3**t if t == below else None
         assert etaquot._ring_groups([residue_ring(3, t)], [precision], [plan], plan) == [[[0], run, plan]], t
-    exact = expand_euler_part({1: 24}, precision, ZZ)
+    exact = etaquot._expand_rings({1: 24}, 0, [precision], [ZZ])[0]
     for t in range(below, by_count + 1):
-        assert expand_euler_part({1: 24}, precision, residue_ring(3, t)) == QSeries(residue_ring(3, t), exact.coeffs), t
+        ring = residue_ring(3, t)
+        assert etaquot._expand_rings({1: 24}, 0, [precision], [ring])[0] == QSeries(ring, exact.coeffs), t
 
 
 def _mixed_rings():
@@ -782,19 +782,19 @@ def test_gcd_dilation_consistency():
     # forms whose deltas share a common factor go through the dilation
     # shortcut; compare against the plain per-factor route
     direct = [0] * 81
-    direct[::2] = expand_euler_part({1: 12}, 40, ZZ).coeffs
-    assert expand_euler_part({2: 12}, 80, ZZ) == QSeries(ZZ, direct)
+    direct[::2] = etaquot._expand_rings({1: 12}, 0, [40], [ZZ])[0].coeffs
+    assert etaquot._expand_rings({2: 12}, 0, [80], [ZZ])[0] == QSeries(ZZ, direct)
     sub = [0] * 121
-    sub[::6] = expand_euler_part({2: 12, 1: -4, 4: -4}, 20, ZZ).coeffs
-    assert expand_euler_part({12: 12, 6: -4, 24: -4}, 120, ZZ) == QSeries(ZZ, sub)
+    sub[::6] = etaquot._expand_rings({2: 12, 1: -4, 4: -4}, 0, [20], [ZZ])[0].coeffs
+    assert etaquot._expand_rings({12: 12, 6: -4, 24: -4}, 0, [120], [ZZ])[0] == QSeries(ZZ, sub)
 
 
 def test_eta_power_frobenius_congruence():
     # the delta-dilated euler factor matches the ell-th power mod ell
     for ell in (2, 3, 5):
         for r in (1, 2, 3):
-            dilated = expand_euler_part({ell: r}, 100, ZZ)
-            powered = expand_euler_part({1: ell * r}, 100, ZZ)
+            dilated = etaquot._expand_rings({ell: r}, 0, [100], [ZZ])[0]
+            powered = etaquot._expand_rings({1: ell * r}, 0, [100], [ZZ])[0]
             ring = residue_ring(ell)
             assert QSeries(ring, dilated.coeffs) == QSeries(ring, powered.coeffs), (ell, r)
 

@@ -7,9 +7,11 @@ from etaq.oracles import (
     EllipticCurve,
     brute_eta_expand,
     colored_partition_series,
+    euler_factor,
     primes_up_to,
     sigma,
 )
+from etaq.qseries import ZZ
 
 
 def test_sigma_spot_values():
@@ -90,6 +92,17 @@ def test_brute_eta2_12():
     assert series[2] == 0
     assert series[3] == -12
     assert series[5] == 54
+
+
+def test_euler_factor_is_the_product_multiplied_out():
+    # Euler's pentagonal number theorem against prod (1 - q^(delta n)) taken
+    # one factor at a time
+    for delta in (1, 2, 5):
+        coeffs = [1] + [0] * 100
+        for step in range(delta, 101, delta):
+            for i in range(100, step - 1, -1):
+                coeffs[i] -= coeffs[i - step]
+        assert euler_factor(delta, 100, ZZ).coeffs == tuple(coeffs), delta
 
 
 def test_brute_rejects_bad_exponent_sum():
