@@ -22,7 +22,7 @@ from etaq.congruence import (
 )
 from etaq.cli import main
 from etaq.oracles import primes_up_to
-from etaq.qseries import QSeries, ZZ, residue_ring
+from etaq.qseries import QSeries, ZZ, powers_mod, residue_ring
 from etaq.sturm import agreement_bound
 from etaq.etaquot import catalog, lookup
 
@@ -630,6 +630,18 @@ def test_the_array_prescan_keeps_the_same_ell_as_the_per_ell_loops(monkeypatch):
             scan_exceptional(entry.form_id, kind, ell_max=691)
             kept = reference_prescan(entry.form_id, kind, 691)
             assert expanded == [kept] + [{ell} for ell in sorted(kept)], (entry.form_id, kind)
+
+
+def test_euler_criterion_matches_pow():
+    # the scan's square-class passes read Euler's criterion x^((ell - 1)/2)
+    # mod ell off powers_mod for a column of odd primes ell, each row its
+    # own modulus and exponent, x up to +-10^12
+    rng = random.Random(11)
+    ells = np.array([3, 5, 7, 23, 691, 7919, 999983], dtype=np.int64)[:, None]
+    x = np.array([rng.randrange(-(10**12), 10**12) for _ in range(40)] + [0, 1, 2], dtype=np.int64)
+    got = powers_mod(x, (ells - 1) // 2, ells)
+    for row, ell in zip(got.tolist(), ells[:, 0].tolist()):
+        assert row == [pow(v, (ell - 1) // 2, ell) for v in x.tolist()], ell
 
 
 @pytest.mark.parametrize("seed", range(4))
