@@ -29,12 +29,13 @@ to the power (ell - 1)/2, as its prescan does.
 `verify_claims` plans a run before it runs a claim: it derives, with no
 series built, which (form, ell^t, precision) each claim will read
 (`_reads`: the form sides at their bound, or the scanned form at the prime
-bound) and expands each catalog form once, over all of its rings
-(`_expand_ahead`), so the claims themselves only hit the cache; each series
-claim's sides and bound are derived there once and kept for its verifier.
-A report's `seconds` therefore leaves out the expansions and derivations
-made up front.  Reports are plain data and serialize to JSON with stable
-field order.
+bound), and each series claim's sides and bound are derived there once and
+kept for its verifier.  It then runs the claims form by form: each
+catalog form is expanded once, over all of its rings, before its first
+claim, so the claims themselves only hit the cache, and leaves the cache
+after its last, so one form's expansions are alive at a time.  A report's
+`seconds` therefore leaves out the expansions and derivations.  Reports are
+plain data and serialize to JSON with stable field order.
 """
 
 from __future__ import annotations
@@ -570,35 +571,48 @@ def _reads(claim: CongruenceClaim, prime_bound: int) -> List[Tuple[etaquot.Catal
     return [(etaquot.lookup(side.arg), ring, bound) for side in (lhs, rhs) if side.base == "form"]
 
 
-def _expand_ahead(claims: List[CongruenceClaim], prime_bound: int) -> None:
-    """Cache every expansion the claims read before any claim runs: one
-    `expand_all` call per catalog form, over all of its rings, each at the
-    largest precision read there (rings in (ell, t) order, so the int64
-    groups do not depend on claim order).  A claim whose reads raise is left
-    out; its verifier raises the same error when its turn comes, so the
-    first fault in claim order is still the one reported."""
-    plan: Dict[str, Tuple[etaquot.CatalogEntry, List[Tuple[Ring, int]]]] = {}
-    for claim in claims:
-        try:
-            reads = _reads(claim, prime_bound)
-        except (ValueError, KeyError):  # raised again, in claim order, by its verifier
-            continue
-        for entry, ring, precision in reads:
-            plan.setdefault(entry.form_id, (entry, []))[1].append((ring, precision))
-    for entry, reads in plan.values():
-        _expand_misses(entry, sorted(reads, key=lambda read: (read[0].ell, read[0].t)))
-
-
 def verify_claims(claims, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> List[VerificationReport]:
-    """Verify claims one after another, every expansion they read made up
-    front and every series comparison derived once (`_expand_ahead`);
-    reports sorted by claim id."""
-    claims = list(claims)
+    """Verify claims form by form, reports sorted by claim id.  The run is
+    planned first (`_reads`).  A claim joins the batch of the first form it
+    reads, or one batch for claims that read none (both sides are G, or
+    its reads raise, as its verifier does in its turn).  Batches run in the
+    order their form is first read, claims in file order within one.  A
+    form is expanded by one `_expand_misses` call over every ring any claim
+    reads it in (in (ell, t) order, so its int64 groups do not depend on
+    claim order) before its first claim, and leaves the cache after the
+    last batch that reads it.  A claim that raises ValueError or KeyError
+    skips every later claim in file order, and the run then raises the
+    error of the first one in file order."""
+    reads: Dict[str, Tuple[etaquot.CatalogEntry, List[Tuple[Ring, int]]]] = {}
+    batches: Dict[Optional[str], List] = {}  # first form read -> [(index, claim, forms read)]
+    reports, fault = [], None  # fault: (index, error) of the earliest claim that raised
     try:
-        _expand_ahead(claims, prime_bound)
-        reports = [verify_claim(c, prime_bound=prime_bound) for c in claims]
+        for i, claim in enumerate(claims):
+            try:
+                claim_reads = _reads(claim, prime_bound)
+            except (ValueError, KeyError):
+                claim_reads = []
+            for entry, ring, precision in claim_reads:
+                reads.setdefault(entry.form_id, (entry, []))[1].append((ring, precision))
+            forms = [entry.form_id for entry, _, _ in claim_reads]
+            batches.setdefault(forms[0] if forms else None, []).append((i, claim, forms))
+        last = {form: b for b, batch in enumerate(batches.values()) for *_, forms in batch for form in forms}
+        for b, batch in enumerate(batches.values()):
+            for i, claim, forms in batch:
+                if fault and fault[0] < i:
+                    break  # the rest of the batch comes later in file order too
+                for entry, form_reads in [reads.pop(form) for form in forms if form in reads]:
+                    _expand_misses(entry, sorted(form_reads, key=lambda read: (read[0].ell, read[0].t)))
+                try:
+                    reports.append(verify_claim(claim, prime_bound=prime_bound))
+                except (ValueError, KeyError) as error:
+                    fault = (i, error)
+            for key in [key for key in _expansion_cache if last.get(key[0]) == b]:
+                del _expansion_cache[key]
     finally:
         _derivations.clear()
+    if fault:
+        raise fault[1]
     return sorted(reports, key=lambda r: r.claim.claim_id)
 
 

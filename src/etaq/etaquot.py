@@ -185,6 +185,22 @@ def _block_terms(name: str, delta: int, precision: int) -> List[Tuple[int, int]]
     return [(delta * n * n, 2 * sign if n % 2 else 2) for n in range(1, isqrt(top) + 1)]
 
 
+def _block_norm(name: str, delta: int, reach: int) -> int:
+    """A block's l^1 norm 1 + sum |c| over its terms to q^reach, in closed
+    form with top = reach // delta: E counts the pentagonal numbers
+    k(3k -+ 1)/2 <= top, which are those with 6k -+ 1 <= isqrt(24 top + 1);
+    C sums 2n + 1 and psi counts 1 over the n(n + 1)/2 <= top; theta3 and
+    theta4 have |c| = 2 at each square n^2 <= top."""
+    top = reach // delta
+    if name == "E":
+        r = isqrt(24 * top + 1)
+        return 1 + (r + 1) // 6 + (r - 1) // 6
+    if name in ("C", "psi"):
+        n = (isqrt(8 * top + 1) - 1) // 2
+        return (n + 1) ** 2 if name == "C" else 1 + n
+    return 1 + 2 * isqrt(top)
+
+
 def _plan_blocks(exponents: Dict[int, int]) -> Tuple[List[Tuple[str, int]], Dict[int, int]]:
     """Write prod_delta eta(delta z)^(r_delta) as blocks (name, delta) times a leftover.
 
@@ -383,21 +399,16 @@ class _Plan:
         self.blocks, leftover = _plan_blocks(exponents)
         self.den_blocks = _plan_blocks(leftover)[0]
         self.reach = reach
-        self._norms: Dict[int, Dict[Tuple[str, int], int]] = {}
 
     @cached_property
     def terms(self) -> _Terms:
         return {key: _block_terms(*key, self.reach) for key in set(self.blocks + self.den_blocks)}
 
     def norms(self, reach: int) -> Dict[Tuple[str, int], int]:
-        """Each block's l^1 norm 1 + sum |c| over its terms to q^reach: it
-        weights the block's passes and divisions in the int64 guard, and the
-        norms' product bounds every coefficient of a product of blocks."""
-        if reach not in self._norms:
-            self._norms[reach] = {
-                key: 1 + sum(abs(c) for e, c in t if e <= reach) for key, t in self.terms.items()
-            }
-        return self._norms[reach]
+        """Each block's l^1 norm to q^reach (`_block_norm`): it weights the
+        block's passes and divisions in the int64 guard, and the norms'
+        product bounds every coefficient of a product of blocks."""
+        return {key: _block_norm(*key, reach) for key in set(self.blocks + self.den_blocks)}
 
     def width(self, modulus: int, reach: int) -> int:
         """What a run mod `modulus` to q^reach needs: 0 int32, 1 int64, 2 the

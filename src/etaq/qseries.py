@@ -130,10 +130,14 @@ def powers_mod(base, e, modulus) -> np.ndarray:
     `residue_dtype` array never overflow."""
     base = base % modulus
     result = np.ones_like(base) % modulus
-    e = np.asarray(e)
-    for bit in range(int(e.max(initial=0)).bit_length()):
+    one = np.ndim(e) == 0
+    e = int(e) if one else np.asarray(e)
+    for bit in range((e if one else int(e.max(initial=0))).bit_length()):
         base = base * base % modulus if bit else base
-        result = np.where(e >> bit & 1, result * base % modulus, result)
+        if not one:
+            result = np.where(e >> bit & 1, result * base % modulus, result)
+        elif e >> bit & 1:
+            result = result * base % modulus
     return result
 
 

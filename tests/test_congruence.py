@@ -815,14 +815,9 @@ def test_expand_misses_expands_each_miss_once_and_together(monkeypatch):
 
 def test_verify_claims_expands_each_form_once_in_any_order(monkeypatch):
     # the run plans its reads first: one expand_all call per catalog form,
-    # over every ring it is read in, whatever the claim order, and the cache
-    # ends as a claim-by-claim run leaves it
+    # over every ring it is read in, whatever the claim order
     claims = list(builtin_claims())
-    clear_expansion_cache()
-    for claim in claims:
-        verify_claim(claim)
-    one_by_one = {key: series.precision for key, series in congruence._expansion_cache.items()}
-    forms = {form_id for form_id, _ in one_by_one}
+    forms = {claim.form for claim in claims}
     pinned = json.loads(PINNED_REPORTS.read_text())["reports"]
     expanded = []
     real = etaquot.expand_all
@@ -842,8 +837,53 @@ def test_verify_claims_expands_each_form_once_in_any_order(monkeypatch):
         assert reports == pinned, seed
         assert sorted(expanded) == sorted(lookup(form_id).quotient.name() for form_id in forms)
         assert len(forms) == 22
-        cached = {key: series.precision for key, series in congruence._expansion_cache.items()}
-        assert cached == one_by_one, seed
+    clear_expansion_cache()
+
+
+def test_verify_claims_keeps_one_form_in_the_cache_at_a_time(monkeypatch):
+    # claims run form by form: at every claim the cache holds the expansions
+    # of its form alone, and a form leaves the cache after its last claim
+    claims = list(builtin_claims())
+    pinned = json.loads(PINNED_REPORTS.read_text())["reports"]
+    seen = []
+    real = congruence.verify_claim
+
+    def spy(claim, **options):
+        seen.append((claim.form, {form_id for form_id, _ in congruence._expansion_cache}))
+        return real(claim, **options)
+
+    monkeypatch.setattr(congruence, "verify_claim", spy)
+    for seed in (1, 2, 3):
+        random.Random(seed).shuffle(claims)
+        clear_expansion_cache()
+        seen.clear()
+        reports = [r.to_json() for r in verify_claims(claims)]
+        for data in reports:
+            del data["seconds"]
+        assert reports == pinned, seed
+        assert len(seen) == len(claims) == 100
+        assert all(cached == {form} for form, cached in seen), seed
+        assert not {form_id for form_id, _ in congruence._expansion_cache} & {c.form for c in claims}
+    clear_expansion_cache()
+
+
+def test_verify_claims_raises_the_first_fault_in_file_order(tmp_path, capsys):
+    # Delta's claims run as one batch before eta2^12's, so bad-delta raises
+    # first at run time; the run still reports bad-eta2^12, first in the file
+    def claim(claim_id, **fields):
+        return {"claim_id": claim_id, "kind": "prime-power", "ell": 2, "m": 0, "residues": [0],
+                "residue_modulus": 4, **fields}
+
+    rows = [
+        {"claim_id": "ok-delta", "kind": "square-class", "form": "delta", "ell": 23},
+        claim("bad-eta2^12", form="eta2^12", t=8, m_prime=5),
+        claim("bad-delta", form="delta", t=3, m_prime=11),
+    ]
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": rows}))
+    clear_expansion_cache()
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad-eta2^12: no admissible primes below 10000\n"
     clear_expansion_cache()
 
 

@@ -12,6 +12,7 @@ from etaq.claims import builtin_claims
 from etaq.etaquot import (
     _BLOCKS,
     EtaQuotient,
+    _block_norm,
     _block_terms,
     _plan_blocks,
     catalog,
@@ -236,6 +237,16 @@ def test_quotients_with_a_denominator_match_brute_oracle_over_zz():
     assert len(forms) == 5
     for e in forms:
         assert e.expand(precision) == brute_eta_expand(dict(e.quotient.factors), precision), e.form_id
+
+
+def test_block_norms_in_closed_form_sum_the_terms():
+    # the int64 guard weights each block by 1 + sum |c| to q^reach, read off
+    # a closed form instead of the terms
+    for name in _BLOCKS:
+        for delta in (1, 2, 3, 5):
+            for reach in (0, 1, 2, 5, 7, 12, 15, 100, 1000, 9999, 34558):
+                norm = 1 + sum(abs(c) for _, c in _block_terms(name, delta, reach))
+                assert _block_norm(name, delta, reach) == norm, (name, delta, reach)
 
 
 def test_each_block_matches_brute_oracle_of_its_eta_product():

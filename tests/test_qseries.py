@@ -199,19 +199,22 @@ def test_residue_dtype_is_int64_while_a_product_of_two_residues_fits():
     assert residue_dtype(3037000501) is residue_dtype(3**30) is residue_dtype(2**40) is object
 
 
-@pytest.mark.parametrize("modulus", [2, 7, 3**5, 691, 3037000500, 3**30, 2**40])
+@pytest.mark.parametrize("modulus", [2, 7, 3**5, 691, 3037000500, 3**30, 2**40, 2**70])
 def test_powers_mod_matches_pow(modulus):
     rng = random.Random(modulus)
     values = [rng.randrange(10**6) for _ in range(50)] + [0, 1, modulus - 1]
     base = np.array(values, dtype=residue_dtype(modulus))
-    for e in (0, 1, 2, 13, 690):
-        assert powers_mod(base, e, modulus).tolist() == [pow(v, e, modulus) for v in values]
+    for e in (0, 1, 2, 13, 690, np.int64(13)):
+        want = [pow(v, int(e), modulus) for v in values]
+        # one exponent multiplies at its set bits, an array of it picks them per entry
+        assert powers_mod(base, e, modulus).tolist() == want, e
+        assert powers_mod(base, np.full(len(values), e), modulus).tolist() == want, e
     # one modulus per element, as a class table reads them
     moduli = np.array([rng.choice((9, 27, 81)) for _ in values])
     got = powers_mod(np.array(values), 5, moduli).tolist()
     assert got == [pow(v, 5, q) for v, q in zip(values, moduli.tolist())]
     # one exponent per element, as the scan's two-exponent filter powers p^m
-    exponents = np.array([rng.randrange(10**6) for _ in values])
+    exponents = np.array([0] + [rng.randrange(10**6) for _ in values[1:]])
     got = powers_mod(base[:1], exponents, modulus).tolist()
     assert got == [pow(values[0], e, modulus) for e in exponents.tolist()]
 
