@@ -61,7 +61,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def _load_claim_file(path: str) -> List[CongruenceClaim]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "claims" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("claims"), list):
         raise ValueError("claim file must be an object with a 'claims' list")
     extra = set(data) - {"claims", "comment"}
     if extra:

@@ -26,16 +26,17 @@ which `_first_failure` checks at every prime at once; the scan's
 square-class pass picks the non-squares by Euler's criterion, `powers_mod`
 to the power (ell - 1)/2, as its prescan does.
 
-`verify_claims` plans a run before it runs a claim: it derives, with no
-series built, which (form, ell^t, precision) each claim will read
-(`_reads`: the form sides at their bound, or the scanned form at the prime
-bound), and each series claim's sides and bound are derived there once and
-kept for its verifier.  It then runs the claims form by form: each
-catalog form is expanded once, over all of its rings, before its first
-claim, so the claims themselves only hit the cache, and leaves the cache
-after its last, so one form's expansions are alive at a time.  A report's
-`seconds` therefore leaves out the expansions and derivations.  Reports are
-plain data and serialize to JSON with stable field order.
+`verify_claims` plans a run before it runs a claim.  Every claim, series or
+scan, is derived once with no series built (`_derive`: its two sides and
+their comparison, or its class table), and that derivation is handed to its
+verifier; the plan reads from it which (form, ell^t, precision) the claim
+will read (`_reads`: the form sides at their bound, or the scanned form at
+the prime bound).  It then runs the claims form by form: each catalog form
+is expanded once, over all of its rings, before its first claim, so the
+claims themselves only hit the cache, and leaves the cache after its last,
+so one form's expansions are alive at a time.  A report's `seconds`
+therefore leaves out the expansions and derivations.  Reports are plain
+data and serialize to JSON with stable field order.
 """
 
 from __future__ import annotations
@@ -247,28 +248,12 @@ def _comparison(claim: CongruenceClaim, lhs: Side, rhs: Side) -> Tuple[int, int,
     return bound, weight, level, "conservative" in (lhs_regime, rhs_regime)
 
 
-# The derivation of each series claim the running `verify_claims` planned,
-# by id(claim).  An entry holds its claim, so no id is reused while it
-# lasts, and the run empties this when it ends.
-_derivations: Dict[int, Tuple[CongruenceClaim, Tuple]] = {}
-
-
-def _derive(claim: CongruenceClaim) -> Tuple[Side, Side, str, Tuple[int, int, int, bool]]:
-    """(lhs, rhs, detail, `_comparison`) of a series claim: as the running
-    `verify_claims` planned it, or derived here."""
-    planned = _derivations.get(id(claim))
-    if planned is not None:
-        return planned[1]
-    lhs, rhs, detail = _SIDES[claim.kind](claim)
-    return lhs, rhs, detail, _comparison(claim, lhs, rhs)
-
-
-def _compare(claim: CongruenceClaim) -> VerificationReport:
-    """Compare a series claim's two sides mod ell^t up to the bound
-    `_comparison` derives; agreement is evidence, not proof, when a theta
-    step of either side is conservative."""
+def _compare(claim: CongruenceClaim, derived: Tuple) -> VerificationReport:
+    """Compare a series claim's two sides mod ell^t up to the bound its
+    derivation (lhs, rhs, detail, `_comparison`) holds; agreement is
+    evidence, not proof, when a theta step of either side is conservative."""
     started = time.perf_counter()
-    lhs, rhs, detail, (bound, weight, level, conservative) = _derive(claim)
+    lhs, rhs, detail, (bound, weight, level, conservative) = derived
     lhs_coeffs, rhs_coeffs = (_side_coeffs(side, claim.ell, claim.t, bound) for side in (lhs, rhs))
     differ = np.flatnonzero(lhs_coeffs != rhs_coeffs)
     mismatch = int(differ[0]) if len(differ) else None
@@ -320,10 +305,10 @@ def _two_exponent_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return lhs, rhs, f"kernel {kernel_name}, theta^{m + 1}"
 
 
-def verify_two_exponent(claim: CongruenceClaim) -> VerificationReport:
+def verify_two_exponent(claim: CongruenceClaim, prime_bound: int, derived: Tuple) -> VerificationReport:
     """Check theta(f x 1_N) against theta^(m+1) of a weight-(m'-m+1) Eisenstein
     series twisted by psi, modulo ell, across an enclosing space."""
-    return _compare(claim)
+    return _compare(claim, derived)
 
 
 # -- square-class congruences: theta^((ell+1)/2) f = theta f mod ell --------
@@ -337,8 +322,8 @@ def _square_class_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return lhs, Side("form", claim.form, one_n, theta=1), ""
 
 
-def verify_square_class(claim: CongruenceClaim) -> VerificationReport:
-    return _compare(claim)
+def verify_square_class(claim: CongruenceClaim, prime_bound: int, derived: Tuple) -> VerificationReport:
+    return _compare(claim, derived)
 
 
 # -- prime-power congruences on progressions of primes ----------------------
@@ -420,7 +405,6 @@ def _prime_scan(
     table (m, m', period, classes) of `_first_failure`, stopping at the first
     prime where it fails."""
     started = time.perf_counter()
-    _check_prime_bound(prime_bound)
     entry = etaquot.lookup(claim.form)
     f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t)).residues()
     primes = _good_primes(_primes_to(prime_bound), entry.level, claim.ell)
@@ -455,11 +439,9 @@ def _prime_power_table(claim: CongruenceClaim) -> Tuple[Tuple, str]:
     return table, detail
 
 
-def verify_prime_power(
-    claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> VerificationReport:
+def verify_prime_power(claim: CongruenceClaim, prime_bound: int, derived: Tuple) -> VerificationReport:
     """Scan a(p) = p^m + p^m' mod ell^t over primes in the claimed classes."""
-    return _prime_scan(claim, prime_bound, *_prime_power_table(claim))
+    return _prime_scan(claim, prime_bound, *derived)
 
 
 def _unit_factor_table(claim: CongruenceClaim) -> Tuple[Tuple, str]:
@@ -471,11 +453,9 @@ def _unit_factor_table(claim: CongruenceClaim) -> Tuple[Tuple, str]:
     return table, detail
 
 
-def verify_unit_factor(
-    claim: CongruenceClaim, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> VerificationReport:
+def verify_unit_factor(claim: CongruenceClaim, prime_bound: int, derived: Tuple) -> VerificationReport:
     """Scan a(p) = u (1 + p^m') mod ell^(t_c) with a unit u per residue class."""
-    return _prime_scan(claim, prime_bound, *_unit_factor_table(claim))
+    return _prime_scan(claim, prime_bound, *derived)
 
 
 # -- twist-power congruences: f x 1_ell = f x kron(ell*) mod ell^a ----------
@@ -491,8 +471,8 @@ def _twist_power_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return lhs, rhs, f"1_{ell} twist vs kron({disc}) twist mod {ell}^{a}"
 
 
-def verify_twist_power(claim: CongruenceClaim) -> VerificationReport:
-    return _compare(claim)
+def verify_twist_power(claim: CongruenceClaim, prime_bound: int, derived: Tuple) -> VerificationReport:
+    return _compare(claim, derived)
 
 
 # -- raw two-pipeline identities --------------------------------------------
@@ -523,27 +503,11 @@ def _raw_identity_sides(claim: CongruenceClaim) -> Tuple[Side, Side, str]:
     return _recipe_side(claim.lhs), _recipe_side(claim.rhs), ""
 
 
-def verify_raw_identity(claim: CongruenceClaim) -> VerificationReport:
-    return _compare(claim)
+def verify_raw_identity(claim: CongruenceClaim, prime_bound: int, derived: Tuple) -> VerificationReport:
+    return _compare(claim, derived)
 
 
 # -- dispatch ---------------------------------------------------------------
-
-# Lambdas look the verify_* functions up when called, so a caller that
-# replaces a module attribute (a tracer, a test) sees every dispatched claim.
-_VERIFIERS = {
-    "two-exponent": lambda c, pb: verify_two_exponent(c),
-    "square-class": lambda c, pb: verify_square_class(c),
-    "prime-power": lambda c, pb: verify_prime_power(c, pb),
-    "unit-factor": lambda c, pb: verify_unit_factor(c, pb),
-    "twist-power": lambda c, pb: verify_twist_power(c),
-    "raw-identity": lambda c, pb: verify_raw_identity(c),
-}
-
-
-def verify_claim(claim: CongruenceClaim, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> VerificationReport:
-    return _VERIFIERS[claim.kind](claim, prime_bound)
-
 
 # What each kind's verifier reads, derived with no series built: the two
 # sides it compares, or the class table it scans, with its detail text.
@@ -556,27 +520,50 @@ _SIDES = {
 _TABLES = {"prime-power": _prime_power_table, "unit-factor": _unit_factor_table}
 
 
-def _reads(claim: CongruenceClaim, prime_bound: int) -> List[Tuple[etaquot.CatalogEntry, Ring, int]]:
-    """(form, ring, precision) of each expansion the claim's verifier reads:
-    the form sides of its comparison at the bound `_comparison` derives, or
-    the scanned form at the prime bound, all mod ell^t.  A series claim's
-    derivation is kept for its verifier (`_derivations`)."""
+def _derive(claim: CongruenceClaim, prime_bound: int) -> Tuple:
+    """A claim's derivation, the one its verifier is handed: (lhs, rhs,
+    detail, `_comparison`) of a series claim, or (table, detail) of a
+    scanned one, whose prime bound is checked here."""
+    if claim.kind in _TABLES:
+        derived = _TABLES[claim.kind](claim)
+        _check_prime_bound(prime_bound)
+        return derived
+    lhs, rhs, detail = _SIDES[claim.kind](claim)
+    return lhs, rhs, detail, _comparison(claim, lhs, rhs)
+
+
+def _verify(claim: CongruenceClaim, prime_bound: int, derived: Tuple) -> VerificationReport:
+    """Run the claim's `verify_<kind>` on its derivation.  The verifier is
+    looked up on the module when called, so a caller that replaces the
+    attribute (a tracer, a test) sees every dispatched claim."""
+    return globals()["verify_" + claim.kind.replace("-", "_")](claim, prime_bound, derived)
+
+
+def verify_claim(claim: CongruenceClaim, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> VerificationReport:
+    return _verify(claim, prime_bound, _derive(claim, prime_bound))
+
+
+def _reads(
+    claim: CongruenceClaim, prime_bound: int, derived: Tuple
+) -> List[Tuple[etaquot.CatalogEntry, Ring, int]]:
+    """(form, ring, precision) of each expansion the claim's verifier reads,
+    read from its derivation: the form sides of its comparison at the bound
+    `_comparison` derived, or the scanned form at the prime bound, all mod
+    ell^t."""
     ring = residue_ring(claim.ell, claim.t)
     if claim.kind in _TABLES:
-        _TABLES[claim.kind](claim)  # raises where the verifier would, before the scan
-        _check_prime_bound(prime_bound)
         return [(etaquot.lookup(claim.form), ring, prime_bound)]
-    lhs, rhs, _, (bound, *_) = derived = _derive(claim)
-    _derivations[id(claim)] = (claim, derived)
+    lhs, rhs, _, (bound, *_) = derived
     return [(etaquot.lookup(side.arg), ring, bound) for side in (lhs, rhs) if side.base == "form"]
 
 
 def verify_claims(claims, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> List[VerificationReport]:
     """Verify claims form by form, reports sorted by claim id.  The run is
-    planned first (`_reads`).  A claim joins the batch of the first form it
-    reads, or one batch for claims that read none (both sides are G, or
-    its reads raise, as its verifier does in its turn).  Batches run in the
-    order their form is first read, claims in file order within one.  A
+    planned first: each claim is derived once (`_derive`), for its reads
+    (`_reads`) and for its verifier.  A claim joins the batch of the first
+    form it reads, or one batch for claims that read none (both sides are G,
+    or its derivation raises, as it then does in its turn).  Batches run in
+    the order their form is first read, claims in file order within one.  A
     form is expanded by one `_expand_misses` call over every ring any claim
     reads it in (in (ell, t) order, so its int64 groups do not depend on
     claim order) before its first claim, and leaves the cache after the
@@ -584,33 +571,33 @@ def verify_claims(claims, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> List[Ver
     skips every later claim in file order, and the run then raises the
     error of the first one in file order."""
     reads: Dict[str, Tuple[etaquot.CatalogEntry, List[Tuple[Ring, int]]]] = {}
-    batches: Dict[Optional[str], List] = {}  # first form read -> [(index, claim, forms read)]
+    batches: Dict[Optional[str], List] = {}  # first form read -> [(index, claim, forms read, derivation)]
+    for i, claim in enumerate(claims):
+        try:
+            derived = _derive(claim, prime_bound)
+            claim_reads = _reads(claim, prime_bound, derived)
+        except (ValueError, KeyError) as error:
+            derived, claim_reads = error, []
+        for entry, ring, precision in claim_reads:
+            reads.setdefault(entry.form_id, (entry, []))[1].append((ring, precision))
+        forms = [entry.form_id for entry, _, _ in claim_reads]
+        batches.setdefault(forms[0] if forms else None, []).append((i, claim, forms, derived))
+    last = {form: b for b, batch in enumerate(batches.values()) for *_, forms, _ in batch for form in forms}
     reports, fault = [], None  # fault: (index, error) of the earliest claim that raised
-    try:
-        for i, claim in enumerate(claims):
+    for b, batch in enumerate(batches.values()):
+        for i, claim, forms, derived in batch:
+            if fault and fault[0] < i:
+                break  # the rest of the batch comes later in file order too
+            for entry, form_reads in [reads.pop(form) for form in forms if form in reads]:
+                _expand_misses(entry, sorted(form_reads, key=lambda read: (read[0].ell, read[0].t)))
             try:
-                claim_reads = _reads(claim, prime_bound)
-            except (ValueError, KeyError):
-                claim_reads = []
-            for entry, ring, precision in claim_reads:
-                reads.setdefault(entry.form_id, (entry, []))[1].append((ring, precision))
-            forms = [entry.form_id for entry, _, _ in claim_reads]
-            batches.setdefault(forms[0] if forms else None, []).append((i, claim, forms))
-        last = {form: b for b, batch in enumerate(batches.values()) for *_, forms in batch for form in forms}
-        for b, batch in enumerate(batches.values()):
-            for i, claim, forms in batch:
-                if fault and fault[0] < i:
-                    break  # the rest of the batch comes later in file order too
-                for entry, form_reads in [reads.pop(form) for form in forms if form in reads]:
-                    _expand_misses(entry, sorted(form_reads, key=lambda read: (read[0].ell, read[0].t)))
-                try:
-                    reports.append(verify_claim(claim, prime_bound=prime_bound))
-                except (ValueError, KeyError) as error:
-                    fault = (i, error)
-            for key in [key for key in _expansion_cache if last.get(key[0]) == b]:
-                del _expansion_cache[key]
-    finally:
-        _derivations.clear()
+                if isinstance(derived, Exception):
+                    raise derived
+                reports.append(_verify(claim, prime_bound, derived))
+            except (ValueError, KeyError) as error:
+                fault = (i, error)
+        for key in [key for key in _expansion_cache if last.get(key[0]) == b]:
+            del _expansion_cache[key]
     if fault:
         raise fault[1]
     return sorted(reports, key=lambda r: r.claim.claim_id)

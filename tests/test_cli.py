@@ -259,6 +259,15 @@ def test_verify_claim_file_malformed_inputs(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("claims", [5, None, {}, "abc"])
+def test_verify_claim_file_claims_must_be_a_list(tmp_path, capsys, claims):
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps({"claims": claims}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: claim file must be an object with a 'claims' list\n"
+
+
 RAW = {"kind": "raw-identity", "form": "delta", "ell": 5, "rhs": {"form": "delta"}}
 
 

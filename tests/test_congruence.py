@@ -265,11 +265,17 @@ def test_verify_claims_sorts_reports_by_claim_id():
 
 def test_verify_claim_dispatches_through_the_module_attribute(monkeypatch):
     # tracers wrap verify_* by replacing module attributes; dispatch must see them
+    # and hand it the claim's derivation
     claim = claim_by_id("square-class:delta:l23")
     seen = []
-    monkeypatch.setattr(congruence, "verify_square_class", lambda c: seen.append(c) or "x")
-    assert verify_claim(claim) == "x"
-    assert seen == [claim]
+
+    def replacement(claim, prime_bound, derived):
+        seen.append((claim, prime_bound, derived))
+        return "x"
+
+    monkeypatch.setattr(congruence, "verify_square_class", replacement)
+    assert verify_claim(claim, prime_bound=997) == "x"
+    assert seen == [(claim, 997, congruence._derive(claim, 997))]
 
 
 @pytest.mark.parametrize(
@@ -846,13 +852,17 @@ def test_verify_claims_keeps_one_form_in_the_cache_at_a_time(monkeypatch):
     claims = list(builtin_claims())
     pinned = json.loads(PINNED_REPORTS.read_text())["reports"]
     seen = []
-    real = congruence.verify_claim
 
-    def spy(claim, **options):
-        seen.append((claim.form, {form_id for form_id, _ in congruence._expansion_cache}))
-        return real(claim, **options)
+    def spy(real):
+        def verify(claim, *args):
+            seen.append((claim.form, {form_id for form_id, _ in congruence._expansion_cache}))
+            return real(claim, *args)
 
-    monkeypatch.setattr(congruence, "verify_claim", spy)
+        return verify
+
+    for kind in KINDS:
+        name = "verify_" + kind.replace("-", "_")
+        monkeypatch.setattr(congruence, name, spy(getattr(congruence, name)))
     for seed in (1, 2, 3):
         random.Random(seed).shuffle(claims)
         clear_expansion_cache()
@@ -864,6 +874,43 @@ def test_verify_claims_keeps_one_form_in_the_cache_at_a_time(monkeypatch):
         assert len(seen) == len(claims) == 100
         assert all(cached == {form} for form, cached in seen), seed
         assert not {form_id for form_id, _ in congruence._expansion_cache} & {c.form for c in claims}
+    clear_expansion_cache()
+
+
+def test_verify_claims_derives_each_claim_once(monkeypatch):
+    # a claim's sides or class table, and a series claim's comparison, are
+    # derived once per run, for its reads and its verifier alike
+    claims = list(builtin_claims())
+    derived, compared = [], []
+
+    def spy(real, calls):
+        def derive(claim, *args):
+            calls.append(claim.claim_id)
+            return real(claim, *args)
+
+        return derive
+
+    for table in (congruence._SIDES, congruence._TABLES):
+        for kind, real in table.items():  # spied on in the table and on the module
+            monkeypatch.setitem(table, kind, spy(real, derived))
+            monkeypatch.setattr(congruence, real.__name__, table[kind])
+    monkeypatch.setattr(congruence, "_comparison", spy(congruence._comparison, compared))
+    clear_expansion_cache()
+    assert len(verify_claims(claims)) == 100
+    series = [c.claim_id for c in claims if c.kind in congruence._SIDES]
+    assert sorted(derived) == sorted(c.claim_id for c in claims)
+    assert sorted(compared) == sorted(series) and len(series) == 77
+
+
+def test_verify_claim_alone_matches_the_pinned_reports():
+    # the standalone path derives each claim itself
+    pinned = {row["claim"]: row for row in json.loads(PINNED_REPORTS.read_text())["reports"]}
+    clear_expansion_cache()
+    for claim in builtin_claims():
+        data = verify_claim(claim).to_json()
+        del data["seconds"]
+        assert data == pinned[claim.claim_id], claim.claim_id
+    assert len(pinned) == 100
     clear_expansion_cache()
 
 
@@ -939,8 +986,10 @@ def test_the_engine_sieve_matches_the_reference_sieve(monkeypatch):
 def test_every_claim_kind_has_one_verifier_and_one_reading():
     # CongruenceClaim refuses every other kind, so dispatch needs no fallback
     sides, tables = set(congruence._SIDES), set(congruence._TABLES)
-    assert set(KINDS) == set(congruence._VERIFIERS) == sides | tables
+    assert set(KINDS) == sides | tables
     assert not sides & tables
+    for kind in KINDS:
+        assert callable(getattr(congruence, "verify_" + kind.replace("-", "_"))), kind
 
 
 def test_expansion_cache_can_be_cleared():

@@ -114,7 +114,7 @@ def test_the_weight_two_kernel_is_the_masked_level_series():
     for claim in builtin_claims():
         if claim.kind != "two-exponent":
             continue
-        _, rhs, detail, (bound, *_) = congruence._derive(claim)
+        _, rhs, detail, (bound, *_) = congruence._derive(claim, congruence.DEFAULT_PRIME_BOUND)
         n_level = lookup(claim.form).level
         if rhs.arg != 2:
             assert "level" not in detail, claim.claim_id
