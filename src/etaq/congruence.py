@@ -404,6 +404,7 @@ def _prime_scan(
     """Scan a(p) mod ell^t over the good primes p <= prime_bound against the
     table (m, m', period, classes) of `_first_failure`, stopping at the first
     prime where it fails."""
+    _check_prime_bound(prime_bound)
     started = time.perf_counter()
     entry = etaquot.lookup(claim.form)
     f_res = cached_expansion(entry, prime_bound, residue_ring(claim.ell, claim.t)).residues()

@@ -133,6 +133,15 @@ def test_prime_power_respects_prime_bound_flag():
         verify_claim(claim, prime_bound=10)
 
 
+@pytest.mark.parametrize("claim_id", ["prime-power:eta1^2 eta11^2:l5^2", "unit-factor:eta2^12:l2"])
+def test_scan_verifiers_check_their_own_prime_bound(claim_id):
+    # a derivation made at a good bound does not let the scan run at a vacuous one
+    claim = claim_by_id(claim_id)
+    verifier = getattr(congruence, "verify_" + claim.kind.replace("-", "_"))
+    with pytest.raises(ValueError, match="vacuous"):
+        verifier(claim, 10, congruence._derive(claim, 500))
+
+
 def test_unit_factor_rows():
     for claim_id in ("unit-factor:eta2^12:l2", "unit-factor:eta1^6 eta3^6:l2"):
         report = verify_claim(claim_by_id(claim_id))
