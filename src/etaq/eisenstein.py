@@ -19,29 +19,38 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
 from .qseries import QSeries, Ring, powers_mod, reduce_coefficient
 
 
+# The largest weight whose constant term -B_k/2k `eisenstein_G` computes:
+# B_2000 takes about 0.5 s (2-core Xeon), and the passes grow as k^2.
+CONSTANT_WEIGHT_LIMIT = 2000
+
+
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
-    """Bernoulli number B_k with B_1 = -1/2, by the defining recurrence."""
+    """Bernoulli number B_k with B_1 = -1/2.  An even k = 2n > 0 reads the
+    tangent number T_n (tan x = sum T_j x^(2j-1)/(2j-1)!), built by n(n-1)/2
+    exact integer passes (Brent and Harvey, 2013, TangentNumbers):
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))."""
     if k < 0:
         raise ValueError("Bernoulli numbers need k >= 0")
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return Fraction(-1, 2)
-    if k % 2 == 1:
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2:
         return Fraction(0)
-    # sum_{j=0}^{k} C(k+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(k):
-        acc += comb(k + 1, j) * bernoulli(j)
-    return -acc / (k + 1)
+    n = k // 2
+    tangent = [0, 1] + [0] * (n - 1)  # T_1 .. T_n at indices 1 .. n
+    for j in range(2, n + 1):
+        tangent[j] = (j - 1) * tangent[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+    return Fraction((-1) ** (n - 1) * k * tangent[n], 4**n * (4**n - 1))
 
 
 def _divisor_power_sums(precision: int, nu: int, ring: Ring) -> np.ndarray:
@@ -63,9 +72,11 @@ def _divisor_power_sums(precision: int, nu: int, ring: Ring) -> np.ndarray:
 
 def eisenstein_G(k: int, precision: int, ring: Ring, constant: bool = True) -> QSeries:
     """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n for even k >= 2; constant=False
-    leaves a(0) = 0."""
+    leaves a(0) = 0.  A constant past CONSTANT_WEIGHT_LIMIT is refused."""
     if k < 2 or k % 2:
         raise ValueError("G_k needs even weight k >= 2")
+    if constant and k > CONSTANT_WEIGHT_LIMIT:
+        raise ValueError(f"the constant term of G_{k} is beyond the limit k <= {CONSTANT_WEIGHT_LIMIT}")
     coeffs = _divisor_power_sums(precision, k - 1, ring)
     if constant:
         coeffs[0] = reduce_coefficient(-bernoulli(k) / (2 * k), ring)

@@ -47,15 +47,16 @@ congruence, which covers negative a.
 
 One routine does all of this for a list of rings, each at its own
 precision (`expand_all`; `expand` is its one-ring case).  Residue rings
-whose exponents stay as given share one product modulo the lcm of a group
-of their moduli, as large as the int64 guard allows, run to the furthest
-precision in the group, and each reduces it mod its own modulus up to its
-own precision; a ring that reads less than its group joins it only where
-it keeps the group's int32 or int64 dtype.  A ring with rewritten
-exponents rides on such a group when the group already reads as far and
-keeps its dtype with the ring's modulus, which costs nothing; otherwise
-it runs the rewritten product alone, unless that leaves a denominator, in
-which case it expands the exponents as given.
+share one product modulo the lcm of their moduli, as large as the int64
+guard allows, run to the furthest precision of the run, and each reduces
+it mod its own modulus up to its own precision.  One rule groups them
+(`_ring_groups`): each ring joins the first run that keeps its dtype with
+the ring's modulus; a ring whose exponents stay as given and that reads
+at least as far as the run also joins while the run stays inside the
+guard; a ring with rewritten exponents never makes a run read further,
+so it rides at no cost.  A ring that no run takes runs alone, rewritten
+unless that leaves a denominator, in which case it expands the exponents
+as given.
 """
 
 from __future__ import annotations
@@ -438,45 +439,33 @@ def _ring_groups(rings: List[Ring], reaches: List[int], plans: List[_Plan], shar
     """Split the rings into runs that share one sparse product, each as
     [indices into rings, modulus of the product (None: over ZZ), plan].
 
-    The rings on the shared plan go in order.  A residue ring joins the run
-    before it while weight (M - 1) stays below the int64 limit for the lcm M
-    of the run's moduli, weighted by the blocks, denominator blocks
-    included, to the run's reach (numpy int64 wraps silently), and the ring
-    either reads as far as the run or keeps its dtype: a ring that reads
-    less never widens a run from int32 to int64.  ZZ and a modulus too
-    large for that limit take the exact product and run alone.  A ring
-    with a plan of its own (`_frobenius`) rides on the first residue run
-    that reads as far and keeps its dtype with the ring's modulus, which
-    costs nothing; else it runs its own plan alone.
+    One pass takes the rings on the shared plan in order, then the rings
+    with a plan of their own (`_frobenius`).  Each ring joins the first
+    residue run on the shared plan that takes it.  A run takes a ring when
+    the lcm M of its moduli and the ring's keeps the run's dtype at its
+    reach (`_Plan.width`, which weighs M - 1 by the blocks, denominators
+    included: numpy int64 wraps silently).  A ring on the shared plan that
+    reads at least as far as the run also joins while the run stays inside
+    the int64 guard; a ring with a plan of its own never makes a run read
+    further.  A ring that no run takes starts a run on its own plan: ZZ and
+    a modulus too large for the guard take the exact product.
     """
     groups: List[list] = []
-    for i, ring in enumerate(rings):
-        if plans[i] is not shared:
-            continue
-        m = ring.modulus if ring.kind == "mod" and shared.width(ring.modulus, reaches[i]) < 2 else None
-        if m and groups and groups[-1][1]:
-            run, modulus, _ = groups[-1]
+    for i in sorted(range(len(rings)), key=lambda i: plans[i] is not shared):
+        own, reach = plans[i] is not shared, reaches[i]
+        m = rings[i].modulus if rings[i].kind == "mod" else None
+        for group in groups:
+            run, modulus, plan = group
             far = max(reaches[j] for j in run)
-            joined = lcm(modulus, m)
-            width = shared.width(joined, max(far, reaches[i]))
-            if width < 2 and (reaches[i] >= far or width == shared.width(modulus, far)):
-                run.append(i)
-                groups[-1][1] = joined
+            if not (m and modulus and plan is shared) or own and reach > far:
                 continue
-        groups.append([[i], m, shared])
-    runs = [group for group in groups if group[1]]
-    for i, plan in enumerate(plans):
-        if plan is shared:
-            continue
-        m = rings[i].modulus
-        for group in runs:
-            far = max(reaches[j] for j in group[0])
-            if reaches[i] <= far and shared.width(lcm(group[1], m), far) == shared.width(group[1], far):
-                group[0].append(i)
-                group[1] = lcm(group[1], m)
+            width = shared.width(lcm(modulus, m), max(far, reach))
+            if width == shared.width(modulus, far) or not own and reach >= far and width < 2:
+                run.append(i)
+                group[1] = lcm(modulus, m)
                 break
         else:
-            groups.append([[i], m if plan.width(m, reaches[i]) < 2 else None, plan])
+            groups.append([[i], m if m and plans[i].width(m, reach) < 2 else None, plans[i]])
     return groups
 
 

@@ -31,38 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-
-# Miller-Rabin to the 13 primes <= 41 as bases is exact below this bound
-# (Sorenson and Webster, Math. Comp. 86, 2017); nothing certifies a larger n.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_TEST_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Primality of n: trial division by the bases, which settles every
-    n < 41^2, then a strong probable-prime test to each base.  An n at or
-    above _PRIME_TEST_LIMIT that no base divides is refused (ValueError)."""
-    for p in _PRIME_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 41 * 41:
-        return n > 1
-    if n >= _PRIME_TEST_LIMIT:
-        raise ValueError(f"cannot certify that {n} is prime: the test is exact below {_PRIME_TEST_LIMIT}")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+from .characters import factor
 
 
 @dataclass(frozen=True)
@@ -79,7 +48,7 @@ class Ring:
         if self.kind == "mod":
             if not self.ell or not self.t or self.t < 1:
                 raise ValueError("residue ring needs a prime base and exponent t >= 1")
-            if not _is_prime(self.ell):
+            if factor(self.ell, "residue ring base", "ell") != {self.ell: 1}:
                 raise ValueError(f"residue ring base {self.ell} is not prime")
 
     @property

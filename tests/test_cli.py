@@ -527,6 +527,18 @@ def test_planted_raw_identity_controls(capsys, name, code):
         assert (report["verdict"], report["rigor"]) == ("evidence", "numerical-evidence")
 
 
+def test_an_eisenstein_constant_term_is_quick_up_to_its_weight_limit(capsys):
+    # G_1600's constant term reads B_1600, which the defining recurrence took
+    # 25 s to build; past weight 2000 the constant is refused before any work
+    code, out, err = run(capsys, "verify", str(DATA / "constant_term_g1600.json"), "--format", "json")
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["reports"]
+    assert (report["verdict"], report["rigor"]) == ("proved", "sturm-proved")
+    code, out, err = run(capsys, "verify", str(DATA / "constant_term_past_limit.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: the constant term of G_2002 is beyond the limit k <= 2000\n"
+
+
 def test_raw_identity_without_weight_runs_at_the_derived_space(tmp_path, capsys):
     (claim,) = [c for c in builtin_claims() if c.kind == "raw-identity"]
     data = claim.to_json()

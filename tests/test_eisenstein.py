@@ -1,7 +1,7 @@
 """Bernoulli numbers and the Eisenstein-series constructors."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -13,7 +13,7 @@ from etaq.eisenstein import bernoulli, eisenstein_G
 from etaq.etaquot import lookup
 from etaq.operators import theta
 from etaq.oracles import e2_replacement, eisenstein_E2, primes_up_to, sigma
-from etaq.qseries import QSeries, ZZ, residue_ring
+from etaq.qseries import QSeries, ZZ, reduce_coefficient, residue_ring
 
 
 def test_bernoulli_values():
@@ -23,6 +23,25 @@ def test_bernoulli_values():
     assert bernoulli(3) == 0
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(30) == Fraction(8615841276005, 14322)
+
+
+def test_bernoulli_matches_the_defining_recurrence():
+    # the tangent-number passes against sum_{j=0}^{k} C(k+1, j) B_j = 0,
+    # the O(k^3) Fraction recurrence they replace, for every k <= 300
+    reference = [Fraction(1)]
+    for k in range(1, 301):
+        reference.append(-sum(comb(k + 1, j) * reference[j] for j in range(k)) / (k + 1))
+    assert [bernoulli(k) for k in range(301)] == reference
+
+
+def test_eisenstein_G_refuses_a_constant_past_its_weight_limit():
+    # B_k for the constant term costs k^2 passes, so past weight 2000 it is
+    # refused before any work; a side with a(0) killed needs no constant
+    ring = residue_ring(7)
+    assert eisenstein_G(2000, 10, ring)[0] == reduce_coefficient(-bernoulli(2000) / 4000, ring)
+    with pytest.raises(ValueError, match=r"constant term of G_2002 is beyond the limit k <= 2000"):
+        eisenstein_G(2002, 10, ring)
+    assert eisenstein_G(2002, 10, ring, constant=False)[0] == 0
 
 
 def test_bernoulli_von_staudt_clausen():

@@ -682,8 +682,9 @@ def test_expand_all_reads_each_ring_to_its_own_precision(monkeypatch):
 def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
     # delta's blocks at 600 terms weight each pass by w = 35^2.  3 joins
     # 3^5 without growing its modulus; ZZ and 2^70 (too large for the guard)
-    # run alone on the exact product (None) and end a run; a ring that
-    # would push w (M - 1) past 2^63 opens a new run.  With a leftover
+    # run alone on the exact product (None) and take no other ring; 5 and
+    # 3^20 join the first run, past the exact ones, and 2^40, which would
+    # push w (M - 1) past 2^63 there, opens a new run.  With a leftover
     # denominator the rings share runs alike, weighted by its blocks too
     plan = etaquot._Plan({1: 24}, 600)
     w = max(plan.norms(600).values())
@@ -692,20 +693,77 @@ def test_ring_groups_share_an_lcm_modulus_inside_the_int64_guard():
     rings += [residue_ring(2, 70), residue_ring(2, 40), residue_ring(3, 20)]
     reaches = [600] * len(rings)
     assert etaquot._ring_groups(rings, reaches, [plan] * len(rings), plan) == [
-        [[0, 1, 2], 3**5 * 7**2, plan],
+        [[0, 1, 2, 4, 7], 3**20 * 7**2 * 5, plan],
         [[3], None, plan],
-        [[4], 5, plan],
         [[5], None, plan],
         [[6], 2**40, plan],
-        [[7], 3**20, plan],
     ]
-    assert w * (2**40 * 3**20 - 1) >= 2**63 > w * (3**20 - 1)
+    assert w * (2**40 * 3**20 - 1) >= 2**63 > w * (3**20 * 7**2 * 5 - 1)
     assert w * (2**70 - 1) >= 2**63
     leftover = etaquot._Plan({1: -1, 5: 5}, 600)
     assert leftover.den_blocks == [("E", 1)] and max(leftover.norms(600).values()) == 256
     assert etaquot._ring_groups(rings, reaches, [leftover] * len(rings), leftover) == [
         [group, modulus, leftover] for group, modulus, _ in etaquot._ring_groups(rings, reaches, [plan] * len(rings), plan)
     ]
+
+
+def test_ring_groups_take_a_ring_into_the_first_run_past_an_exact_one():
+    # one pass: 3 joins the first residue run that takes it, on the far side
+    # of ZZ's exact run, rather than opening a third run after it
+    plan = etaquot._Plan({1: 24}, 600)
+    rings = [residue_ring(3, 5), ZZ, residue_ring(3)]
+    assert etaquot._ring_groups(rings, [600] * 3, [plan] * 3, plan) == [
+        [[0, 2], 3**5, plan],
+        [[1], None, plan],
+    ]
+
+
+@pytest.mark.parametrize("exponents", [{1: 24}, {1: 8, 2: 8}], ids=["delta", "eta1^8 eta2^8"])
+def test_ring_groups_invariants_over_random_ring_lists(monkeypatch, exponents):
+    # seeded ring lists that mix ZZ, 2^70 (past the int64 guard) and ell^t,
+    # t <= 5, at reaches <= 600, on the form's plan and its Frobenius plans:
+    # each ring is in exactly one run, a residue run runs mod the lcm of its
+    # moduli inside the guard at its furthest reach, an exact run holds one
+    # ring, no ring with a plan of its own makes its run read further, and
+    # each ring gets the series it gets expanded alone
+    seen, riders, alone, reads_less = [], 0, 0, 0
+    real_groups = etaquot._ring_groups
+
+    def groups_spy(rings, reaches, plans, shared):
+        groups = real_groups(rings, reaches, plans, shared)
+        seen.append((rings, reaches, plans, shared, groups))
+        return groups
+
+    monkeypatch.setattr(etaquot, "_ring_groups", groups_spy)
+    rng = np.random.default_rng(29)
+    bases = [ZZ, residue_ring(2, 70)] + [residue_ring(ell, t) for ell in (2, 3, 5, 7, 23, 691) for t in range(1, 6)]
+    for _ in range(40):
+        rings = [bases[k] for k in rng.integers(len(bases), size=rng.integers(1, 9))]
+        reaches = [int(rng.choice([600, 600, 599, 300, rng.integers(0, 601)])) for _ in rings]
+        seen.clear()
+        series = etaquot._expand_rings(exponents, 1, [reach + 1 for reach in reaches], rings)
+        (_, _, plans, shared, groups), = seen
+        assert sorted(i for run, _, _ in groups for i in run) == list(range(len(rings)))
+        for run, modulus, plan in groups:
+            far = max(reaches[i] for i in run)
+            if modulus is None:
+                (i,) = run
+                assert rings[i].kind == "ZZ" or plan.width(rings[i].modulus, far) == 2, rings[i]
+                continue
+            assert modulus == lcm(*(rings[i].modulus for i in run))
+            assert plan.width(modulus, far) < 2
+            own = [i for i in run if plans[i] is not shared]
+            if plan is shared:
+                assert far == max(reaches[i] for i in run if plans[i] is shared)
+                riders += len(own)
+                reads_less += sum(reaches[i] < far for i in run if plans[i] is shared)
+            else:
+                assert len(run) == 1 and plans[run[0]] is plan
+                alone += 1
+        for ring, reach, got in zip(rings, reaches, series):
+            assert got == etaquot._expand_rings(exponents, 1, [reach + 1], [ring])[0], (ring, reach)
+    # every branch of the rule fires somewhere in the sample
+    assert riders and alone and reads_less, (riders, alone, reads_less)
 
 
 def test_ring_groups_keep_a_run_in_int32_for_a_ring_that_reads_less():

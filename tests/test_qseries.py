@@ -35,14 +35,15 @@ def test_residue_ring_validation():
     # every series is over ZZ or Z/ell^t: the rationals are no ring kind
     with pytest.raises(ValueError, match="unknown ring kind 'QQ'"):
         Ring("QQ")
-    # strong pseudoprimes to the bases 2..7 and 2..23 are composite; the test
-    # to the 13 primes <= 41 is exact below 3.3 10^24, and refuses beyond
-    for composite in (3215031751, 3825123056546413051):
-        with pytest.raises(ValueError, match="is not prime"):
-            residue_ring(composite)
-    assert residue_ring(10**20 + 39).modulus == 10**20 + 39
-    with pytest.raises(ValueError, match="cannot certify"):
-        residue_ring(2**89 - 1)
+    # the base is certified prime by `factor`, trial division to 10^12: a
+    # strong pseudoprime to the bases 2..7 is composite, the largest prime
+    # below the limit is a base, and past it a base is refused, prime or not
+    with pytest.raises(ValueError, match="is not prime"):
+        residue_ring(3215031751)
+    assert residue_ring(10**12 - 11).modulus == 10**12 - 11
+    for big in (3825123056546413051, 2**89 - 1, 10**20 + 39):
+        with pytest.raises(ValueError, match=r"residue ring base .* is beyond the limit \|ell\| <= 10\^12"):
+            residue_ring(big)
 
 
 @pytest.mark.parametrize("ring", [ZZ, residue_ring(5), residue_ring(3, 3)])

@@ -28,6 +28,8 @@ def test_every_public_name_resolves():
     # the dense Euler factor is an oracle and an Euler part is `_expand_rings`
     assert not hasattr(etaq.eisenstein, "eisenstein_E2_level") and not hasattr(etaq.congruence, "_euler_criterion")
     assert not any(hasattr(etaq.etaquot, n) for n in ("euler_factor", "expand_euler_part"))
+    # a residue ring's base is certified prime by `characters.factor`, the one factorizer
+    assert not any(hasattr(etaq.qseries, n) for n in ("_is_prime", "_PRIME_BASES", "_PRIME_TEST_LIMIT"))
     # each claim's derivation is handed to its verifier, which dispatch looks up on the module
     assert not any(hasattr(etaq.congruence, n) for n in ("_VERIFIERS", "_derivations"))
     assert not any(hasattr(etaq.QSeries, n) for n in ("dilate", "pow", "__pow__", "scale", "zero", "one", "inverse"))
