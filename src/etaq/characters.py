@@ -5,7 +5,8 @@ Every character we need factors as (the trivial character modulo M) times
 symbolically as that pair plus its effective modulus.  Evaluation is exact
 integer arithmetic throughout.  `factor`, trial division refused past
 |n| = 10^12, is the engine's one factorizer: of discriminants, and of levels
-for `sturm`.  A product of characters factors nothing (see `__mul__`).
+for `sturm`.  `check_modulus` beside it bounds a residue ring's or a claim's
+modulus ell^t.  A product of characters factors nothing (see `__mul__`).
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ def factor(n: int, what: str = "integer", symbol: str = "n") -> Dict[int, int]:
     if n > 1:
         out[n] = 1  # what is left after every p <= sqrt(n) is prime
     return out
+
+
+def check_modulus(ell: int, t: int) -> None:
+    """Refuse a modulus ell^t past 2^512 (ell >= 2) without forming a power
+    past 2^1024.  Up to 2^512 the exact path past the int64 guard sets the
+    cost; past it a residue is as long as ell^t and the cost grows with it."""
+    if t * (ell.bit_length() - 1) > 512 or ell**t > 2**512:
+        raise ValueError(f"modulus {ell}^{t} is beyond the limit ell^t <= 2^512")
 
 
 def _squarefree_part(d: int) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
-KINDS = ("two-exponent", "square-class", "prime-power", "unit-factor", "twist-power", "raw-identity")
+from .characters import check_modulus
 
 # The optional fields each kind reads; a claim may set no other.
 _READS = {
@@ -23,6 +23,7 @@ _READS = {
     "raw-identity": {"weight", "level", "lhs", "rhs"},
 }
 _OPTIONAL = set().union(*_READS.values())
+KINDS = tuple(_READS)
 
 
 def _is_int(x) -> bool:
@@ -66,6 +67,7 @@ class CongruenceClaim:
             raise ValueError("ell must be a prime >= 2")
         if self.t < 1:
             raise ValueError("modulus exponent must be >= 1")
+        check_modulus(self.ell, self.t)
         if self.kind in ("two-exponent", "prime-power"):
             if self.m is None or self.m_prime is None:
                 raise ValueError(f"{self.kind} claim needs exponents m < m'")
@@ -107,23 +109,7 @@ class CongruenceClaim:
 
     def to_json(self) -> Dict:
         """The fields in declaration order, without the ones left at their defaults."""
-        out: Dict = {}
-        for field in fields(self):
-            name, value = field.name, getattr(self, field.name)
-            if value is None:
-                continue
-            if name == "t" and value == 1:
-                continue
-            if name == "expect" and value == "pass":
-                continue
-            if name == "note" and not value:
-                continue
-            if name == "residues":
-                value = list(value)
-            if name == "units":
-                value = [list(u) for u in value]
-            out[name] = value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) != f.default}
 
     @classmethod
     def from_json(cls, data: Dict) -> "CongruenceClaim":

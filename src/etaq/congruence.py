@@ -36,13 +36,14 @@ is expanded once, over all of its rings, before its first claim, so the
 claims themselves only hit the cache, and leaves the cache after its last,
 so one form's expansions are alive at a time.  A report's `seconds`
 therefore leaves out the expansions and derivations.  Reports are plain
-data and serialize to JSON with stable field order.
+data and serialize to JSON in the declaration order of their fields (a
+report's claim as its five identifying keys, and its status last).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -89,29 +90,12 @@ class VerificationReport:
         return "ok" if self.verdict in ("proved", "evidence") else "fail"
 
     def to_json(self) -> Dict:
-        out: Dict = {
-            "claim": self.claim.claim_id,
-            "kind": self.claim.kind,
-            "form": self.claim.form,
-            "ell": self.claim.ell,
-            "t": self.claim.t,
-            "verdict": self.verdict,
-            "rigor": self.rigor,
-            "status": self.status,
-            "bound": self.bound,
-        }
-        if self.weight is not None:
-            out["weight"] = self.weight
-        if self.level is not None:
-            out["level"] = self.level
-        if self.first_failure is not None:
-            out["first_failure"] = self.first_failure
-        if self.primes_checked is not None:
-            out["primes_checked"] = self.primes_checked
-        out["seconds"] = self.seconds
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        c = self.claim
+        out = {"claim": c.claim_id, "kind": c.kind, "form": c.form, "ell": c.ell, "t": c.t}
+        for f in fields(self)[1:]:  # every field after the claim that is set
+            if getattr(self, f.name) not in (None, ""):
+                out[f.name] = getattr(self, f.name)
+        return {**out, "status": self.status}
 
 
 # -- cached expansions ------------------------------------------------------
@@ -644,13 +628,7 @@ class ScanFinding:
     primes_checked: int = 0
 
     def to_json(self) -> Dict:
-        out: Dict = {"ell": self.ell, "kind": self.kind, "masked": self.masked}
-        if self.m is not None:
-            out["m"] = self.m
-            out["m_prime"] = self.m_prime
-            out["psi"] = self.psi
-        out["primes_checked"] = self.primes_checked
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
 
 
 def _candidate_psi(n_level: int) -> List[Character]:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import factor
+from .characters import check_modulus, factor
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ class Ring:
         if self.kind == "mod":
             if not self.ell or not self.t or self.t < 1:
                 raise ValueError("residue ring needs a prime base and exponent t >= 1")
+            check_modulus(self.ell, self.t)
             if factor(self.ell, "residue ring base", "ell") != {self.ell: 1}:
                 raise ValueError(f"residue ring base {self.ell} is not prime")
 

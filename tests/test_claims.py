@@ -75,6 +75,14 @@ def test_json_omits_defaults():
     assert "expect" not in data
     assert "note" not in data
     assert data.get("t", 1) == 1 or "t" not in data
+    # a key is absent exactly when its field holds its declared default
+    for c in builtin_claims():
+        data = c.to_json()
+        for field in dataclasses.fields(CongruenceClaim):
+            at_default = getattr(c, field.name) == field.default
+            assert (field.name not in data) == at_default, (c.claim_id, field.name)
+    two = CongruenceClaim(claim_id="x", kind="twist-power", form="eta3^8", ell=3, t=2)
+    assert two.to_json() == {"claim_id": "x", "kind": "twist-power", "form": "eta3^8", "ell": 3, "t": 2}
 
 
 def test_from_json_rejects_unknown_fields():
@@ -98,3 +106,8 @@ def test_claim_validation():
         CongruenceClaim(claim_id="x", kind="two-exponent", form="delta", ell=3, m=0, m_prime=1)
     with pytest.raises(ValueError):
         CongruenceClaim(claim_id="x", kind="raw-identity", form="delta", ell=3)
+    # a modulus past 2^512 is refused before ell^t is formed
+    CongruenceClaim(claim_id="x", kind="twist-power", form="eta3^8", ell=2, t=512)
+    for ell, t in ((2, 513), (3, 324), (3, 10**7)):
+        with pytest.raises(ValueError, match=rf"modulus {ell}\^{t} is beyond the limit ell\^t <= 2\^512"):
+            CongruenceClaim(claim_id="x", kind="twist-power", form="eta3^8", ell=ell, t=t)

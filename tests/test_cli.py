@@ -15,6 +15,8 @@ from etaq.claims import builtin_claims
 from etaq.cli import format_polynomial, main
 from etaq.etaquot import lookup
 
+DATA = Path(__file__).parent / "data"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -422,22 +424,31 @@ BIG_PRIME = 100000000000000000039
          "level 1000000014000000049 is beyond the limit |N| <= 10^12"),
         (["verify"], dict(RAW, level=1000000000000000009, lhs={"form": "delta"}),
          "level 1000000000000000009 is beyond the limit |N| <= 10^12"),
-        (["verify"], dict(RAW, ell=2, t=1000000, lhs={"form": "delta", "theta": 1},
+        (["verify"], dict(RAW, ell=2, t=100, lhs={"form": "delta", "theta": 1},
                           rhs={"form": "delta", "theta": 1}),
-         "level of 301030 digits is beyond the limit |N| <= 10^12"),
-        (["verify"], dict(RAW, ell=2, t=1000000, level=3, lhs={"form": "delta", "theta": 1},
+         "level 633825300114114700748351602688 is beyond the limit |N| <= 10^12"),
+        (["verify"], dict(RAW, ell=2, t=100, level=3, lhs={"form": "delta", "theta": 1},
                           rhs={"form": "delta", "theta": 1}),
-         "declared weight of 301030 digits, level 3 does not contain the derived weight of 301030 "
-         "digits, level of 301030 digits"),
+         "declared weight 633825300114114700748351602702, level 3 does not contain the derived "
+         "weight 633825300114114700748351602702, level 633825300114114700748351602688"),
+        (["verify"], json.loads((DATA / "modulus_past_limit.json").read_text())["claims"][0],
+         "modulus 3^10000000 is beyond the limit ell^t <= 2^512"),
+        (["verify"], {"kind": "prime-power", "form": "eta1^8 eta2^8", "ell": 2, "t": 1000000,
+                      "m": 0, "m_prime": 7, "residue_modulus": 64},
+         "modulus 2^1000000 is beyond the limit ell^t <= 2^512"),
+        (["expand", "--form", "delta", "--terms", "5", "--mod", "2^1000000"], None,
+         "modulus 2^1000000 is beyond the limit ell^t <= 2^512"),
     ],
     ids=["expand-terms", "scan-ell-max", "scan-prime-bound", "verify-prime-bound",
          "square-class-huge-ell", "square-class-ell-1e9", "huge-psi", "huge-twist",
-         "twist-level", "declared-level", "theta-level-2^999999", "declared-level-under-theta-2^999999"],
+         "twist-level", "declared-level", "theta-level-2^99", "declared-level-under-theta-2^99",
+         "twist-power-modulus", "prime-power-modulus", "expand-modulus"],
 )
 def test_outsized_input_is_a_usage_error_at_once(tmp_path, capsys, argv, claim, message):
-    # a bound past 10^6 coefficients, or a discriminant or a comparison's
-    # level past 10^12, exits 2 naming its limit before any sieve, expansion
-    # or factoring starts; a level too long to print gives its digit count
+    # a bound past 10^6 coefficients, a modulus ell^t past 2^512, or a
+    # discriminant or a comparison's level past 10^12, exits 2 naming its
+    # limit before any sieve, expansion or factoring starts (the two theta
+    # cases sit at 2^100, below the modulus limit, so they reach the level limit)
     if claim is not None:
         path = tmp_path / "claims.json"
         path.write_text(json.dumps({"claims": [dict(claim, claim_id="x")]}))
@@ -501,9 +512,6 @@ def test_a_G2_recipe_needs_a_twist_that_vanishes_at_0(tmp_path, capsys):
         else:
             (report,) = json.loads(out)["reports"]
             assert (report["verdict"], report["weight"], report["level"]) == ("evidence", 8, 9)
-
-
-DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(

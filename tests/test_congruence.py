@@ -13,6 +13,7 @@ from etaq import congruence, etaquot
 from etaq.characters import kronecker, kronecker_character, trivial_mod
 from etaq.claims import KINDS, CongruenceClaim, builtin_claims
 from etaq.congruence import (
+    ScanFinding,
     VerificationReport,
     classify_square_class_prime,
     clear_expansion_cache,
@@ -255,6 +256,28 @@ def test_report_json_shape():
     assert data["status"] == "ok"
     assert data["bound"] == 25
     assert isinstance(data["seconds"], float)
+
+
+def test_json_keeps_zero_values():
+    # 0, 0.0 and False are values, not unset: Delta = G_12 mod 11 fails at
+    # its constant term, and a report keeps that witness and its seconds
+    claim = CongruenceClaim(
+        claim_id="x", kind="raw-identity", form="delta", ell=11, lhs={"form": "delta"}, rhs={"G": 12}
+    )
+    report = verify_claim(claim)
+    assert (report.verdict, report.bound, report.first_failure) == ("failed", 1, 0)
+    # the claim's keys first, then the set report fields in order, then status
+    data = dataclasses.replace(report, seconds=0.0).to_json()
+    assert list(data.items()) == [
+        ("claim", "x"), ("kind", "raw-identity"), ("form", "delta"), ("ell", 11), ("t", 1),
+        ("verdict", "failed"), ("rigor", "sturm-proved"), ("bound", 1), ("weight", 12), ("level", 1),
+        ("first_failure", 0), ("seconds", 0.0), ("status", "fail"),
+    ]
+    finding = ScanFinding(ell=3, kind="two-exponent", m=0, m_prime=1, psi="1_1")
+    assert finding.to_json() == {
+        "ell": 3, "kind": "two-exponent", "masked": False, "m": 0, "m_prime": 1, "psi": "1_1",
+        "primes_checked": 0,
+    }
 
 
 def test_report_invariant_proved_requires_sturm():

@@ -44,6 +44,12 @@ def test_residue_ring_validation():
     for big in (3825123056546413051, 2**89 - 1, 10**20 + 39):
         with pytest.raises(ValueError, match=r"residue ring base .* is beyond the limit \|ell\| <= 10\^12"):
             residue_ring(big)
+    # a modulus ell^t is at most 2^512: 3^323 < 2^512 < 3^324
+    assert residue_ring(2, 512).modulus == 2**512
+    assert residue_ring(3, 323).modulus == 3**323
+    for ell, t in ((2, 513), (3, 324), (2, 10**7)):
+        with pytest.raises(ValueError, match=rf"modulus {ell}\^{t} is beyond the limit ell\^t <= 2\^512"):
+            residue_ring(ell, t)
 
 
 @pytest.mark.parametrize("ring", [ZZ, residue_ring(5), residue_ring(3, 3)])
